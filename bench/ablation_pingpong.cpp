@@ -20,7 +20,10 @@ int main() {
     const auto ann = bench::calibrated_model<nn::Vgg11>(mcfg);
     const auto model = core::AnnToSnnConverter().convert(ann->ir());
 
-    const sim::SiaConfig cfg;
+    // One membrane context: the whole U1/U2 pair serves the single
+    // inference, as in the paper's Fig. 3 organisation.
+    sim::SiaConfig cfg;
+    cfg.membrane_banks = 1;
     const auto program = core::SiaCompiler(cfg).compile(model);
     sim::Sia sia(cfg, model, program);
     util::Rng rng(5);

@@ -1,10 +1,10 @@
 // Batched-inference throughput: sequential FunctionalEngine vs
 // core::BatchRunner at several thread counts, over a calibrated
-// reduced-width VGG-11, plus the cycle-accurate path's resident-batched
-// vs per-item-instance schedules (the BRAM-residency amortization).
+// reduced-width VGG-11, plus the cycle-accurate path's resident batches
+// vs sequential run() calls (the BRAM-residency amortization).
 // Demonstrates the serving-path speedup of the fixed thread pool and
 // cross-checks the determinism contract (batched results must equal the
-// sequential reference at every thread count and schedule).
+// sequential reference at every thread count).
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -121,7 +121,7 @@ int main() {
     }
     table.print(std::cout);
 
-    // ---- cycle-accurate path: per-item Sia instances vs resident batched ----
+    // ---- cycle-accurate path: sequential run() vs resident batches ----
 
     const std::size_t sim_batch_size = 16;
     const std::vector<snn::SpikeTrain> sim_batch(
@@ -134,7 +134,7 @@ int main() {
     const sim::SiaConfig sia_config;
 
     // Sequential reference: one resident instance, inputs one at a time
-    // (also the bit-exactness referee for both schedules).
+    // (also the bit-exactness referee for the batched rows).
     const auto program = core::SiaCompiler(sia_config).compile(model);
     sim::Sia ref_sia(sia_config, model, program);
     std::vector<sim::SiaRunResult> sim_ref;
@@ -155,7 +155,7 @@ int main() {
         return true;
     };
 
-    util::Table sim_table("SiaBackend schedules, VGG-11 w=8, batch=16, T=8");
+    util::Table sim_table("SiaBackend resident batches, VGG-11 w=8, batch=16, T=8");
     sim_table.header({"schedule", "threads", "wall_ms", "inputs/s", "setup_ms",
                       "run_ms", "bit_exact"});
     sim_table.row({"seq run()", "-", util::cell(sim_seq_ms, 1),
@@ -165,28 +165,21 @@ int main() {
 
     sim::SiaBatchStats residency{};
     for (const std::size_t threads : {1UL, 4UL}) {
-        for (const auto schedule :
-             {core::SimSchedule::kPerItem, core::SimSchedule::kResident}) {
-            const bool resident = schedule == core::SimSchedule::kResident;
-            core::BatchRunner runner(
-                std::make_shared<core::SiaBackend>(model, sia_config, schedule),
-                {.threads = threads});
-            const auto results = runner.run(sim_requests);
-            const auto& stats = runner.last_stats();
-            const bool exact = sim_exact(results);
-            all_exact = all_exact && exact;
-            if (resident) residency = runner.last_sim_batch_stats();
-            sim_table.row({resident ? "resident" : "per-item",
-                           std::to_string(threads), util::cell(stats.wall_ms, 1),
-                           util::cell(stats.inputs_per_sec(), 1),
-                           util::cell(stats.setup_ms, 2), util::cell(stats.run_ms, 1),
-                           exact ? "yes" : "NO"});
-        }
+        core::BatchRunner runner(std::make_shared<core::SiaBackend>(model, sia_config),
+                                 {.threads = threads});
+        const auto results = runner.run(sim_requests);
+        const auto& stats = runner.last_stats();
+        const bool exact = sim_exact(results);
+        all_exact = all_exact && exact;
+        residency = runner.last_sim_batch_stats();
+        sim_table.row({"resident", std::to_string(threads), util::cell(stats.wall_ms, 1),
+                       util::cell(stats.inputs_per_sec(), 1), util::cell(stats.setup_ms, 2),
+                       util::cell(stats.run_ms, 1), exact ? "yes" : "NO"});
     }
     sim_table.print(std::cout);
 
-    std::cout << "simulated residency (resident, threads=4): " << residency.waves
-              << " waves x " << residency.banks << " membrane banks ("
+    std::cout << "simulated residency (resident, threads=4): " << residency.chunk_passes
+              << " passes x " << residency.banks << " membrane banks ("
               << residency.membrane_slice_bytes / 1024 << " kB/context, membranes "
               << (residency.membrane_resident ? "fit" : "DO NOT fit — host-mirrored")
               << "), kernels " << residency.weight_bytes_streamed / 1024

@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
                             .est_timesteps = timesteps});
                 sim::SiaCluster cluster(config, model, plan,
                                         {.double_buffer = double_buffer});
-                const auto results = cluster.run_batch(inputs);
+                const auto results = cluster.run_batch(sim::as_batch(inputs));
                 for (std::size_t i = 0; i < results.size(); ++i) {
                     if (results[i].logits_per_step != ref[i].logits_per_step ||
                         results[i].spike_counts != ref[i].spike_counts) {

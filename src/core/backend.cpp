@@ -182,6 +182,37 @@ const snn::SpikeTrain& Backend::materialize(const Request& request, std::uint64_
     throw std::invalid_argument("core::Request: unknown encoding");
 }
 
+std::vector<sim::BatchItem> Backend::materialize_batch(std::span<const Request> requests,
+                                                       std::size_t base, std::uint64_t seed,
+                                                       std::vector<snn::SpikeTrain>& scratch) {
+    scratch.resize(requests.size());
+    std::vector<sim::BatchItem> items(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Request& r = requests[i];
+        items[i].frames = materialize(r, seed, r.rng_stream.value_or(base + i), scratch[i]);
+        items[i].session = r.session_state.get();
+        if (r.early_exit) items[i].exit = &*r.early_exit;
+    }
+    return items;
+}
+
+namespace {
+
+/// Hand a simulator batch's results back as the span's responses.
+void respond(std::vector<sim::SiaRunResult>&& results, std::span<const Request> requests,
+             std::span<Response> responses) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        responses[i] = Response::from(std::move(results[i]));
+        if (requests[i].session_state) {
+            responses[i].session_steps = requests[i].session_state->steps;
+        }
+        responses[i].session = requests[i].session;
+        responses[i].window_seq = requests[i].window_seq;
+    }
+}
+
+}  // namespace
+
 // ------------------------------------------------------ FunctionalBackend
 
 FunctionalBackend::FunctionalBackend(const snn::SnnModel& model,
@@ -229,9 +260,8 @@ void FunctionalBackend::run_span(std::size_t worker,
 
 // ------------------------------------------------------------- SiaBackend
 
-SiaBackend::SiaBackend(const snn::SnnModel& model, sim::SiaConfig config,
-                       SimSchedule schedule)
-    : Backend(model), config_(config), schedule_(schedule) {}
+SiaBackend::SiaBackend(const snn::SnnModel& model, sim::SiaConfig config)
+    : Backend(model), config_(config) {}
 
 void SiaBackend::prepare(std::size_t workers) {
     if (sias_.size() < workers) sias_.resize(workers);
@@ -244,7 +274,7 @@ void SiaBackend::prepare(std::size_t workers) {
 
 std::size_t SiaBackend::preferred_span(std::size_t n,
                                        std::size_t workers) const noexcept {
-    if (schedule_ != SimSchedule::kResident || n == 0 || workers == 0) return 1;
+    if (n == 0 || workers == 0) return 1;
     return (n + workers - 1) / workers;
 }
 
@@ -261,61 +291,13 @@ sim::Sia& SiaBackend::resident(std::size_t worker) {
 void SiaBackend::run_span(std::size_t worker, std::span<const Request> requests,
                           std::span<Response> responses, std::size_t base,
                           std::uint64_t seed) {
-    if (schedule_ == SimSchedule::kPerItem) {
-        snn::SpikeTrain scratch;
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            const std::uint64_t stream = requests[i].rng_stream.value_or(base + i);
-            const snn::SpikeTrain& train =
-                materialize(requests[i], seed, stream, scratch);
-            // Sia carries per-inference memory/DMA state, so each request
-            // gets a fresh instance; the compiled program is shared
-            // read-only.
-            const util::WallTimer timer;
-            sim::Sia sia(config_, model(), *program_);
-            add_setup_nanos(static_cast<std::int64_t>(timer.millis() * 1e6));
-            const std::optional<snn::ExitCriterion>& exit = requests[i].early_exit;
-            if (requests[i].session_state) {
-                snn::SessionState& state = *requests[i].session_state;
-                responses[i] = Response::from(exit ? sia.run(train, state, *exit)
-                                                   : sia.run(train, state));
-                responses[i].session_steps = state.steps;
-            } else {
-                responses[i] = Response::from(exit ? sia.run(train, *exit)
-                                                   : sia.run(train));
-            }
-            responses[i].session = requests[i].session;
-            responses[i].window_seq = requests[i].window_seq;
-        }
-        return;
-    }
-
-    // Resident schedule: the whole span goes through one Sia::run_batch
-    // call, so weight/program residency amortizes across it. Encode
-    // first (per-request streams keep this grouping-invariant), then
-    // hand the slice over as pointers.
-    std::vector<snn::SpikeTrain> scratch(requests.size());
-    std::vector<const snn::SpikeTrain*> slice;
-    slice.reserve(requests.size());
-    std::vector<snn::SessionState*> sessions(requests.size(), nullptr);
-    std::vector<const snn::ExitCriterion*> exits(requests.size(), nullptr);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const std::uint64_t stream = requests[i].rng_stream.value_or(base + i);
-        slice.push_back(&materialize(requests[i], seed, stream, scratch[i]));
-        if (requests[i].session_state) sessions[i] = requests[i].session_state.get();
-        if (requests[i].early_exit) exits[i] = &*requests[i].early_exit;
-    }
+    std::vector<snn::SpikeTrain> scratch;
+    const auto items = materialize_batch(requests, base, seed, scratch);
     sim::Sia& sia = resident(worker);
-    auto results = sia.run_batch(slice, sessions, exits);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        responses[i] = Response::from(std::move(results[i]));
-        if (sessions[i] != nullptr) responses[i].session_steps = sessions[i]->steps;
-        responses[i].session = requests[i].session;
-        responses[i].window_seq = requests[i].window_seq;
-    }
+    respond(sia.run_batch(items), requests, responses);
     const sim::SiaBatchStats& s = sia.last_batch_stats();
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     batch_stats_.batch += s.batch;
-    batch_stats_.waves += s.waves;
     batch_stats_.banks = std::max(batch_stats_.banks, s.banks);
     batch_stats_.membrane_slice_bytes = s.membrane_slice_bytes;
     batch_stats_.membrane_resident = batch_stats_.membrane_resident && s.membrane_resident;
@@ -371,24 +353,9 @@ void ShardedSiaBackend::run_span(std::size_t worker,
                                  std::span<Response> responses, std::size_t base,
                                  std::uint64_t seed) {
     (void)worker;
-    std::vector<snn::SpikeTrain> scratch(requests.size());
-    std::vector<const snn::SpikeTrain*> slice;
-    slice.reserve(requests.size());
-    std::vector<snn::SessionState*> sessions(requests.size(), nullptr);
-    std::vector<const snn::ExitCriterion*> exits(requests.size(), nullptr);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const std::uint64_t stream = requests[i].rng_stream.value_or(base + i);
-        slice.push_back(&materialize(requests[i], seed, stream, scratch[i]));
-        if (requests[i].session_state) sessions[i] = requests[i].session_state.get();
-        if (requests[i].early_exit) exits[i] = &*requests[i].early_exit;
-    }
-    auto results = cluster_->run_batch(slice, sessions, exits);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        responses[i] = Response::from(std::move(results[i]));
-        if (sessions[i] != nullptr) responses[i].session_steps = sessions[i]->steps;
-        responses[i].session = requests[i].session;
-        responses[i].window_seq = requests[i].window_seq;
-    }
+    std::vector<snn::SpikeTrain> scratch;
+    const auto items = materialize_batch(requests, base, seed, scratch);
+    respond(cluster_->run_batch(items), requests, responses);
     const sim::ShardStats& s = cluster_->last_stats();
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     shard_stats_.partition = s.partition;

@@ -274,17 +274,6 @@ struct Response {
     [[nodiscard]] static Response from(sim::SiaRunResult r);
 };
 
-/// How a sim backend maps requests onto simulated accelerator instances.
-enum class SimSchedule {
-    /// One fresh sim::Sia per request (the pre-residency behaviour; kept
-    /// as the amortization baseline the bench compares against).
-    kPerItem,
-    /// One resident sim::Sia per worker; whole request spans go through
-    /// Sia::run_batch so BRAM weight residency and the compiled program
-    /// amortize across the span. Bit-identical to kPerItem.
-    kResident,
-};
-
 /// Backend-polymorphic execution surface. Implementations own per-worker
 /// state indexed by the `worker` id the runner passes in; slot `w` is
 /// only ever touched from pool worker `w`, which is what makes the
@@ -355,6 +344,12 @@ protected:
                                                             std::uint64_t seed,
                                                             std::uint64_t stream,
                                                             snn::SpikeTrain& scratch);
+    /// materialize() a whole span into simulator batch items carrying
+    /// each request's session and criterion (`scratch` holds the encoded
+    /// trains the items view).
+    [[nodiscard]] static std::vector<sim::BatchItem> materialize_batch(
+        std::span<const Request> requests, std::size_t base, std::uint64_t seed,
+        std::vector<snn::SpikeTrain>& scratch);
 
 private:
     const snn::SnnModel& model_;
@@ -391,15 +386,15 @@ private:
 };
 
 /// Cycle-accurate backend: the compiled program is cached inside the
-/// backend (compiled once in prepare()), and with the default kResident
-/// schedule each worker keeps a resident sim::Sia whose BRAM weights and
-/// program survive across spans and batches. Responses carry per-layer
-/// cycle stats; spikes/logits are bit-identical to FunctionalBackend by
-/// the engines' shared-numerics construction.
+/// backend (compiled once in prepare()), and each worker keeps a
+/// resident sim::Sia whose BRAM weights and program survive across spans
+/// and batches; a whole request span goes through one Sia::run_batch, so
+/// weight residency amortizes across it. Responses carry per-layer cycle
+/// stats; spikes/logits are bit-identical to FunctionalBackend by the
+/// engines' shared-numerics construction.
 class SiaBackend final : public Backend {
 public:
-    explicit SiaBackend(const snn::SnnModel& model, sim::SiaConfig config = {},
-                        SimSchedule schedule = SimSchedule::kResident);
+    explicit SiaBackend(const snn::SnnModel& model, sim::SiaConfig config = {});
 
     [[nodiscard]] std::string_view name() const noexcept override { return "sia"; }
     void prepare(std::size_t workers) override;
@@ -411,20 +406,14 @@ public:
     [[nodiscard]] sim::SiaBatchStats take_sim_batch_stats() noexcept override;
 
     [[nodiscard]] const sim::SiaConfig& config() const noexcept { return config_; }
-    [[nodiscard]] SimSchedule schedule() const noexcept { return schedule_; }
-    /// Schedules are bit-identical, so this only trades residency
-    /// amortization; it never invalidates the program or the resident
-    /// instances.
-    void set_schedule(SimSchedule schedule) noexcept { schedule_ = schedule; }
 
 private:
     [[nodiscard]] sim::Sia& resident(std::size_t worker);
 
     sim::SiaConfig config_;
-    SimSchedule schedule_;
     std::optional<sim::CompiledProgram> program_;
-    /// One resident simulator slot per worker (kResident), filled
-    /// lazily, reused across batches.
+    /// One resident simulator slot per worker, filled lazily, reused
+    /// across batches.
     std::vector<std::unique_ptr<sim::Sia>> sias_;
     /// Residency accounting accumulated across concurrent run_span
     /// calls (hence the lock; spans on different workers race on it).

@@ -51,7 +51,7 @@ struct SiaConfig {
     /// contexts the U1/U2 ping-pong memory is partitioned into when one
     /// Sia instance interleaves several inferences (Sia::run_batch).
     /// Each in-flight inference owns membrane_bytes / (2 * membrane_banks)
-    /// bytes per phase; batches larger than this run in multiple waves.
+    /// bytes per phase; batches larger than this run in multiple passes.
     std::int64_t membrane_banks = 4;
 
     /// Memberwise equality over every field. Load-bearing: this is the

@@ -1,11 +1,12 @@
 #include "sim/sia.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/aggregation.hpp"
+#include "sim/segment_ledger.hpp"
 #include "snn/compute.hpp"
 #include "snn/engine.hpp"
 
@@ -16,7 +17,7 @@ namespace {
 /// Per-timestep, per-channel spike counts of a train (drives the
 /// event-driven cycle accounting). Masked popcount over the packed
 /// words, O(words) per channel instead of a per-site scan.
-std::vector<std::vector<std::int64_t>> channel_spike_counts(const snn::SpikeTrain& train) {
+std::vector<std::vector<std::int64_t>> channel_spike_counts(Frames train) {
     std::vector<std::vector<std::int64_t>> counts(train.size());
     for (std::size_t t = 0; t < train.size(); ++t) {
         const snn::SpikeMap& m = train[t];
@@ -48,6 +49,19 @@ std::int64_t SiaRunResult::predicted_class(std::int64_t t) const {
 
 std::int64_t SiaRunResult::predicted() const {
     return static_cast<std::int64_t>(snn::argmax_first(readout));
+}
+
+void SiaRunResult::reset(std::int64_t steps, std::int64_t classes,
+                         std::size_t layer_count) {
+    timesteps = steps;
+    steps_offered = steps;
+    exit_reason = snn::ExitReason::kNone;
+    logits_per_step.assign(static_cast<std::size_t>(steps),
+                           std::vector<std::int64_t>(static_cast<std::size_t>(classes), 0));
+    readout.clear();
+    layer_stats.assign(layer_count, LayerCycleStats{});
+    spike_counts.assign(layer_count, 0);
+    neuron_counts.clear();
 }
 
 void SiaRunResult::append_chunk(SiaRunResult&& chunk) {
@@ -124,169 +138,36 @@ const std::vector<std::int8_t>& Sia::skip_wt(std::size_t index) {
     return slot;
 }
 
-namespace {
-
-void init_result(SiaRunResult& res, std::int64_t timesteps, std::int64_t classes,
-                 std::size_t layer_count) {
-    res.timesteps = timesteps;
-    res.steps_offered = timesteps;
-    res.exit_reason = snn::ExitReason::kNone;
-    res.logits_per_step.assign(
-        static_cast<std::size_t>(timesteps),
-        std::vector<std::int64_t>(static_cast<std::size_t>(classes), 0));
-    res.readout.clear();
-    res.layer_stats.assign(layer_count, LayerCycleStats{});
-    res.spike_counts.assign(layer_count, 0);
-    res.neuron_counts.clear();
+std::vector<BatchItem> as_batch(std::span<const snn::SpikeTrain> trains) {
+    std::vector<BatchItem> items;
+    items.reserve(trains.size());
+    for (const snn::SpikeTrain& train : trains) items.push_back({train});
+    return items;
 }
-
-/// Stamp the final readout of a full (non-segmented) run.
-void finish_result(SiaRunResult& res) {
-    if (!res.logits_per_step.empty()) res.readout = res.logits_per_step.back();
-}
-
-}  // namespace
 
 SiaRunResult Sia::run(const snn::SpikeTrain& input) {
-    if (input.empty()) throw std::invalid_argument("Sia::run: empty input train");
-
-    // Single-inference mode owns the whole U1/U2 pair (also recovers a
-    // clean partitioning if a previous run_batch threw mid-flight).
-    memory_.membrane.partition(1);
-
-    SiaRunResult res;
-    init_result(res, static_cast<std::int64_t>(input.size()), model_.classes,
-                model_.layers.size());
-
-    std::vector<snn::SpikeTrain> outs(model_.layers.size());
-
-    controller_.reset();
-    controller_.transition(CtrlState::kInit);
-    for (std::size_t li = 0; li < model_.layers.size(); ++li) {
-        run_layer(li, input, outs, res, nullptr);
-    }
-    controller_.transition(CtrlState::kDone);
-    finish_result(res);
-    return res;
-}
-
-SiaRunResult Sia::run(const snn::SpikeTrain& input, const snn::ExitCriterion& exit) {
-    const std::vector<const snn::SpikeTrain*> inputs{&input};
-    const std::vector<snn::SessionState*> sessions{nullptr};
-    const std::vector<const snn::ExitCriterion*> exits{&exit};
-    auto results = run_batch(inputs, sessions, exits);
-    return std::move(results.front());
+    return std::move(run_batch(std::array{BatchItem{input}}).front());
 }
 
 SiaRunResult Sia::run(const snn::SpikeTrain& input, snn::SessionState& session,
                       const snn::ExitCriterion& exit) {
-    const std::vector<const snn::SpikeTrain*> inputs{&input};
-    const std::vector<snn::SessionState*> sessions{&session};
-    const std::vector<const snn::ExitCriterion*> exits{&exit};
-    auto results = run_batch(inputs, sessions, exits);
-    return std::move(results.front());
+    return std::move(run_batch(std::array{BatchItem{input, &session, &exit}}).front());
 }
 
-void Sia::prepare_session(snn::SessionState& session) const {
-    if (!session.initialized) {
-        session.membranes.assign(model_.layers.size(), {});
-        session.readout.assign(static_cast<std::size_t>(model_.classes), 0);
-        return;
-    }
-    if (session.membranes.size() != model_.layers.size() ||
-        session.readout.size() != static_cast<std::size_t>(model_.classes)) {
-        throw std::invalid_argument("Sia: session state/model geometry mismatch");
-    }
-    for (std::size_t i = 0; i < model_.layers.size(); ++i) {
-        const snn::SnnLayer& layer = model_.layers[i];
-        const std::size_t want =
-            layer.spiking ? static_cast<std::size_t>(layer.neurons()) : 0;
-        if (session.membranes[i].size() != want) {
-            throw std::invalid_argument("Sia: session membrane size mismatch");
-        }
-    }
-}
-
-SiaRunResult Sia::run(const snn::SpikeTrain& input, snn::SessionState& session) {
-    if (input.empty()) throw std::invalid_argument("Sia::run: empty input train");
-    prepare_session(session);
-    memory_.membrane.partition(1);
-
-    SiaRunResult res;
-    init_result(res, static_cast<std::int64_t>(input.size()), model_.classes,
-                model_.layers.size());
-    std::vector<snn::SpikeTrain> outs(model_.layers.size());
-
-    controller_.reset();
-    controller_.transition(CtrlState::kInit);
-    for (std::size_t li = 0; li < model_.layers.size(); ++li) {
-        run_layer(li, input, outs, res, &session);
-    }
-    controller_.transition(CtrlState::kDone);
-    finish_result(res);
-    session.initialized = true;
-    session.steps += res.timesteps;
-    ++session.windows;
-    return res;
-}
-
-std::vector<SiaRunResult> Sia::run_batch(const std::vector<snn::SpikeTrain>& inputs) {
-    std::vector<const snn::SpikeTrain*> ptrs;
-    ptrs.reserve(inputs.size());
-    for (const auto& in : inputs) ptrs.push_back(&in);
-    return run_batch(ptrs);
-}
-
-std::vector<SiaRunResult> Sia::run_batch(
-    const std::vector<const snn::SpikeTrain*>& inputs) {
-    return run_batch(inputs, std::vector<snn::SessionState*>(inputs.size(), nullptr));
-}
-
-std::vector<SiaRunResult> Sia::run_batch(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions) {
-    return run_batch(inputs, sessions,
-                     std::vector<const snn::ExitCriterion*>(inputs.size(), nullptr));
-}
-
-std::vector<SiaRunResult> Sia::run_batch(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions,
-    const std::vector<const snn::ExitCriterion*>& exits) {
-    const std::size_t n = inputs.size();
-    if (sessions.size() != n) {
-        throw std::invalid_argument("Sia::run_batch: inputs/sessions size mismatch");
-    }
-    if (exits.size() != n) {
-        throw std::invalid_argument("Sia::run_batch: inputs/exits size mismatch");
-    }
+std::vector<SiaRunResult> Sia::run_batch(std::span<const BatchItem> items) {
+    SegmentLedger ledger(model_, items, "Sia::run_batch");
+    const std::size_t n = items.size();
     batch_stats_ = SiaBatchStats{};
     batch_stats_.batch = n;
     batch_stats_.banks = std::max<std::int64_t>(1, config_.membrane_banks);
+    if (n == 0) return {};
 
-    std::vector<SiaRunResult> results(n);
-    if (n == 0) return results;
-    for (const auto* in : inputs) {
-        if (in == nullptr || in->empty()) {
-            throw std::invalid_argument("Sia::run_batch: empty input train");
-        }
-    }
-    for (snn::SessionState* session : sessions) {
-        if (session != nullptr) prepare_session(*session);
-    }
-    bool any_exit = false;
-    for (const snn::ExitCriterion* exit : exits) {
-        if (exit == nullptr) continue;
-        exit->validate();
-        any_exit = any_exit || exit->enabled();
-    }
-
-    // RAII: restores single-inference partitioning at scope exit, so a
-    // mid-wave throw can never leave a stale multi-context partitioning
-    // behind for a subsequent run() — retired items included.
+    // Slots are membrane-bank contexts. RAII: restores single-context
+    // partitioning at scope exit, so a mid-pass throw never leaves a
+    // stale partitioning behind.
+    const auto width = static_cast<std::size_t>(batch_stats_.banks);
     const PartitionGuard partition_guard(memory_.membrane, batch_stats_.banks);
     batch_stats_.membrane_slice_bytes = memory_.membrane.bank_capacity();
-    batch_stats_.membrane_resident = true;
     for (const LayerPlan& plan : program_.layers) {
         if (plan.membrane_bytes > batch_stats_.membrane_slice_bytes) {
             batch_stats_.membrane_resident = false;
@@ -295,248 +176,91 @@ std::vector<SiaRunResult> Sia::run_batch(
     }
     controller_.reset();
 
+    // Free slots back-fill from the pending queue in admission order
+    // (lowest free slot first) at pass boundaries only — both orders are
+    // fixed by the batch, never by timing, so the schedule is
+    // deterministic.
+    constexpr std::size_t kFree = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> slot(width, kFree);
+    std::vector<std::size_t> active;  // occupied slot ids, ascending
+    std::vector<Segment> segments(width);
+    std::vector<SiaRunResult> chunk(width);
+    std::vector<std::vector<snn::SpikeTrain>> outs(width);
+    std::size_t next_pending = 0;
+    std::size_t finished = 0;
     std::int64_t saved_cycles = 0;
-    if (any_exit) {
-        run_batch_ragged(inputs, sessions, exits, results, saved_cycles);
-    } else {
-        run_batch_full(inputs, sessions, results, saved_cycles);
+    while (finished < n) {
+        const bool occupied =
+            std::any_of(slot.begin(), slot.end(), [](std::size_t i) { return i != kFree; });
+        for (std::size_t s = 0; s < width && next_pending < n; ++s) {
+            if (slot[s] != kFree) continue;
+            slot[s] = next_pending++;
+            if (occupied) ++batch_stats_.backfills;
+        }
+
+        active.clear();
+        for (std::size_t s = 0; s < width; ++s) {
+            if (slot[s] == kFree) continue;
+            segments[s] = ledger.next(slot[s]);
+            chunk[s].reset(static_cast<std::int64_t>(segments[s].frames.size()),
+                           model_.classes, model_.layers.size());
+            outs[s].assign(model_.layers.size(), {});
+            active.push_back(s);
+        }
+
+        // One layer-major pass: kernels for layer `li` are resident while
+        // every occupied slot's timestep loop runs over its own membrane
+        // context, then the next layer is configured.
+        ++batch_stats_.chunk_passes;
+        controller_.transition(CtrlState::kInit);
+        for (std::size_t li = 0; li < model_.layers.size(); ++li) {
+            for (const std::size_t s : active) {
+                memory_.membrane.set_active(static_cast<std::int64_t>(s));
+                run_layer(li, segments[s].frames, outs[s], chunk[s], segments[s].session);
+            }
+        }
+        controller_.transition(CtrlState::kDone);
+
+        // Residency savings of this pass: conv kernels streamed once for
+        // all active members, the PS invoked once per layer. A narrowed
+        // pass shares across fewer members — that shrinkage is exactly
+        // what back-filling recovers.
+        const auto extra = static_cast<std::int64_t>(active.size()) - 1;
+        for (const LayerPlan& plan : program_.layers) {
+            if (!plan.mmio) {
+                batch_stats_.weight_bytes_streamed += plan.weight_stream_bytes;
+                batch_stats_.weight_bytes_sequential +=
+                    (extra + 1) * plan.weight_stream_bytes;
+                saved_cycles += extra * AxiDma::cycles_for(plan.weight_stream_bytes,
+                                                           config_);
+            }
+            saved_cycles += extra * config_.ps_layer_overhead_cycles;
+        }
+
+        // Retire completed items, releasing their context for back-fill.
+        for (const std::size_t s : active) {
+            if (ledger.commit(slot[s], std::move(chunk[s]))) {
+                slot[s] = kFree;
+                ++finished;
+            }
+        }
     }
 
+    std::vector<SiaRunResult> results = ledger.finish();
     batch_stats_.retired_at.reserve(n);
     for (const SiaRunResult& r : results) {
         batch_stats_.sequential_cycles += r.total_cycles();
         batch_stats_.steps_executed += r.timesteps;
         batch_stats_.steps_offered += r.steps_offered;
         batch_stats_.retired_at.push_back(r.timesteps);
-        if (r.exit_reason != snn::ExitReason::kNone && r.timesteps < r.steps_offered) {
-            ++batch_stats_.retired_early;
-        }
+        if (r.timesteps < r.steps_offered) ++batch_stats_.retired_early;
     }
     batch_stats_.resident_cycles = batch_stats_.sequential_cycles - saved_cycles;
     return results;
 }
 
-void Sia::run_batch_full(const std::vector<const snn::SpikeTrain*>& inputs,
-                         const std::vector<snn::SessionState*>& sessions,
-                         std::vector<SiaRunResult>& results,
-                         std::int64_t& saved_cycles) {
-    const std::size_t n = inputs.size();
-    const auto wave_width = static_cast<std::size_t>(batch_stats_.banks);
-    for (std::size_t start = 0; start < n; start += wave_width) {
-        const std::size_t count = std::min(n - start, wave_width);
-        ++batch_stats_.waves;
-        ++batch_stats_.chunk_passes;
-        run_wave(inputs.data() + start, sessions.data() + start,
-                 results.data() + start, count);
-        for (std::size_t s = 0; s < count; ++s) {
-            finish_result(results[start + s]);
-            snn::SessionState* session = sessions[start + s];
-            if (session == nullptr) continue;
-            session->initialized = true;
-            session->steps += results[start + s].timesteps;
-            ++session->windows;
-        }
-        // Residency savings of this wave: conv kernels streamed once for
-        // all `count` members, and the PS invoked each layer once.
-        for (std::size_t li = 0; li < model_.layers.size(); ++li) {
-            const LayerPlan& plan = program_.layers[li];
-            const auto extra = static_cast<std::int64_t>(count - 1);
-            if (!plan.mmio) {
-                batch_stats_.weight_bytes_streamed += plan.weight_stream_bytes;
-                batch_stats_.weight_bytes_sequential +=
-                    static_cast<std::int64_t>(count) * plan.weight_stream_bytes;
-                saved_cycles += extra * AxiDma::cycles_for(plan.weight_stream_bytes,
-                                                           config_);
-            }
-            saved_cycles += extra * config_.ps_layer_overhead_cycles;
-        }
-    }
-}
-
-void Sia::run_batch_ragged(const std::vector<const snn::SpikeTrain*>& inputs,
-                           const std::vector<snn::SessionState*>& sessions,
-                           const std::vector<const snn::ExitCriterion*>& exits,
-                           std::vector<SiaRunResult>& results,
-                           std::int64_t& saved_cycles) {
-    const std::size_t n = inputs.size();
-    const auto wave_width = static_cast<std::size_t>(batch_stats_.banks);
-    constexpr std::size_t kFree = static_cast<std::size_t>(-1);
-
-    // Per-item carried state. The scratch session is what makes slot
-    // reuse safe: every segment pass resumes the item's membranes from
-    // its scratch and saves them back, so whatever another item left in
-    // the bank between this item's segments is never observed. User
-    // sessions are copied in at admission and written back only when
-    // the item finishes (a mid-batch throw leaves them untouched).
-    struct ItemState {
-        snn::SessionState scratch;
-        std::optional<snn::ExitEvaluator> eval;
-        std::int64_t steps_done = 0;
-        std::int64_t steps_total = 0;
-    };
-    std::vector<ItemState> items(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ItemState& it = items[i];
-        it.steps_total = static_cast<std::int64_t>(inputs[i]->size());
-        if (sessions[i] != nullptr) it.scratch = *sessions[i];
-        prepare_session(it.scratch);  // presizes fresh scratch state
-        if (exits[i] != nullptr && exits[i]->enabled()) {
-            // Baseline = the readout carried in at window entry, so
-            // session windows exit on their own delta (zeros when
-            // stateless — the absolute readout).
-            it.eval.emplace(*exits[i], it.scratch.readout);
-        }
-        init_result(results[i], 0, model_.classes, model_.layers.size());
-        results[i].steps_offered = it.steps_total;
-    }
-
-    // Ragged wave loop: slots are membrane-bank contexts. Free slots
-    // back-fill from the pending queue in admission order (lowest free
-    // slot first) at segment boundaries only — both orders are fixed by
-    // the batch, never by timing, so the schedule is deterministic.
-    std::vector<std::size_t> slot(wave_width, kFree);
-    std::size_t next_pending = 0;
-    std::size_t finished = 0;
-    bool admitted_first_cohort = false;
-
-    std::vector<std::size_t> active;              // occupied slot ids, ascending
-    std::vector<snn::SpikeTrain> segments(wave_width);
-    std::vector<SiaRunResult> chunk(wave_width);
-    std::vector<std::vector<snn::SpikeTrain>> outs(wave_width);
-
-    while (finished < n) {
-        for (std::size_t s = 0; s < wave_width && next_pending < n; ++s) {
-            if (slot[s] == kFree) {
-                slot[s] = next_pending++;
-                if (admitted_first_cohort) ++batch_stats_.backfills;
-            }
-        }
-        admitted_first_cohort = true;
-
-        // Segment boundaries: each item runs to its own next evaluation
-        // point (or to the end of its train) — a pure function of the
-        // item's criterion, independent of its co-batched neighbours.
-        active.clear();
-        for (std::size_t s = 0; s < wave_width; ++s) {
-            if (slot[s] == kFree) continue;
-            const std::size_t i = slot[s];
-            ItemState& it = items[i];
-            const snn::ExitCriterion* exit = exits[i];
-            const std::int64_t seg_end =
-                it.eval ? std::min(it.steps_total, exit->next_eval_step(it.steps_done))
-                        : it.steps_total;
-            snn::SpikeTrain& seg = segments[s];
-            seg.clear();
-            seg.reserve(static_cast<std::size_t>(seg_end - it.steps_done));
-            for (std::int64_t t = it.steps_done; t < seg_end; ++t) {
-                const snn::SpikeMap& frame = (*inputs[i])[static_cast<std::size_t>(t)];
-                if (frame.channels() != model_.input_channels ||
-                    frame.height() != model_.input_h ||
-                    frame.width() != model_.input_w) {
-                    throw std::invalid_argument(
-                        "Sia::run_batch: input frame geometry mismatch");
-                }
-                seg.push_back(frame);
-            }
-            init_result(chunk[s], seg_end - it.steps_done, model_.classes,
-                        model_.layers.size());
-            outs[s].assign(model_.layers.size(), {});
-            active.push_back(s);
-        }
-
-        // One layer-major pass over the active set — the same resident
-        // schedule as a full wave, just over segments.
-        ++batch_stats_.chunk_passes;
-        controller_.transition(CtrlState::kInit);
-        for (std::size_t li = 0; li < model_.layers.size(); ++li) {
-            for (const std::size_t s : active) {
-                memory_.membrane.set_active(static_cast<std::int64_t>(s));
-                run_layer(li, segments[s], outs[s], chunk[s],
-                          &items[slot[s]].scratch);
-            }
-        }
-        controller_.transition(CtrlState::kDone);
-
-        // Residency savings of this pass: weights streamed once for all
-        // active members, the PS invoked once per layer. A pass with a
-        // narrowed wave shares across fewer members — that shrinkage is
-        // exactly what back-filling recovers.
-        const auto count = static_cast<std::int64_t>(active.size());
-        for (std::size_t li = 0; li < model_.layers.size(); ++li) {
-            const LayerPlan& plan = program_.layers[li];
-            const std::int64_t extra = count - 1;
-            if (!plan.mmio) {
-                batch_stats_.weight_bytes_streamed += plan.weight_stream_bytes;
-                batch_stats_.weight_bytes_sequential +=
-                    count * plan.weight_stream_bytes;
-                saved_cycles += extra * AxiDma::cycles_for(plan.weight_stream_bytes,
-                                                           config_);
-            }
-            saved_cycles += extra * config_.ps_layer_overhead_cycles;
-        }
-
-        // Evaluate at the segment boundary; retire exited and completed
-        // items, releasing their membrane-bank context for back-fill.
-        for (const std::size_t s : active) {
-            const std::size_t i = slot[s];
-            ItemState& it = items[i];
-            it.steps_done += chunk[s].timesteps;
-            it.scratch.initialized = true;
-            results[i].append_chunk(std::move(chunk[s]));
-            snn::ExitReason reason = snn::ExitReason::kNone;
-            if (it.eval) {
-                reason = it.eval->observe(it.scratch.readout, it.steps_done);
-            }
-            if (reason == snn::ExitReason::kNone && it.steps_done < it.steps_total) {
-                continue;  // more segments to run
-            }
-            results[i].exit_reason = reason;
-            results[i].readout = it.scratch.readout;
-            if (sessions[i] != nullptr) {
-                snn::SessionState& user = *sessions[i];
-                user.membranes = std::move(it.scratch.membranes);
-                user.readout = it.scratch.readout;
-                user.initialized = true;
-                user.steps += it.steps_done;
-                ++user.windows;
-            }
-            slot[s] = kFree;
-            ++finished;
-        }
-    }
-    // In the ragged schedule a "wave" is one layer-major segment pass —
-    // the granularity at which weights are re-streamed.
-    batch_stats_.waves = batch_stats_.chunk_passes;
-}
-
-void Sia::run_wave(const snn::SpikeTrain* const* inputs,
-                   snn::SessionState* const* sessions, SiaRunResult* results,
-                   std::size_t count) {
-    // Fresh FSM pass per wave; kDone -> kInit covers waves after the first.
-    controller_.transition(CtrlState::kInit);
-
-    std::vector<std::vector<snn::SpikeTrain>> outs(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        init_result(results[s], static_cast<std::int64_t>(inputs[s]->size()),
-                    model_.classes, model_.layers.size());
-        outs[s].resize(model_.layers.size());
-    }
-
-    // Layer-major over the wave: kernels for layer `li` are resident
-    // while every wave member's timestep loop runs over its own membrane
-    // context, then the next layer is configured.
-    for (std::size_t li = 0; li < model_.layers.size(); ++li) {
-        for (std::size_t s = 0; s < count; ++s) {
-            memory_.membrane.set_active(static_cast<std::int64_t>(s));
-            run_layer(li, *inputs[s], outs[s], results[s], sessions[s]);
-        }
-    }
-    controller_.transition(CtrlState::kDone);
-}
-
-void Sia::run_layer(std::size_t index, const snn::SpikeTrain& input,
-                    std::vector<snn::SpikeTrain>& outs, SiaRunResult& res,
-                    snn::SessionState* session) {
+void Sia::run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain>& outs,
+                    SiaRunResult& res, snn::SessionState* session) {
     const snn::SnnLayer& layer = model_.layers[index];
     const auto timesteps = static_cast<std::int64_t>(input.size());
     LayerCycleStats& stats = res.layer_stats[index];
@@ -544,13 +268,13 @@ void Sia::run_layer(std::size_t index, const snn::SpikeTrain& input,
     stats.overhead += config_.ps_layer_overhead_cycles;
     controller_.transition(CtrlState::kLoadConfig);
 
-    const snn::SpikeTrain& in_train =
-        layer.input == -1 ? input : outs[static_cast<std::size_t>(layer.input)];
-    const snn::SpikeTrain* skip_train = nullptr;
+    const Frames in_train =
+        layer.input == -1 ? input : Frames(outs[static_cast<std::size_t>(layer.input)]);
+    Frames skip_train;
     if (layer.has_skip()) {
         skip_train = layer.skip_src == -1
-                         ? &input
-                         : &outs[static_cast<std::size_t>(layer.skip_src)];
+                         ? input
+                         : Frames(outs[static_cast<std::size_t>(layer.skip_src)]);
     }
 
     snn::SpikeTrain& out_train = outs[index];
@@ -580,7 +304,7 @@ void Sia::begin_inference() {
 
 void Sia::end_inference() { controller_.transition(CtrlState::kDone); }
 
-void Sia::run_stage(std::size_t first, std::size_t last, const snn::SpikeTrain& input,
+void Sia::run_stage(std::size_t first, std::size_t last, Frames input,
                     std::vector<snn::SpikeTrain>& outs, SiaRunResult& res,
                     snn::SessionState* session) {
     begin_inference();
@@ -590,9 +314,8 @@ void Sia::run_stage(std::size_t first, std::size_t last, const snn::SpikeTrain& 
     end_inference();
 }
 
-void Sia::run_layer_slice(std::size_t index, const LayerPlan& plan,
-                          const snn::SpikeTrain& in_train,
-                          const snn::SpikeTrain* skip_train, snn::SpikeTrain& out_train,
+void Sia::run_layer_slice(std::size_t index, const LayerPlan& plan, Frames in_train,
+                          Frames skip_train, snn::SpikeTrain& out_train,
                           LayerCycleStats& stats,
                           std::vector<std::vector<std::int64_t>>& readout,
                           snn::SessionState* session, std::int64_t c0, std::int64_t c1) {
@@ -613,9 +336,8 @@ void Sia::run_layer_slice(std::size_t index, const LayerPlan& plan,
     }
 }
 
-void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
-                         const snn::SpikeTrain& in_train,
-                         const snn::SpikeTrain* skip_train, snn::SpikeTrain& out_train,
+void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_train,
+                         Frames skip_train, snn::SpikeTrain& out_train,
                          LayerCycleStats& stats,
                          std::vector<std::vector<std::int64_t>>& readout,
                          snn::SessionState* session, std::int64_t c0, std::int64_t c1) {
@@ -642,7 +364,7 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
 
     const auto counts = channel_spike_counts(in_train);
     const auto skip_counts =
-        has_down_skip ? channel_spike_counts(*skip_train)
+        has_down_skip ? channel_spike_counts(skip_train)
                       : std::vector<std::vector<std::int64_t>>{};
 
     // Membrane storage: the first spatial slice lives in the ping-pong
@@ -722,7 +444,7 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
 
         // Residual path.
         if (layer.has_skip()) {
-            const snn::SpikeMap& skip_in = (*skip_train)[static_cast<std::size_t>(t)];
+            const snn::SpikeMap& skip_in = skip_train[static_cast<std::size_t>(t)];
             stats.dma += dma_.transfer(plan.residual_in_bytes);
             if (has_down_skip) {
                 std::fill(skip_psum.begin(), skip_psum.end(), 0);
@@ -751,7 +473,7 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
 
         snn::SpikeMap& out = out_train[static_cast<std::size_t>(t)];
         const snn::SpikeMap* skip_spike_map =
-            layer.has_skip() ? &(*skip_train)[static_cast<std::size_t>(t)] : nullptr;
+            layer.has_skip() ? &skip_train[static_cast<std::size_t>(t)] : nullptr;
         for (std::int64_t y = 0; y < oh; ++y) {
             for (std::int64_t x = 0; x < ow; ++x) {
                 for (std::int64_t o = c0; o < c1; ++o) {
@@ -833,8 +555,8 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan,
     }
 }
 
-void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan,
-                           const snn::SpikeTrain& in_train, snn::SpikeTrain& out_train,
+void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan, Frames in_train,
+                           snn::SpikeTrain& out_train,
                            LayerCycleStats& stats,
                            std::vector<std::vector<std::int64_t>>& readout,
                            snn::SessionState* session, std::int64_t c0,

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@
 #include "snn/spike.hpp"
 
 namespace sia::sim {
+
+/// A read-only view of consecutive timestep frames (a whole train or a
+/// segment of one).
+using Frames = std::span<const snn::SpikeMap>;
 
 /// Cycle breakdown for one layer, totalled over a whole inference.
 struct LayerCycleStats {
@@ -84,9 +89,11 @@ struct SiaRunResult {
     [[nodiscard]] std::int64_t predicted_class(std::int64_t t) const;
     /// Prediction from the final accumulated readout.
     [[nodiscard]] std::int64_t predicted() const;
-    /// Accumulate a later chunk of the same item's run (the segmented
-    /// early-exit schedule): appends logit rows, adds per-layer stats
-    /// and spike counts, advances timesteps.
+    /// Clear to a `timesteps`-long run with zeroed logit rows and
+    /// `layer_count` empty per-layer slots (a pass's starting point).
+    void reset(std::int64_t timesteps, std::int64_t classes, std::size_t layer_count);
+    /// Accumulate a later segment of the same item's run: appends logit
+    /// rows, adds per-layer stats and spike counts, advances timesteps.
     void append_chunk(SiaRunResult&& chunk);
     [[nodiscard]] double total_ms(const SiaConfig& config) const noexcept {
         return config.cycles_to_ms(total_cycles());
@@ -98,20 +105,33 @@ struct SiaRunResult {
     [[nodiscard]] double pe_utilization(const SiaConfig& config) const noexcept;
 };
 
+/// One inference of a batch. `frames` views the caller's train (it must
+/// outlive the run_batch call). `session` (null = stateless) resumes the
+/// item's carried state and receives it back once the whole batch
+/// completes; `exit` (null or disabled = run the whole train) retires
+/// the item once its criterion fires.
+struct BatchItem {
+    Frames frames;
+    snn::SessionState* session = nullptr;
+    const snn::ExitCriterion* exit = nullptr;
+};
+
+/// Stateless, criterion-free items viewing `trains`.
+[[nodiscard]] std::vector<BatchItem> as_batch(std::span<const snn::SpikeTrain> trains);
+
 /// Aggregate accounting of one Sia::run_batch call: what the resident
-/// schedule shares across each wave versus what N independent sequential
+/// schedule shares across each pass versus what N independent sequential
 /// runs would pay. Per-item SiaRunResults keep as-if-sequential stats
 /// (that is what makes them bit-identical to run()); the amortization
 /// lives here.
 struct SiaBatchStats {
     std::size_t batch = 0;
-    std::int64_t waves = 0;
-    std::int64_t banks = 0;  ///< membrane contexts available per wave
+    std::int64_t banks = 0;  ///< membrane contexts available per pass
 
-    /// Per-context phase-bank slice of the wave partitioning (bytes).
+    /// Per-context phase-bank slice of the pass partitioning (bytes).
     std::int64_t membrane_slice_bytes = 0;
     /// True when every layer's potentials fit the per-context slice, i.e.
-    /// the wave's inferences are genuinely membrane-resident. When false,
+    /// the pass's inferences are genuinely membrane-resident. When false,
     /// overflow potentials are host-mirrored (numerically identical and —
     /// like all membrane traffic — uncharged beyond the plan-based
     /// accounting), so the reported cycle amortization assumes membrane
@@ -119,12 +139,12 @@ struct SiaBatchStats {
     bool membrane_resident = true;
 
     /// Conv-kernel DMA traffic of the resident schedule (streamed once
-    /// per wave) vs. N independent runs (streamed once per inference).
+    /// per pass) vs. N independent runs (streamed once per inference).
     std::int64_t weight_bytes_streamed = 0;
     std::int64_t weight_bytes_sequential = 0;
 
     /// Modeled accelerator cycles: resident = sequential minus the
-    /// per-wave-shared weight streaming and PS layer-invocation overhead.
+    /// per-pass-shared weight streaming and PS layer-invocation overhead.
     std::int64_t resident_cycles = 0;
     std::int64_t sequential_cycles = 0;
 
@@ -136,17 +156,17 @@ struct SiaBatchStats {
                    : 1.0;
     }
 
-    // ---- Ragged-retirement accounting (early-exit batches only) ------
+    // ---- Ragged-retirement accounting ---------------------------------
     /// Items whose ExitCriterion fired before their offered timesteps.
     std::int64_t retired_early = 0;
-    /// Pending items promoted into a freed wave slot mid-batch (fills
-    /// after each cohort's initial admission).
+    /// Admissions into a freed bank slot while at least one other slot
+    /// was still occupied by an unfinished item (0 when no criterion is
+    /// armed: every cohort then finishes together).
     std::int64_t backfills = 0;
-    /// Layer-major segment passes executed. The legacy full-T schedule
-    /// runs one pass per wave (chunk_passes == waves); the ragged
-    /// schedule re-streams weights once per pass, which is the honest
-    /// hardware cost of PS-side criterion checks (amortized by
-    /// ExitCriterion::check_interval).
+    /// Layer-major segment passes executed: one per ceil(N / banks)
+    /// cohort when no criterion is armed. Weights are re-streamed once
+    /// per pass, which is the honest hardware cost of PS-side criterion
+    /// checks (amortized by ExitCriterion::check_interval).
     std::int64_t chunk_passes = 0;
     /// Timesteps actually integrated vs offered, summed over the batch.
     std::int64_t steps_executed = 0;
@@ -162,78 +182,34 @@ public:
     Sia(const SiaConfig& config, const snn::SnnModel& model,
         const CompiledProgram& program);
 
-    /// Run one inference over the input spike train.
+    /// One stateless inference over the whole train (a one-item batch).
     [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input);
-    /// Early-exit form: the criterion is evaluated at its eligible
-    /// steps and the run stops integrating once it fires. Because Sia
-    /// executes layer-major (the readout only materializes at the last
-    /// layer), an armed criterion runs the timestep range as segments
-    /// bounded by the evaluation points, resuming membranes between
-    /// segments exactly like a chunked streaming session — logits,
-    /// spikes and the exit step are bit-identical to the functional
-    /// engine's per-step evaluation; cycle stats reflect the segmented
-    /// schedule (per-segment weight re-streaming is the hardware cost
-    /// of a PS-side readout check).
-    [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input,
-                                   const snn::ExitCriterion& exit);
-
-    /// Stateful-session form: resume the membrane-bank contents and the
-    /// carried readout from `session` (a fresh start when it is
-    /// uninitialized), run the window, and save the state back. The
-    /// representation is shared with snn::FunctionalEngine, so chunked
-    /// windows are bit-identical to one monolithic run on either
-    /// engine. Cycle stats are per-window. Throws std::invalid_argument
-    /// when an initialized session's geometry does not match the model.
-    [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input,
-                                   snn::SessionState& session);
-    /// Session window with early exit: the criterion evaluates the
-    /// window's readout delta, and the saved state reflects the exit
-    /// point exactly (the carried SessionState is never corrupted).
+    /// One session window with an exit criterion (a one-item batch;
+    /// pass a default, disabled criterion to run the whole window).
     [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input,
                                    snn::SessionState& session,
                                    const snn::ExitCriterion& exit);
 
     /// Batched resident execution: weights and the compiled program stay
-    /// resident while up to config().membrane_banks inferences share the
-    /// accelerator per wave, each owning one membrane context; layers are
-    /// time-multiplexed across the wave members. Larger batches run in
-    /// ceil(N / membrane_banks) waves.
+    /// resident while up to config().membrane_banks items share the
+    /// accelerator, each owning one membrane-bank context; every pass
+    /// runs the model layer-major over the occupied slots' segments
+    /// (sim/segment_ledger.hpp). An item with no armed criterion is one
+    /// segment, so a criterion-free batch runs in ceil(N / banks)
+    /// passes. An armed criterion splits its item at the criterion's
+    /// evaluation points; the item retires the moment it fires, and its
+    /// slot back-fills from the pending queue at the next pass.
     ///
-    /// Per-item results — spikes, logits, and cycle stats — are
-    /// bit-identical to N independent sequential run() calls; what the
-    /// resident schedule saves (per-wave weight streaming, per-wave PS
-    /// layer invocation) is reported via last_batch_stats() instead of
-    /// being folded into the per-item accounting.
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<snn::SpikeTrain>& inputs);
-    /// Pointer form for schedulers slicing a larger batch without copies.
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<const snn::SpikeTrain*>& inputs);
-    /// Session-aware form: sessions[i] (null = stateless) is resumed
-    /// into inference i's membrane context at the start of each layer
-    /// pass and saved back when the layer's timestep loop retires — the
-    /// streaming counterpart of the resident schedule. A batch must not
-    /// contain two windows of the same session (their membrane contexts
-    /// would race layer-major); serialize windows across run_batch
-    /// calls instead, as core::Server's session affinity does.
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<const snn::SpikeTrain*>& inputs,
-        const std::vector<snn::SessionState*>& sessions);
-    /// Ragged early-exit form: exits[i] (null or disabled = run item
-    /// i's full train) retires item i from its wave the moment its
-    /// criterion fires — the membrane-bank context is released and the
-    /// freed slot back-fills from the pending queue at the next segment
-    /// boundary, so the accelerator never idles a bank on a decided
-    /// item. Per-item logits/spikes/steps are bit-identical to
-    /// run(input, exit) run alone, for every batch composition (each
-    /// item's segment boundaries depend only on its own criterion);
-    /// SiaBatchStats reports retired-at-step / back-fill accounting.
-    /// When every criterion is null or disabled this is exactly the
-    /// legacy full-T wave schedule.
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<const snn::SpikeTrain*>& inputs,
-        const std::vector<snn::SessionState*>& sessions,
-        const std::vector<const snn::ExitCriterion*>& exits);
+    /// Per-item results — spikes, logits, readout, exit step and cycle
+    /// stats — are bit-identical to the item run alone, for every batch
+    /// composition; what the resident schedule saves (per-pass weight
+    /// streaming and PS layer invocation) is reported via
+    /// last_batch_stats() instead. Sessions are committed only once the
+    /// whole batch completes (a throw leaves them untouched). A batch
+    /// must not contain two windows of the same session; serialize them
+    /// across calls, as core::Server's session affinity does. Throws
+    /// std::invalid_argument on malformed items before running any.
+    [[nodiscard]] std::vector<SiaRunResult> run_batch(std::span<const BatchItem> items);
 
     /// Accounting of the most recent run_batch call.
     [[nodiscard]] const SiaBatchStats& last_batch_stats() const noexcept {
@@ -256,7 +232,7 @@ public:
     /// stage `res` is bit-identical to a single-Sia run() (including
     /// cycle stats; inter-shard transfer cost is the cluster's to
     /// account). Wraps the pass in begin_inference()/end_inference().
-    void run_stage(std::size_t first, std::size_t last, const snn::SpikeTrain& input,
+    void run_stage(std::size_t first, std::size_t last, Frames input,
                    std::vector<snn::SpikeTrain>& outs, SiaRunResult& res,
                    snn::SessionState* session);
 
@@ -270,56 +246,34 @@ public:
     /// addressing), and a shared session is read/written only at the
     /// slice's disjoint [c0 * plane, c1 * plane) range. A zero-width
     /// slice assigns an empty-output train and does nothing else.
+    /// `skip_train` is empty unless the layer has a residual input.
     /// Callers bracket the per-item layer sequence with
     /// begin_inference()/end_inference().
-    void run_layer_slice(std::size_t index, const LayerPlan& plan,
-                         const snn::SpikeTrain& in_train,
-                         const snn::SpikeTrain* skip_train, snn::SpikeTrain& out_train,
+    void run_layer_slice(std::size_t index, const LayerPlan& plan, Frames in_train,
+                         Frames skip_train, snn::SpikeTrain& out_train,
                          LayerCycleStats& stats,
                          std::vector<std::vector<std::int64_t>>& readout,
                          snn::SessionState* session, std::int64_t c0, std::int64_t c1);
-
-    /// Size/validate a session against the model before its first layer
-    /// pass touches it (shared with SiaCluster's admission path).
-    void prepare_session(snn::SessionState& session) const;
 
     [[nodiscard]] const Controller& controller() const noexcept { return controller_; }
     [[nodiscard]] const MemoryUnit& memory() const noexcept { return memory_; }
     [[nodiscard]] const SiaConfig& config() const noexcept { return config_; }
 
 private:
-    void run_layer(std::size_t index, const snn::SpikeTrain& input,
-                   std::vector<snn::SpikeTrain>& outs, SiaRunResult& res,
-                   snn::SessionState* session);
-    void run_wave(const snn::SpikeTrain* const* inputs,
-                  snn::SessionState* const* sessions, SiaRunResult* results,
-                  std::size_t count);
-    /// The legacy full-T wave loop (no criterion armed). Accumulates the
-    /// cycles the resident schedule saved over sequential into
-    /// `saved_cycles`.
-    void run_batch_full(const std::vector<const snn::SpikeTrain*>& inputs,
-                        const std::vector<snn::SessionState*>& sessions,
-                        std::vector<SiaRunResult>& results,
-                        std::int64_t& saved_cycles);
-    /// The ragged segmented schedule (at least one criterion armed).
-    void run_batch_ragged(const std::vector<const snn::SpikeTrain*>& inputs,
-                          const std::vector<snn::SessionState*>& sessions,
-                          const std::vector<const snn::ExitCriterion*>& exits,
-                          std::vector<SiaRunResult>& results,
-                          std::int64_t& saved_cycles);
+    void run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain>& outs,
+                   SiaRunResult& res, snn::SessionState* session);
 
     /// Layer bodies, parameterized over the executing plan (the full
     /// program's or a shard's sliced one) and the output-channel /
     /// feature slice [c0, c1) this instance owns. Full-layer callers
     /// pass program_.layers[index] and the whole range.
-    void run_conv_layer(std::size_t index, const LayerPlan& plan,
-                        const snn::SpikeTrain& in_train,
-                        const snn::SpikeTrain* skip_train, snn::SpikeTrain& out_train,
+    void run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_train,
+                        Frames skip_train, snn::SpikeTrain& out_train,
                         LayerCycleStats& stats,
                         std::vector<std::vector<std::int64_t>>& readout,
                         snn::SessionState* session, std::int64_t c0, std::int64_t c1);
-    void run_linear_layer(std::size_t index, const LayerPlan& plan,
-                          const snn::SpikeTrain& in_train, snn::SpikeTrain& out_train,
+    void run_linear_layer(std::size_t index, const LayerPlan& plan, Frames in_train,
+                          snn::SpikeTrain& out_train,
                           LayerCycleStats& stats,
                           std::vector<std::vector<std::int64_t>>& readout,
                           snn::SessionState* session, std::int64_t c0, std::int64_t c1);

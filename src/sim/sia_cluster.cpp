@@ -1,30 +1,15 @@
 #include "sim/sia_cluster.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/axi.hpp"
-#include "snn/exit.hpp"
 
 namespace sia::sim {
 
 namespace {
-
-void init_result(SiaRunResult& res, std::int64_t timesteps, std::int64_t classes,
-                 std::size_t layer_count) {
-    res.timesteps = timesteps;
-    res.steps_offered = timesteps;
-    res.exit_reason = snn::ExitReason::kNone;
-    res.logits_per_step.assign(
-        static_cast<std::size_t>(timesteps),
-        std::vector<std::int64_t>(static_cast<std::size_t>(classes), 0));
-    res.readout.clear();
-    res.layer_stats.assign(layer_count, LayerCycleStats{});
-    res.spike_counts.assign(layer_count, 0);
-    res.neuron_counts.clear();
-}
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) noexcept {
     return b > 0 ? (a + b - 1) / b : 0;
@@ -70,239 +55,63 @@ SiaCluster::SiaCluster(const SiaConfig& config, const snn::SnnModel& model,
     }
 }
 
-void SiaCluster::prepare_session(snn::SessionState& session) const {
-    // Sia's admission validation (geometry checks / fresh-session init)…
-    shards_.front()->prepare_session(session);
-    // …plus the cluster's addition: channel-parallel shards save their
-    // slices into a shared bank concurrently, so presize it here —
-    // vector::resize inside a shard task would race.
-    if (!session.initialized && plan_.partition == ShardPartition::kChannel) {
-        for (std::size_t i = 0; i < model_.layers.size(); ++i) {
-            const snn::SnnLayer& layer = model_.layers[i];
-            if (layer.spiking) {
-                session.membranes[i].assign(
-                    static_cast<std::size_t>(layer.neurons()),
-                    layer.initial_potential);
-            }
-        }
-    }
-}
-
-void SiaCluster::finalize_session(snn::SessionState& session,
-                                  std::int64_t timesteps) const {
-    session.initialized = true;
-    session.steps += timesteps;
-    ++session.windows;
-}
-
 SiaRunResult SiaCluster::run(const snn::SpikeTrain& input) {
-    const std::vector<const snn::SpikeTrain*> inputs{&input};
-    auto results = run_batch(inputs, {nullptr});
-    return std::move(results.front());
+    return std::move(run_batch(std::array{BatchItem{input}}).front());
 }
 
-SiaRunResult SiaCluster::run(const snn::SpikeTrain& input,
-                             snn::SessionState& session) {
-    const std::vector<const snn::SpikeTrain*> inputs{&input};
-    const std::vector<snn::SessionState*> sessions{&session};
-    auto results = run_batch(inputs, sessions);
-    return std::move(results.front());
-}
-
-std::vector<SiaRunResult> SiaCluster::run_batch(
-    const std::vector<snn::SpikeTrain>& inputs) {
-    std::vector<const snn::SpikeTrain*> ptrs;
-    ptrs.reserve(inputs.size());
-    for (const auto& in : inputs) ptrs.push_back(&in);
-    return run_batch(ptrs, std::vector<snn::SessionState*>(inputs.size(), nullptr));
-}
-
-std::vector<SiaRunResult> SiaCluster::run_batch(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions) {
-    return run_batch(inputs, sessions,
-                     std::vector<const snn::ExitCriterion*>(inputs.size(), nullptr));
-}
-
-std::vector<SiaRunResult> SiaCluster::run_batch(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions,
-    const std::vector<const snn::ExitCriterion*>& exits) {
-    const std::size_t n = inputs.size();
-    if (sessions.size() != n) {
-        throw std::invalid_argument(
-            "SiaCluster::run_batch: inputs/sessions size mismatch");
-    }
-    if (exits.size() != n) {
-        throw std::invalid_argument(
-            "SiaCluster::run_batch: inputs/exits size mismatch");
-    }
+std::vector<SiaRunResult> SiaCluster::run_batch(std::span<const BatchItem> items) {
+    SegmentLedger ledger(model_, items, "SiaCluster::run_batch");
     stats_ = ShardStats{};
     stats_.partition = plan_.partition;
     stats_.shards = plan_.effective_shards();
-    stats_.batch = n;
+    stats_.batch = items.size();
     stats_.double_buffered = options_.double_buffer;
 
-    std::vector<SiaRunResult> results(n);
-    if (n == 0) return results;
-    for (const auto* in : inputs) {
-        if (in == nullptr || in->empty()) {
-            throw std::invalid_argument("SiaCluster::run_batch: empty input train");
+    // Segment rounds: every unfinished item runs to its own next
+    // evaluation step, the whole sub-batch crosses the cluster (pipeline
+    // wavefront or channel passes), then criteria are checked and
+    // retired items drop out of all subsequent rounds on every shard. A
+    // criterion-free batch is exactly one round.
+    std::vector<std::size_t> round;
+    std::vector<Segment> segments;
+    std::vector<SiaRunResult> chunks;
+    std::vector<bool> done(items.size(), false);
+    while (true) {
+        round.clear();
+        segments.clear();
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            if (done[i]) continue;
+            round.push_back(i);
+            segments.push_back(ledger.next(i));
         }
-    }
-    for (snn::SessionState* session : sessions) {
-        if (session != nullptr) prepare_session(*session);
-    }
-    bool any_exit = false;
-    for (const snn::ExitCriterion* exit : exits) {
-        if (exit == nullptr) continue;
-        exit->validate();
-        any_exit = any_exit || exit->enabled();
-    }
+        if (round.empty()) break;
 
-    if (any_exit) {
-        run_batch_segmented(inputs, sessions, exits, results);
-    } else {
+        // Rounds are separated by a PS-side criterion check, so every
+        // round's timeline (makespan, ramps, stalls) adds into stats_.
+        chunks.assign(round.size(), {});
         if (plan_.partition == ShardPartition::kPipeline) {
-            run_batch_pipeline(inputs, sessions, results);
+            run_pipeline(segments, chunks);
         } else {
-            run_batch_channel(inputs, sessions, results);
+            run_channel(segments, chunks);
         }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!results[i].logits_per_step.empty()) {
-                results[i].readout = results[i].logits_per_step.back();
-            }
-            if (sessions[i] != nullptr) {
-                finalize_session(*sessions[i], results[i].timesteps);
-            }
+
+        for (std::size_t j = 0; j < round.size(); ++j) {
+            done[round[j]] = ledger.commit(round[j], std::move(chunks[j]));
         }
     }
 
+    std::vector<SiaRunResult> results = ledger.finish();
     for (const SiaRunResult& r : results) {
         stats_.steps_executed += r.timesteps;
         stats_.steps_offered += r.steps_offered;
-        if (r.exit_reason != snn::ExitReason::kNone && r.timesteps < r.steps_offered) {
-            ++stats_.retired_early;
-        }
+        if (r.timesteps < r.steps_offered) ++stats_.retired_early;
     }
     return results;
 }
 
-void SiaCluster::run_batch_segmented(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions,
-    const std::vector<const snn::ExitCriterion*>& exits,
-    std::vector<SiaRunResult>& results) {
-    const std::size_t n = inputs.size();
-
-    // Per-item scratch session: every chunk round resumes the item's
-    // membranes/readout from its scratch and saves them back, so segment
-    // passes compose exactly like PR 7's window chunking. User sessions
-    // are written back only when the item finishes.
-    struct ItemState {
-        snn::SessionState scratch;
-        std::optional<snn::ExitEvaluator> eval;
-        std::int64_t steps_done = 0;
-        std::int64_t steps_total = 0;
-        bool done = false;
-    };
-    std::vector<ItemState> items(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ItemState& it = items[i];
-        it.steps_total = static_cast<std::int64_t>(inputs[i]->size());
-        if (sessions[i] != nullptr) it.scratch = *sessions[i];
-        prepare_session(it.scratch);
-        if (exits[i] != nullptr && exits[i]->enabled()) {
-            it.eval.emplace(*exits[i], it.scratch.readout);
-        }
-        init_result(results[i], 0, model_.classes, model_.layers.size());
-        results[i].steps_offered = it.steps_total;
-    }
-
-    // Chunk rounds: every still-active item runs to its own next
-    // evaluation step, the whole sub-batch crosses the cluster (pipeline
-    // wavefront or channel passes), then criteria are checked and
-    // retired items drop out of all subsequent rounds on every shard.
-    ShardStats total = stats_;
-    std::vector<std::size_t> round_items;
-    std::vector<snn::SpikeTrain> segments;
-    while (true) {
-        round_items.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!items[i].done) round_items.push_back(i);
-        }
-        if (round_items.empty()) break;
-
-        segments.assign(round_items.size(), {});
-        std::vector<const snn::SpikeTrain*> sub_inputs(round_items.size());
-        std::vector<snn::SessionState*> sub_sessions(round_items.size());
-        std::vector<SiaRunResult> sub_results(round_items.size());
-        for (std::size_t j = 0; j < round_items.size(); ++j) {
-            ItemState& it = items[round_items[j]];
-            const snn::ExitCriterion* exit = exits[round_items[j]];
-            const std::int64_t seg_end =
-                it.eval ? std::min(it.steps_total,
-                                   exit->next_eval_step(it.steps_done))
-                        : it.steps_total;
-            const snn::SpikeTrain& train = *inputs[round_items[j]];
-            segments[j].assign(train.begin() + it.steps_done,
-                               train.begin() + seg_end);
-            sub_inputs[j] = &segments[j];
-            sub_sessions[j] = &it.scratch;
-        }
-
-        // The mode functions accumulate into stats_; run each round on a
-        // zeroed accumulator and fold into the running total (rounds are
-        // separated by a PS-side criterion check, so makespans add).
-        stats_ = ShardStats{};
-        if (plan_.partition == ShardPartition::kPipeline) {
-            run_batch_pipeline(sub_inputs, sub_sessions, sub_results);
-        } else {
-            run_batch_channel(sub_inputs, sub_sessions, sub_results);
-        }
-        total.compute_cycles += stats_.compute_cycles;
-        total.transfer_bytes += stats_.transfer_bytes;
-        total.transfer_cycles += stats_.transfer_cycles;
-        total.transfer_stall_cycles += stats_.transfer_stall_cycles;
-        total.fill_cycles += stats_.fill_cycles;
-        total.drain_cycles += stats_.drain_cycles;
-        total.makespan_cycles += stats_.makespan_cycles;
-        total.item_cycles += stats_.item_cycles;
-
-        for (std::size_t j = 0; j < round_items.size(); ++j) {
-            const std::size_t i = round_items[j];
-            ItemState& it = items[i];
-            it.steps_done += sub_results[j].timesteps;
-            it.scratch.initialized = true;
-            results[i].append_chunk(std::move(sub_results[j]));
-            snn::ExitReason reason = snn::ExitReason::kNone;
-            if (it.eval) {
-                reason = it.eval->observe(it.scratch.readout, it.steps_done);
-            }
-            if (reason == snn::ExitReason::kNone && it.steps_done < it.steps_total) {
-                continue;
-            }
-            results[i].exit_reason = reason;
-            results[i].readout = it.scratch.readout;
-            if (sessions[i] != nullptr) {
-                snn::SessionState& user = *sessions[i];
-                user.membranes = std::move(it.scratch.membranes);
-                user.readout = it.scratch.readout;
-                user.initialized = true;
-                user.steps += it.steps_done;
-                ++user.windows;
-            }
-            it.done = true;
-        }
-    }
-    stats_ = total;
-}
-
-void SiaCluster::run_batch_pipeline(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions,
-    std::vector<SiaRunResult>& results) {
-    const std::size_t n = inputs.size();
+void SiaCluster::run_pipeline(std::span<const Segment> segments,
+                              std::vector<SiaRunResult>& results) {
+    const std::size_t n = segments.size();
     const std::size_t stage_count = plan_.stages.size();
     const std::size_t layer_count = model_.layers.size();
 
@@ -311,8 +120,8 @@ void SiaCluster::run_batch_pipeline(
     // index, where stage s reads it) and the full-model result.
     std::vector<std::vector<snn::SpikeTrain>> outs(n);
     for (std::size_t i = 0; i < n; ++i) {
-        init_result(results[i], static_cast<std::int64_t>(inputs[i]->size()),
-                    model_.classes, layer_count);
+        results[i].reset(static_cast<std::int64_t>(segments[i].frames.size()),
+                         model_.classes, layer_count);
         outs[i].resize(layer_count);
     }
 
@@ -330,8 +139,8 @@ void SiaCluster::run_batch_pipeline(
         pool_.parallel_for(tasks.size(), [&](std::size_t t, std::size_t) {
             const auto [s, i] = tasks[t];
             const ShardStage& stage = plan_.stages[s];
-            shards_[s]->run_stage(stage.first, stage.last, *inputs[i], outs[i],
-                                  results[i], sessions[i]);
+            shards_[s]->run_stage(stage.first, stage.last, segments[i].frames, outs[i],
+                                  results[i], segments[i].session);
         });
     }
 
@@ -346,7 +155,7 @@ void SiaCluster::run_batch_pipeline(
         stage_count, std::vector<std::int64_t>(n, 0));
     std::vector<std::int64_t> tx_free(stage_count, 0);  // boundary s feeds s+1
     for (std::size_t i = 0; i < n; ++i) {
-        const auto steps = static_cast<std::int64_t>(inputs[i]->size());
+        const auto steps = static_cast<std::int64_t>(segments[i].frames.size());
         for (std::size_t s = 0; s < stage_count; ++s) {
             const ShardStage& stage = plan_.stages[s];
             std::int64_t busy = 0;
@@ -388,16 +197,14 @@ void SiaCluster::run_batch_pipeline(
     for (std::size_t l = plan_.stages[last].first; l < plan_.stages[last].last; ++l) {
         last_busy += results[0].layer_stats[l].total();
     }
-    stats_.makespan_cycles = finish[last][n - 1];
-    stats_.fill_cycles = finish[last][0] - last_busy;
-    stats_.drain_cycles = stats_.makespan_cycles - finish[0][n - 1];
+    stats_.makespan_cycles += finish[last][n - 1];
+    stats_.fill_cycles += finish[last][0] - last_busy;
+    stats_.drain_cycles += finish[last][n - 1] - finish[0][n - 1];
 }
 
-void SiaCluster::run_batch_channel(
-    const std::vector<const snn::SpikeTrain*>& inputs,
-    const std::vector<snn::SessionState*>& sessions,
-    std::vector<SiaRunResult>& results) {
-    const std::size_t n = inputs.size();
+void SiaCluster::run_channel(std::span<const Segment> segments,
+                             std::vector<SiaRunResult>& results) {
+    const std::size_t n = segments.size();
     const std::size_t layer_count = model_.layers.size();
     const std::size_t shard_count = plan_.slices.size();
 
@@ -414,11 +221,12 @@ void SiaCluster::run_batch_channel(
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        const auto steps = static_cast<std::int64_t>(inputs[i]->size());
-        init_result(results[i], steps, model_.classes, layer_count);
+        const Frames input = segments[i].frames;
+        const auto steps = static_cast<std::int64_t>(input.size());
+        results[i].reset(steps, model_.classes, layer_count);
 
         std::vector<SiaRunResult> shard_res(shard_count);
-        for (auto& r : shard_res) init_result(r, steps, model_.classes, layer_count);
+        for (auto& r : shard_res) r.reset(steps, model_.classes, layer_count);
         std::vector<snn::SpikeTrain> gathered(layer_count);
         std::vector<std::vector<snn::SpikeTrain>> shard_out(
             shard_count, std::vector<snn::SpikeTrain>(layer_count));
@@ -429,14 +237,14 @@ void SiaCluster::run_batch_channel(
 
         for (std::size_t l = 0; l < layer_count; ++l) {
             const snn::SnnLayer& layer = model_.layers[l];
-            const snn::SpikeTrain& in =
-                layer.input == -1 ? *inputs[i]
-                                  : gathered[static_cast<std::size_t>(layer.input)];
-            const snn::SpikeTrain* skip = nullptr;
+            const Frames in =
+                layer.input == -1 ? input
+                                  : Frames(gathered[static_cast<std::size_t>(layer.input)]);
+            Frames skip;
             if (layer.has_skip()) {
                 skip = layer.skip_src == -1
-                           ? inputs[i]
-                           : &gathered[static_cast<std::size_t>(layer.skip_src)];
+                           ? input
+                           : Frames(gathered[static_cast<std::size_t>(layer.skip_src)]);
             }
 
             // Every shard computes its slice against the full gathered
@@ -449,7 +257,7 @@ void SiaCluster::run_batch_channel(
                                             shard_out[k][l],
                                             shard_res[k].layer_stats[l],
                                             shard_res[k].logits_per_step,
-                                            sessions[i], slice.c0, slice.c1);
+                                            segments[i].session, slice.c0, slice.c1);
             });
 
             // All-gather: the slices are disjoint contiguous bit ranges
@@ -485,16 +293,7 @@ void SiaCluster::run_batch_channel(
             LayerCycleStats& combined = results[i].layer_stats[l];
             combined.label = model_.layers[l].label;
             for (std::size_t k = 0; k < shard_count; ++k) {
-                const LayerCycleStats& s = shard_res[k].layer_stats[l];
-                combined.compute += s.compute;
-                combined.aggregate += s.aggregate;
-                combined.dma += s.dma;
-                combined.mmio += s.mmio;
-                combined.overhead += s.overhead;
-                combined.input_spike_events += s.input_spike_events;
-                combined.output_spikes += s.output_spikes;
-                combined.event_additions += s.event_additions;
-                combined.dense_ops += s.dense_ops;
+                combined += shard_res[k].layer_stats[l];
             }
             results[i].neuron_counts.push_back(model_.layers[l].neurons());
         }
@@ -539,9 +338,9 @@ void SiaCluster::run_batch_channel(
             }
         }
     }
-    // No exact single-Sia baseline inside a sliced run (per-shard stats
-    // overlap); the bench derives speedups from the 1-shard row.
-    stats_.item_cycles = 0;
+    // item_cycles stays 0: a sliced run has no exact single-Sia baseline
+    // (per-shard stats overlap); the bench derives speedups from the
+    // 1-shard row.
 }
 
 }  // namespace sia::sim

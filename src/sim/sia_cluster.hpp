@@ -28,14 +28,14 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sim/segment_ledger.hpp"
 #include "sim/shard.hpp"
 #include "sim/sia.hpp"
-#include "snn/exit.hpp"
 #include "snn/model.hpp"
-#include "snn/session.hpp"
 #include "snn/spike.hpp"
 #include "util/thread_pool.hpp"
 
@@ -57,34 +57,23 @@ public:
     SiaCluster(const SiaConfig& config, const snn::SnnModel& model, ShardPlan plan,
                SiaClusterOptions options = {});
 
-    /// Single-item convenience forms (one-item run_batch).
+    /// One stateless inference over the whole train (a one-item batch).
     [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input);
-    [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input,
-                                   snn::SessionState& session);
 
-    /// Run a batch across the cluster. Per-item results are
-    /// bit-identical to single-Sia runs: for kPipeline including every
-    /// cycle stat; for kChannel the logits/spikes/sessions are
-    /// bit-identical while layer_stats hold the per-shard work summed
-    /// (the cluster timeline lives in last_stats()). Sessions follow
-    /// Sia::run_batch's contract (nullptr = stateless; two windows of
-    /// one session must not share a batch).
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<snn::SpikeTrain>& inputs);
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<const snn::SpikeTrain*>& inputs,
-        const std::vector<snn::SessionState*>& sessions);
-    /// Early-exit form: per-item criteria (nullptr / disabled = full
-    /// train). Retirement propagates across every shard: items run in
-    /// segment rounds ending at their own next evaluation step, and a
-    /// retired item drops out of all subsequent rounds' pipeline waves /
-    /// channel passes. Per-item logits/spikes/sessions stay bit-identical
-    /// to single-Sia `run(input, exit)` at any shard and thread count;
-    /// with no criterion armed this is exactly the legacy schedule.
-    [[nodiscard]] std::vector<SiaRunResult> run_batch(
-        const std::vector<const snn::SpikeTrain*>& inputs,
-        const std::vector<snn::SessionState*>& sessions,
-        const std::vector<const snn::ExitCriterion*>& exits);
+    /// Run a batch across the cluster. Items follow Sia::run_batch's
+    /// contract (sim/segment_ledger.hpp): admission validates every item
+    /// first, sessions are committed only once the whole batch
+    /// completes, and two windows of one session must not share a
+    /// batch. Items run in segment rounds ending at their own next
+    /// evaluation step; a retired item drops out of all subsequent
+    /// rounds' pipeline waves / channel passes on every shard, and a
+    /// criterion-free batch is a single round. Per-item results are
+    /// bit-identical to single-Sia runs at any shard and thread count:
+    /// for kPipeline including every cycle stat; for kChannel the
+    /// logits/spikes/sessions are bit-identical while layer_stats hold
+    /// the per-shard work summed (the cluster timeline lives in
+    /// last_stats()).
+    [[nodiscard]] std::vector<SiaRunResult> run_batch(std::span<const BatchItem> items);
 
     /// Cluster accounting of the most recent run_batch call.
     [[nodiscard]] const ShardStats& last_stats() const noexcept { return stats_; }
@@ -96,22 +85,12 @@ public:
     }
 
 private:
-    void run_batch_pipeline(const std::vector<const snn::SpikeTrain*>& inputs,
-                            const std::vector<snn::SessionState*>& sessions,
-                            std::vector<SiaRunResult>& results);
-    void run_batch_channel(const std::vector<const snn::SpikeTrain*>& inputs,
-                           const std::vector<snn::SessionState*>& sessions,
-                           std::vector<SiaRunResult>& results);
-    /// Early-exit chunk rounds over the still-active sub-batch.
-    void run_batch_segmented(const std::vector<const snn::SpikeTrain*>& inputs,
-                             const std::vector<snn::SessionState*>& sessions,
-                             const std::vector<const snn::ExitCriterion*>& exits,
-                             std::vector<SiaRunResult>& results);
-    /// Validate/size a session before the window (presizes the shared
-    /// membrane banks so sliced shards never resize concurrently).
-    void prepare_session(snn::SessionState& session) const;
-    void finalize_session(snn::SessionState& session,
-                          std::int64_t timesteps) const;
+    /// One round's layer-major passes over `segments` (results[i] for
+    /// segments[i]); each accumulates its timeline into stats_.
+    void run_pipeline(std::span<const Segment> segments,
+                      std::vector<SiaRunResult>& results);
+    void run_channel(std::span<const Segment> segments,
+                     std::vector<SiaRunResult>& results);
 
     SiaConfig config_;
     const snn::SnnModel& model_;

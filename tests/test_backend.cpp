@@ -215,30 +215,22 @@ TEST(BackendEquivalence, SiaBackendMatchesSequentialSia) {
         reference.push_back(sia.run(t));
     }
 
-    for (const auto schedule :
-         {core::SimSchedule::kResident, core::SimSchedule::kPerItem}) {
-        for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-            SCOPED_TRACE(std::string("schedule=") +
-                         (schedule == core::SimSchedule::kResident ? "resident"
-                                                                   : "per-item") +
-                         " threads=" + std::to_string(threads));
-            core::BatchRunner unified(
-                std::make_shared<core::SiaBackend>(model, config, schedule),
-                {.threads = threads});
-            const auto responses = unified.run(requests);
+    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        core::BatchRunner unified(std::make_shared<core::SiaBackend>(model, config),
+                                  {.threads = threads});
+        const auto responses = unified.run(requests);
 
-            ASSERT_EQ(responses.size(), reference.size());
-            for (std::size_t i = 0; i < responses.size(); ++i) {
-                SCOPED_TRACE("item=" + std::to_string(i));
-                EXPECT_EQ(responses[i].logits_per_step, reference[i].logits_per_step);
-                EXPECT_EQ(responses[i].spike_counts, reference[i].spike_counts);
-                EXPECT_EQ(responses[i].neuron_counts, reference[i].neuron_counts);
-                EXPECT_EQ(responses[i].timesteps, reference[i].timesteps);
-                // Cycle stats must survive the unified Response intact.
-                ASSERT_EQ(responses[i].layer_stats.size(),
-                          reference[i].layer_stats.size());
-                EXPECT_EQ(responses[i].total_cycles(), reference[i].total_cycles());
-            }
+        ASSERT_EQ(responses.size(), reference.size());
+        for (std::size_t i = 0; i < responses.size(); ++i) {
+            SCOPED_TRACE("item=" + std::to_string(i));
+            EXPECT_EQ(responses[i].logits_per_step, reference[i].logits_per_step);
+            EXPECT_EQ(responses[i].spike_counts, reference[i].spike_counts);
+            EXPECT_EQ(responses[i].neuron_counts, reference[i].neuron_counts);
+            EXPECT_EQ(responses[i].timesteps, reference[i].timesteps);
+            // Cycle stats must survive the unified Response intact.
+            ASSERT_EQ(responses[i].layer_stats.size(), reference[i].layer_stats.size());
+            EXPECT_EQ(responses[i].total_cycles(), reference[i].total_cycles());
         }
     }
 }

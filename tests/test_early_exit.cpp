@@ -295,7 +295,8 @@ TEST(EarlyExit, NonExitingItemsBitIdenticalToFullRun) {
 
         sim::Sia sia(sim::SiaConfig{}, model, program);
         const auto sim_full = sia.run(inputs[i]);
-        const auto sim_armed = sia.run(inputs[i], never);
+        const std::array item{sim::BatchItem{inputs[i], nullptr, &never}};
+        const auto sim_armed = std::move(sia.run_batch(item).front());
         EXPECT_EQ(sim_armed.timesteps, timesteps);
         EXPECT_EQ(sim_armed.exit_reason, snn::ExitReason::kNone);
         EXPECT_EQ(sim_armed.logits_per_step, sim_full.logits_per_step);
@@ -406,12 +407,12 @@ TEST(EarlyExit, SessionWindowExitsOnItsOwnDeltaNotTheCarriedLead) {
     const auto program = core::SiaCompiler(sim::SiaConfig{}).compile(model);
     sim::Sia sia(sim::SiaConfig{}, model, program);
     snn::SessionState sim_session;
-    (void)sia.run(windows[0], sim_session);
+    (void)sia.run(windows[0], sim_session, {});
     const auto sim_w1 = sia.run(windows[1], sim_session, crit);
     EXPECT_EQ(sim_w1.timesteps, expect_steps);
     EXPECT_EQ(sim_w1.exit_reason, expect_reason);
     EXPECT_EQ(sim_w1.readout, w1.readout);
-    const auto sim_w2 = sia.run(windows[2], sim_session);
+    const auto sim_w2 = sia.run(windows[2], sim_session, {});
     EXPECT_EQ(sim_session.readout, mono.readout);
     EXPECT_EQ(sim_w2.readout, mono.readout);
 }
@@ -526,7 +527,10 @@ TEST(EarlyExit, ClusterReportsRetirementAcrossShards) {
     const auto program = core::SiaCompiler(sim::SiaConfig{}).compile(model);
     sim::Sia solo(sim::SiaConfig{}, model, program);
     std::vector<sim::SiaRunResult> ref;
-    for (const auto& t : inputs) ref.push_back(solo.run(t, crit));
+    for (const auto& t : inputs) {
+        const std::array item{sim::BatchItem{t, nullptr, &crit}};
+        ref.push_back(std::move(solo.run_batch(item).front()));
+    }
 
     for (const auto partition : {sim::ShardPartition::kPipeline,
                                  sim::ShardPartition::kChannel}) {
@@ -535,11 +539,9 @@ TEST(EarlyExit, ClusterReportsRetirementAcrossShards) {
             sim::SiaConfig{}, model,
             core::SiaCompiler(sim::SiaConfig{})
                 .compile_sharded(model, {.partition = partition, .shards = 2}));
-        std::vector<const snn::SpikeTrain*> ptrs;
-        for (const auto& t : inputs) ptrs.push_back(&t);
-        const std::vector<snn::SessionState*> sessions(inputs.size(), nullptr);
-        const std::vector<const snn::ExitCriterion*> exits(inputs.size(), &crit);
-        const auto results = cluster.run_batch(ptrs, sessions, exits);
+        std::vector<sim::BatchItem> items;
+        for (const auto& t : inputs) items.push_back({t, nullptr, &crit});
+        const auto results = cluster.run_batch(items);
         std::int64_t executed = 0;
         std::int64_t retired = 0;
         for (std::size_t i = 0; i < results.size(); ++i) {

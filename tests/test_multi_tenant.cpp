@@ -576,6 +576,9 @@ TEST(MultiTenant, ReloadUnderLoadKeepsResponsesBitIdentical) {
         EXPECT_EQ(response.logits_per_step, reference[i].logits_per_step);
         EXPECT_EQ(response.spike_counts, reference[i].spike_counts);
     }
+    // The stream can finish before the reloader is first scheduled; keep
+    // it running until at least one swap has landed.
+    while (server.stats().reloads == 0) std::this_thread::sleep_for(1ms);
     done.store(true);
     reloader.join();
     server.shutdown();

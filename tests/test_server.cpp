@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/compiler.hpp"
 #include "core/server.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
@@ -751,6 +752,50 @@ TEST(Server, BorrowedTrainViewCopiedAtAdmission) {
     const auto response = future.get();
     EXPECT_EQ(response.logits_per_step, reference.logits_per_step);
     server.shutdown();
+}
+
+// ---- malformed input on a Sia lane fails alone ----
+
+TEST(Server, MisShapedTrainOnSiaLaneFailsAloneAsInvalidRequest) {
+    // A pre-encoded 1x2x2 train against the 2x6x6 model, queued into one
+    // wave with well-formed requests: the simulator rejects the wave at
+    // admission, bisection isolates the bad request as kInvalidRequest,
+    // and its wave-mates complete bit-identically to solo runs.
+    const auto model = small_model(41);
+    const sim::SiaConfig config;
+    const auto program = core::SiaCompiler(config).compile(model);
+    sim::Sia solo(config, model, program);
+
+    auto gate = std::make_shared<HoldWaves>(
+        model, std::make_shared<core::SiaBackend>(model, config));
+    core::Server server(gate, {.threads = 1});
+    auto blocker = server.submit(core::Request::from_train(random_train(model, 2, 1)));
+    ASSERT_TRUE(eventually([&] { return gate->entered() >= 1; }));
+
+    std::vector<snn::SpikeTrain> trains;
+    for (std::uint64_t i = 0; i < 4; ++i) trains.push_back(random_train(model, 4, 50 + i));
+    trains[2] = snn::SpikeTrain(4, snn::SpikeMap(1, 2, 2));
+    std::vector<std::future<core::Response>> futures;
+    for (const auto& t : trains) futures.push_back(server.submit(core::Request::from_train(t)));
+
+    gate->release();
+    EXPECT_TRUE(blocker.get().ok());
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        SCOPED_TRACE("item=" + std::to_string(i));
+        const auto response = futures[i].get();
+        if (i == 2) {
+            EXPECT_EQ(response.error_code, core::ErrorCode::kInvalidRequest);
+            EXPECT_EQ(response.retries, 0U);
+            continue;
+        }
+        ASSERT_TRUE(response.ok()) << response.error;
+        const auto want = solo.run(trains[i]);
+        EXPECT_EQ(response.logits_per_step, want.logits_per_step);
+        EXPECT_EQ(response.spike_counts, want.spike_counts);
+        EXPECT_EQ(response.total_cycles(), want.total_cycles());
+    }
+    server.shutdown();
+    EXPECT_GE(server.stats().isolated_waves, 1U);
 }
 
 }  // namespace

@@ -289,7 +289,7 @@ TEST(ShardCluster, MatrixBothStrategiesMatchSingleSia) {
                                  " threads=" + std::to_string(threads));
                     sim::SiaCluster cluster(config, model, plan,
                                             {.threads = threads});
-                    const auto results = cluster.run_batch(inputs);
+                    const auto results = cluster.run_batch(sim::as_batch(inputs));
                     ASSERT_EQ(results.size(), batch);
                     for (std::size_t i = 0; i < batch; ++i) {
                         SCOPED_TRACE("item=" + std::to_string(i));
@@ -356,16 +356,41 @@ TEST(ShardCluster, EmptyBatchAndBadInputValidation) {
         compiler.compile_sharded(
             model, {.partition = core::ShardPartition::kPipeline, .shards = 2}));
 
-    EXPECT_TRUE(cluster.run_batch(std::vector<snn::SpikeTrain>{}).empty());
+    EXPECT_TRUE(cluster.run_batch({}).empty());
 
     auto inputs = random_batch(model, 2, 4, 7);
     inputs.push_back(snn::SpikeTrain{});
-    EXPECT_THROW((void)cluster.run_batch(inputs), std::invalid_argument);
+    EXPECT_THROW((void)cluster.run_batch(sim::as_batch(inputs)), std::invalid_argument);
 
     // The cluster recovers after the failed batch.
     const auto program = compiler.compile(model);
     sim::Sia single(config, model, program);
     expect_same_outputs(cluster.run(inputs[0]), single.run(inputs[0]));
+}
+
+TEST(ShardCluster, MisShapedFramesRejectedUnderBothPartitions) {
+    // A 1x2x2 train against a 2x6x6 conv model is rejected at admission,
+    // before any shard runs, and the cluster stays usable.
+    const sim::SiaConfig config;
+    const auto model = conv_model(17);
+    const core::SiaCompiler compiler(config);
+    const auto program = compiler.compile(model);
+    sim::Sia single(config, model, program);
+    auto inputs = random_batch(model, 2, 4, 171);
+    const auto ref = single.run(inputs[0]);
+    inputs.push_back(snn::SpikeTrain(4, snn::SpikeMap(1, 2, 2)));
+
+    for (const auto partition :
+         {core::ShardPartition::kPipeline, core::ShardPartition::kChannel}) {
+        SCOPED_TRACE(sim::to_string(partition));
+        sim::SiaCluster cluster(
+            config, model,
+            compiler.compile_sharded(model, {.partition = partition, .shards = 2}));
+        EXPECT_THROW((void)cluster.run(inputs.back()), std::invalid_argument);
+        EXPECT_THROW((void)cluster.run_batch(sim::as_batch(inputs)),
+                     std::invalid_argument);
+        expect_same_outputs(cluster.run(inputs[0]), ref);
+    }
 }
 
 // ---- hand-checked pipeline timeline ----
@@ -403,7 +428,7 @@ TEST(ShardPipeline, FillDrainAndStallAccountingHandChecked) {
     ASSERT_GT(b0, b1 + tx);  // precondition of the closed forms below
 
     sim::SiaCluster cluster(config, model, plan, {.threads = 2});
-    const auto results = cluster.run_batch(inputs);
+    const auto results = cluster.run_batch(sim::as_batch(inputs));
     for (const auto& r : results) expect_same_sia_result(r, ref);
 
     const auto count = static_cast<std::int64_t>(n);
@@ -424,7 +449,7 @@ TEST(ShardPipeline, FillDrainAndStallAccountingHandChecked) {
     // transfers: stage 0 is occupied B0 + tx per item.
     sim::SiaCluster serial_tx(config, model, plan,
                               {.threads = 2, .double_buffer = false});
-    const auto results2 = serial_tx.run_batch(inputs);
+    const auto results2 = serial_tx.run_batch(sim::as_batch(inputs));
     for (const auto& r : results2) expect_same_sia_result(r, ref);
     const sim::ShardStats& nodb = serial_tx.last_stats();
     EXPECT_EQ(nodb.makespan_cycles, count * (b0 + tx) + b1);
@@ -526,8 +551,10 @@ TEST(ShardCluster, SessionWindowsMatchSingleSiaWindowByWindow) {
 
             for (std::size_t w = 0; w < windows.size(); ++w) {
                 SCOPED_TRACE("window=" + std::to_string(w));
-                const auto want = single.run(windows[w], ref_session);
-                const auto got = cluster.run(windows[w], cluster_session);
+                const auto want = single.run(windows[w], ref_session, {});
+                const std::array items{
+                    sim::BatchItem{windows[w], &cluster_session, nullptr}};
+                const auto got = std::move(cluster.run_batch(items).front());
                 if (partition == core::ShardPartition::kPipeline) {
                     expect_same_sia_result(got, want);
                 } else {
@@ -616,7 +643,7 @@ TEST(PartitionGuard, MidWaveThrowLeavesSiaRepartitioned) {
     ASSERT_EQ(sia.memory().membrane.contexts(), 1);
 
     const auto inputs = random_batch(model, 3, 4, 73);
-    EXPECT_THROW((void)sia.run_batch(inputs), std::out_of_range);
+    EXPECT_THROW((void)sia.run_batch(sim::as_batch(inputs)), std::out_of_range);
     EXPECT_EQ(sia.memory().membrane.contexts(), 1);
 }
 
@@ -632,7 +659,7 @@ TEST(PartitionGuard, ThrowingBatchThenRunIsBitIdentical) {
     sim::Sia sia(config, model, program);
     auto bad = inputs;
     bad.push_back(snn::SpikeTrain{});
-    EXPECT_THROW((void)sia.run_batch(bad), std::invalid_argument);
+    EXPECT_THROW((void)sia.run_batch(sim::as_batch(bad)), std::invalid_argument);
     expect_same_sia_result(sia.run(inputs[0]), ref);
 }
 

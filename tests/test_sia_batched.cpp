@@ -232,7 +232,7 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
                                                    inputs.begin() +
                                                        static_cast<std::ptrdiff_t>(bs));
             sim::Sia resident(config, model, program);
-            const auto batched = resident.run_batch(sub);
+            const auto batched = resident.run_batch(sim::as_batch(sub));
             ASSERT_EQ(batched.size(), bs);
             for (std::size_t i = 0; i < bs; ++i) {
                 SCOPED_TRACE("item=" + std::to_string(i));
@@ -240,7 +240,7 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
                 EXPECT_EQ(batched[i].logits_per_step, fun_ref[i].logits_per_step);
                 EXPECT_EQ(batched[i].spike_counts, fun_ref[i].spike_counts);
             }
-            EXPECT_EQ(resident.last_batch_stats().waves,
+            EXPECT_EQ(resident.last_batch_stats().chunk_passes,
                       (static_cast<std::int64_t>(bs) + config.membrane_banks - 1) /
                           config.membrane_banks);
         }
@@ -267,31 +267,6 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
     }
 }
 
-TEST(SiaBatched, PerItemAndResidentSchedulesAgree) {
-    const auto model = conv_model(5);
-    const auto inputs = random_batch(model, 9, 4, 55);
-    const sim::SiaConfig config;
-    const auto requests = view_requests(inputs);
-
-    // One backend, schedule flipped between batches: bit-identical
-    // results, residency accounting only under kResident.
-    auto backend = std::make_shared<core::SiaBackend>(model, config);
-    core::BatchRunner runner(backend, {.threads = 4});
-    const auto resident = runner.run(requests);
-    EXPECT_EQ(runner.last_sim_batch_stats().batch, inputs.size());
-    backend->set_schedule(core::SimSchedule::kPerItem);
-    const auto per_item = runner.run(requests);
-    EXPECT_EQ(runner.last_sim_batch_stats().batch, 0U);  // per-item: no residency
-
-    ASSERT_EQ(resident.size(), per_item.size());
-    for (std::size_t i = 0; i < resident.size(); ++i) {
-        SCOPED_TRACE("item=" + std::to_string(i));
-        EXPECT_EQ(resident[i].logits_per_step, per_item[i].logits_per_step);
-        EXPECT_EQ(resident[i].spike_counts, per_item[i].spike_counts);
-        EXPECT_EQ(resident[i].total_cycles(), per_item[i].total_cycles());
-    }
-}
-
 // ---- waves, banking, and residency accounting ----
 
 TEST(SiaBatched, OversizedBatchRunsInWavesAndAmortizes) {
@@ -307,7 +282,7 @@ TEST(SiaBatched, OversizedBatchRunsInWavesAndAmortizes) {
     for (const auto& train : inputs) ref.push_back(sequential.run(train));
 
     sim::Sia resident(config, model, program);
-    const auto batched = resident.run_batch(inputs);
+    const auto batched = resident.run_batch(sim::as_batch(inputs));
     ASSERT_EQ(batched.size(), inputs.size());
     for (std::size_t i = 0; i < batched.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
@@ -317,7 +292,7 @@ TEST(SiaBatched, OversizedBatchRunsInWavesAndAmortizes) {
     const sim::SiaBatchStats& stats = resident.last_batch_stats();
     EXPECT_EQ(stats.batch, 7U);
     EXPECT_EQ(stats.banks, 2);
-    EXPECT_EQ(stats.waves, 4);
+    EXPECT_EQ(stats.chunk_passes, 4);
     EXPECT_EQ(stats.membrane_slice_bytes, config.membrane_bytes / 2 / 2);
     EXPECT_TRUE(stats.membrane_resident);  // tiny model: 288 B/layer per context
 
@@ -350,7 +325,7 @@ TEST(SiaBatched, ReportsWhenMembranesOverflowTheContextSlice) {
 
     sim::Sia sequential(config, model, program);
     sim::Sia resident(config, model, program);
-    const auto batched = resident.run_batch(inputs);
+    const auto batched = resident.run_batch(sim::as_batch(inputs));
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
         expect_same_sia_result(batched[i], sequential.run(inputs[i]));
@@ -367,12 +342,12 @@ TEST(SiaBatched, BatchOfOneHasNothingToAmortize) {
 
     sim::Sia sia(config, model, program);
     const auto ref = sia.run(inputs[0]);
-    const auto batched = sia.run_batch(inputs);
+    const auto batched = sia.run_batch(sim::as_batch(inputs));
     ASSERT_EQ(batched.size(), 1U);
     expect_same_sia_result(batched[0], ref);
 
     const sim::SiaBatchStats& stats = sia.last_batch_stats();
-    EXPECT_EQ(stats.waves, 1);
+    EXPECT_EQ(stats.chunk_passes, 1);
     EXPECT_EQ(stats.weight_bytes_streamed, stats.weight_bytes_sequential);
     EXPECT_EQ(stats.resident_cycles, stats.sequential_cycles);
 }
@@ -383,8 +358,8 @@ TEST(SiaBatched, EmptyBatch) {
     const auto program = core::SiaCompiler(config).compile(model);
 
     sim::Sia sia(config, model, program);
-    EXPECT_TRUE(sia.run_batch(std::vector<snn::SpikeTrain>{}).empty());
-    EXPECT_EQ(sia.last_batch_stats().waves, 0);
+    EXPECT_TRUE(sia.run_batch({}).empty());
+    EXPECT_EQ(sia.last_batch_stats().chunk_passes, 0);
 
     core::BatchRunner runner(std::make_shared<core::SiaBackend>(model, config),
                              {.threads = 2});
@@ -400,11 +375,119 @@ TEST(SiaBatched, EmptyTrainInBatchThrows) {
 
     auto inputs = random_batch(model, 2, 4, 13);
     inputs.push_back(snn::SpikeTrain{});
-    EXPECT_THROW((void)sia.run_batch(inputs), std::invalid_argument);
+    EXPECT_THROW((void)sia.run_batch(sim::as_batch(inputs)), std::invalid_argument);
 
     // The instance recovers: single runs still work after the failed batch.
     const auto ok = random_batch(model, 1, 4, 14);
     EXPECT_NO_THROW((void)sia.run(ok[0]));
+}
+
+TEST(SiaBatched, MisShapedFramesRejectedWithoutCriterion) {
+    // A 1x2x2 train against a 2x6x6 conv model: the criterion-free path
+    // must reject it at admission (as FunctionalEngine::run does), not
+    // index past the frame's packed words.
+    const auto model = conv_model(61);
+    const sim::SiaConfig config;
+    const auto program = core::SiaCompiler(config).compile(model);
+    sim::Sia sia(config, model, program);
+    const snn::SpikeTrain bad(4, snn::SpikeMap(1, 2, 2));
+
+    EXPECT_THROW((void)sia.run(bad), std::invalid_argument);
+    auto inputs = random_batch(model, 3, 4, 611);
+    inputs.push_back(bad);
+    EXPECT_THROW((void)sia.run_batch(sim::as_batch(inputs)), std::invalid_argument);
+    // One bad frame in an otherwise well-formed train is caught too.
+    inputs.back() = inputs.front();
+    inputs.back()[2] = snn::SpikeMap(2, 6, 5);
+    EXPECT_THROW((void)sia.run_batch(sim::as_batch(inputs)), std::invalid_argument);
+    EXPECT_EQ(sia.memory().membrane.contexts(), 1);
+
+    snn::FunctionalEngine engine(model);
+    EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+}
+
+TEST(SiaBatched, ThrowingBatchLeavesEverySessionUntouched) {
+    // Layer 0 packs 9 output bytes, layer 1 packs 18: with a 12-byte
+    // output bank every item's layer-0 pass succeeds and the first
+    // layer-1 pass throws. Sessions are committed only once the batch
+    // completes, so every user session must equal its pre-call copy.
+    util::Rng rng(67);
+    snn::SnnModel model;
+    model.input_channels = 2;
+    model.input_h = 6;
+    model.input_w = 6;
+    std::int64_t in_c = 2;
+    for (const std::int64_t out_c : {std::int64_t{2}, std::int64_t{4}}) {
+        snn::SnnLayer layer;
+        layer.op = snn::LayerOp::kConv;
+        layer.label = "conv" + std::to_string(model.layers.size());
+        layer.input = static_cast<int>(model.layers.size()) - 1;
+        auto& b = layer.main;
+        b.in_channels = in_c;
+        b.out_channels = out_c;
+        b.kernel = 3;
+        b.stride = 1;
+        b.padding = 1;
+        b.weights.resize(static_cast<std::size_t>(in_c * out_c * 9));
+        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
+        b.gain.assign(static_cast<std::size_t>(out_c), 1000);
+        b.bias.assign(static_cast<std::size_t>(out_c), 0);
+        layer.out_channels = out_c;
+        layer.out_h = layer.out_w = layer.in_h = layer.in_w = 6;
+        model.layers.push_back(std::move(layer));
+        in_c = out_c;
+    }
+    snn::SnnLayer fc;
+    fc.op = snn::LayerOp::kLinear;
+    fc.label = "fc";
+    fc.input = 1;
+    fc.spiking = false;
+    fc.main.in_features = 4 * 6 * 6;
+    fc.main.out_features = 4;
+    fc.main.weights.assign(static_cast<std::size_t>(fc.main.in_features * 4), 3);
+    fc.main.gain.assign(4, 256);
+    fc.main.bias.assign(4, 0);
+    fc.out_channels = 4;
+    model.layers.push_back(std::move(fc));
+    model.classes = 4;
+    model.validate();
+
+    sim::SiaConfig config;
+    config.output_bytes = 12;
+    const auto program = core::SiaCompiler(config).compile(model);
+    const auto inputs = random_batch(model, 5, 4, 671);
+
+    // Carried state from earlier windows (initialized sessions with
+    // distinctive membranes), plus one fresh session.
+    std::vector<snn::SessionState> sessions(inputs.size());
+    for (std::size_t i = 0; i + 1 < sessions.size(); ++i) {
+        snn::SessionState& s = sessions[i];
+        s.initialized = true;
+        s.steps = 8 + static_cast<std::int64_t>(i);
+        s.windows = 2;
+        s.readout.assign(4, static_cast<std::int64_t>(i) - 2);
+        s.membranes.resize(model.layers.size());
+        for (std::size_t l = 0; l < 2; ++l) {
+            s.membranes[l].assign(static_cast<std::size_t>(model.layers[l].neurons()),
+                                  static_cast<std::int16_t>(10 * i + l));
+        }
+    }
+    const std::vector<snn::SessionState> before = sessions;
+    std::vector<sim::BatchItem> items;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        items.push_back({inputs[i], &sessions[i], nullptr});
+    }
+
+    sim::Sia sia(config, model, program);
+    EXPECT_THROW((void)sia.run_batch(items), std::out_of_range);
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+        SCOPED_TRACE("item=" + std::to_string(i));
+        EXPECT_EQ(sessions[i].membranes, before[i].membranes);
+        EXPECT_EQ(sessions[i].readout, before[i].readout);
+        EXPECT_EQ(sessions[i].steps, before[i].steps);
+        EXPECT_EQ(sessions[i].windows, before[i].windows);
+        EXPECT_EQ(sessions[i].initialized, before[i].initialized);
+    }
 }
 
 // ---- ragged retirement (temporal early exit) ----
@@ -419,6 +502,23 @@ snn::ExitCriterion eager_exit() {
 snn::ExitCriterion unreachable_exit() {
     return {.margin = 1'000'000'000, .stable_checks = 0, .min_steps = 1,
             .hysteresis = 1, .check_interval = 1};
+}
+
+/// One stateless item with a criterion, run alone.
+sim::SiaRunResult run_with_exit(sim::Sia& sia, const snn::SpikeTrain& train,
+                                const snn::ExitCriterion& exit) {
+    const std::array items{sim::BatchItem{train, nullptr, &exit}};
+    return std::move(sia.run_batch(items).front());
+}
+
+/// Stateless items over `inputs` with per-item criteria.
+std::vector<sim::BatchItem> exit_batch(const std::vector<snn::SpikeTrain>& inputs,
+                                       const std::vector<const snn::ExitCriterion*>& exits) {
+    std::vector<sim::BatchItem> items;
+    for (std::size_t i = 0; i < exits.size(); ++i) {
+        items.push_back({inputs[i], nullptr, exits[i]});
+    }
+    return items;
 }
 
 void expect_same_exit_result(const sim::SiaRunResult& got,
@@ -446,21 +546,18 @@ TEST(SiaBatched, RaggedRetirementMatchesSoloRunsAcrossCompositions) {
         std::vector<sim::SiaRunResult> ref;
         for (std::size_t i = 0; i < inputs.size(); ++i) {
             sim::Sia solo(config, model, program);
-            ref.push_back(solo.run(inputs[i], i % 2 == 0 ? eager : never));
+            ref.push_back(run_with_exit(solo, inputs[i], i % 2 == 0 ? eager : never));
         }
 
         for (const std::size_t bs : {std::size_t{2}, std::size_t{7}, std::size_t{32}}) {
             SCOPED_TRACE("banks=" + std::to_string(banks) + " batch=" +
                          std::to_string(bs));
-            std::vector<const snn::SpikeTrain*> ptrs;
-            std::vector<snn::SessionState*> sessions(bs, nullptr);
             std::vector<const snn::ExitCriterion*> exits;
             for (std::size_t i = 0; i < bs; ++i) {
-                ptrs.push_back(&inputs[i]);
                 exits.push_back(i % 2 == 0 ? &eager : &never);
             }
             sim::Sia resident(config, model, program);
-            const auto batched = resident.run_batch(ptrs, sessions, exits);
+            const auto batched = resident.run_batch(exit_batch(inputs, exits));
             ASSERT_EQ(batched.size(), bs);
             std::int64_t executed = 0;
             std::int64_t retired = 0;
@@ -501,18 +598,15 @@ TEST(SiaBatched, RaggedRetirementOnLastWaveSlot) {
     std::vector<sim::SiaRunResult> ref;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         sim::Sia solo(config, model, program);
-        ref.push_back(solo.run(inputs[i], i == 3 ? eager : never));
+        ref.push_back(run_with_exit(solo, inputs[i], i == 3 ? eager : never));
     }
     ASSERT_NE(ref[3].exit_reason, snn::ExitReason::kNone);
     ASSERT_LT(ref[3].timesteps, timesteps);
 
-    std::vector<const snn::SpikeTrain*> ptrs;
-    for (const auto& t : inputs) ptrs.push_back(&t);
-    const std::vector<snn::SessionState*> sessions(4, nullptr);
     const std::vector<const snn::ExitCriterion*> exits{&never, &never, &never,
                                                        &eager};
     sim::Sia resident(config, model, program);
-    const auto batched = resident.run_batch(ptrs, sessions, exits);
+    const auto batched = resident.run_batch(exit_batch(inputs, exits));
     for (std::size_t i = 0; i < 4; ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
         expect_same_exit_result(batched[i], ref[i]);
@@ -521,10 +615,9 @@ TEST(SiaBatched, RaggedRetirementOnLastWaveSlot) {
 }
 
 TEST(SiaBatched, RaggedMidWaveThrowRestoresPartitioning) {
-    // One item retires in the first segment round, then another item's
-    // later frame has the wrong geometry: the segment builder throws
-    // mid-schedule with retired items outstanding. The PartitionGuard
-    // must still restore single-inference partitioning.
+    // Item 2's frame past the first evaluation boundary has the wrong
+    // geometry. Admission checks every frame of every item, so the batch
+    // is rejected before any segment runs, and the instance stays usable.
     const auto model = conv_model(47);
     auto inputs = random_batch(model, 3, 5, 471);
     // Item 2: poison a frame past the first evaluation boundary.
@@ -540,17 +633,14 @@ TEST(SiaBatched, RaggedMidWaveThrowRestoresPartitioning) {
                                      .min_steps = 1, .hysteresis = 1,
                                      .check_interval = 2};
 
-    std::vector<const snn::SpikeTrain*> ptrs;
-    for (const auto& t : inputs) ptrs.push_back(&t);
-    const std::vector<snn::SessionState*> sessions(3, nullptr);
     const std::vector<const snn::ExitCriterion*> exits{&eager, &stepper, &stepper};
     sim::Sia sia(config, model, program);
-    EXPECT_THROW((void)sia.run_batch(ptrs, sessions, exits), std::invalid_argument);
+    EXPECT_THROW((void)sia.run_batch(exit_batch(inputs, exits)), std::invalid_argument);
 
     // The instance recovers: single and batched runs still work.
     const auto ok = random_batch(model, 2, 4, 472);
     EXPECT_NO_THROW((void)sia.run(ok[0]));
-    EXPECT_NO_THROW((void)sia.run_batch(ok));
+    EXPECT_NO_THROW((void)sia.run_batch(sim::as_batch(ok)));
 }
 
 TEST(SiaBatched, RaggedBackfillOrderingIsDeterministic) {
@@ -567,15 +657,13 @@ TEST(SiaBatched, RaggedBackfillOrderingIsDeterministic) {
     const std::vector<const snn::ExitCriterion*> exits{&eager, &never, &eager,
                                                        &never, &eager};
 
-    std::vector<const snn::SpikeTrain*> ptrs;
-    for (const auto& t : inputs) ptrs.push_back(&t);
-    const std::vector<snn::SessionState*> sessions(5, nullptr);
+    const auto items = exit_batch(inputs, exits);
 
     sim::Sia first(config, model, program);
-    const auto run1 = first.run_batch(ptrs, sessions, exits);
+    const auto run1 = first.run_batch(items);
     const auto stats1 = first.last_batch_stats();
     sim::Sia second(config, model, program);
-    const auto run2 = second.run_batch(ptrs, sessions, exits);
+    const auto run2 = second.run_batch(items);
     const auto stats2 = second.last_batch_stats();
 
     ASSERT_EQ(run1.size(), run2.size());
@@ -583,7 +671,7 @@ TEST(SiaBatched, RaggedBackfillOrderingIsDeterministic) {
         SCOPED_TRACE("item=" + std::to_string(i));
         expect_same_exit_result(run1[i], run2[i]);
         sim::Sia solo(config, model, program);
-        expect_same_exit_result(run1[i], solo.run(inputs[i], *exits[i]));
+        expect_same_exit_result(run1[i], run_with_exit(solo, inputs[i], *exits[i]));
     }
     EXPECT_EQ(stats1.retired_at, stats2.retired_at);
     EXPECT_EQ(stats1.backfills, stats2.backfills);
@@ -601,18 +689,14 @@ TEST(SiaBatched, DisabledCriteriaRunExactLegacySchedule) {
     config.membrane_banks = 2;
     const auto program = core::SiaCompiler(config).compile(model);
 
-    std::vector<const snn::SpikeTrain*> ptrs;
-    for (const auto& t : inputs) ptrs.push_back(&t);
-    const std::vector<snn::SessionState*> sessions(7, nullptr);
-
     sim::Sia legacy(config, model, program);
-    const auto want = legacy.run_batch(ptrs, sessions);
+    const auto want = legacy.run_batch(sim::as_batch(inputs));
     const auto want_stats = legacy.last_batch_stats();
 
     const snn::ExitCriterion disabled{};  // margin 0, stable 0: not armed
     const std::vector<const snn::ExitCriterion*> exits(7, &disabled);
     sim::Sia via_exits(config, model, program);
-    const auto got = via_exits.run_batch(ptrs, sessions, exits);
+    const auto got = via_exits.run_batch(exit_batch(inputs, exits));
     const auto got_stats = via_exits.last_batch_stats();
 
     ASSERT_EQ(got.size(), want.size());
@@ -622,8 +706,8 @@ TEST(SiaBatched, DisabledCriteriaRunExactLegacySchedule) {
         EXPECT_EQ(got[i].timesteps, 4);
         EXPECT_EQ(got[i].exit_reason, snn::ExitReason::kNone);
     }
-    EXPECT_EQ(got_stats.waves, want_stats.waves);
-    EXPECT_EQ(got_stats.chunk_passes, want_stats.waves);
+    EXPECT_EQ(got_stats.chunk_passes, want_stats.chunk_passes);
+    EXPECT_EQ(got_stats.chunk_passes, 4);
     EXPECT_EQ(got_stats.weight_bytes_streamed, want_stats.weight_bytes_streamed);
     EXPECT_EQ(got_stats.weight_bytes_sequential, want_stats.weight_bytes_sequential);
     EXPECT_EQ(got_stats.resident_cycles, want_stats.resident_cycles);
@@ -644,10 +728,10 @@ TEST(SiaBatched, SingleRunsInterleaveWithBatchedRuns) {
     const auto ref0 = fresh.run(inputs[0]);
 
     sim::Sia sia(config, model, program);
-    const auto batched = sia.run_batch(inputs);
+    const auto batched = sia.run_batch(sim::as_batch(inputs));
     const auto single = sia.run(inputs[0]);
     expect_same_sia_result(single, ref0);
-    const auto batched_again = sia.run_batch(inputs);
+    const auto batched_again = sia.run_batch(sim::as_batch(inputs));
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
         expect_same_sia_result(batched_again[i], batched[i]);

@@ -151,7 +151,7 @@ TEST(StreamSession, SiaChunkedWindowsMatchMonolithic) {
         snn::SessionState session;
         std::vector<std::vector<std::int64_t>> logits;
         for (const auto& win : chunk(train, w)) {
-            const auto res = sia.run(win, session);
+            const auto res = sia.run(win, session, {});
             logits.insert(logits.end(), res.logits_per_step.begin(),
                           res.logits_per_step.end());
         }
@@ -177,7 +177,7 @@ TEST(StreamSession, SessionsMigrateBetweenEngines) {
     for (const auto& win : chunk(train, 2)) {
         std::vector<std::vector<std::int64_t>> step_logits;
         if (use_sia) {
-            step_logits = sia.run(win, session).logits_per_step;
+            step_logits = sia.run(win, session, {}).logits_per_step;
         } else {
             step_logits = engine.run_window(win, session).logits_per_step;
         }
