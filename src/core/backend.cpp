@@ -183,6 +183,7 @@ const snn::SpikeTrain& Backend::materialize(const Request& request, std::uint64_
 }
 
 std::vector<sim::BatchItem> Backend::materialize_batch(std::span<const Request> requests,
+                                                       std::span<Response> responses,
                                                        std::size_t base, std::uint64_t seed,
                                                        std::vector<snn::SpikeTrain>& scratch) {
     scratch.resize(requests.size());
@@ -190,7 +191,9 @@ std::vector<sim::BatchItem> Backend::materialize_batch(std::span<const Request> 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Request& r = requests[i];
         items[i].frames = materialize(r, seed, r.rng_stream.value_or(base + i), scratch[i]);
-        items[i].session = r.session_state.get();
+        if (r.session_state) {
+            items[i].session = &responses[i].staged_session.emplace(*r.session_state);
+        }
         if (r.early_exit) items[i].exit = &*r.early_exit;
     }
     return items;
@@ -198,16 +201,23 @@ std::vector<sim::BatchItem> Backend::materialize_batch(std::span<const Request> 
 
 namespace {
 
-/// Hand a simulator batch's results back as the span's responses.
+/// Fill a finished response's request echo: session id, window sequence
+/// and the staged session's step count.
+void echo(const Request& request, Response& response) {
+    response.session = request.session;
+    response.window_seq = request.window_seq;
+    if (response.staged_session) response.session_steps = response.staged_session->steps;
+}
+
+/// Hand a simulator batch's results back as the span's responses,
+/// keeping the sessions materialize_batch staged on them.
 void respond(std::vector<sim::SiaRunResult>&& results, std::span<const Request> requests,
              std::span<Response> responses) {
     for (std::size_t i = 0; i < results.size(); ++i) {
-        responses[i] = Response::from(std::move(results[i]));
-        if (requests[i].session_state) {
-            responses[i].session_steps = requests[i].session_state->steps;
-        }
-        responses[i].session = requests[i].session;
-        responses[i].window_seq = requests[i].window_seq;
+        Response r = Response::from(std::move(results[i]));
+        r.staged_session = std::move(responses[i].staged_session);
+        responses[i] = std::move(r);
+        echo(requests[i], responses[i]);
     }
 }
 
@@ -239,22 +249,20 @@ void FunctionalBackend::run_span(std::size_t worker,
                                  std::uint64_t seed) {
     snn::SpikeTrain scratch;
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const std::uint64_t stream = requests[i].rng_stream.value_or(base + i);
+        const Request& r = requests[i];
         const snn::SpikeTrain& train =
-            materialize(requests[i], seed, stream, scratch);
-        const std::optional<snn::ExitCriterion>& exit = requests[i].early_exit;
-        if (requests[i].session_state) {
-            snn::SessionState& state = *requests[i].session_state;
-            responses[i] = Response::from(
-                exit ? engine(worker).run_window(train, state, *exit)
-                     : engine(worker).run_window(train, state));
-            responses[i].session_steps = state.steps;
+            materialize(r, seed, r.rng_stream.value_or(base + i), scratch);
+        snn::FunctionalEngine& eng = engine(worker);
+        const std::optional<snn::ExitCriterion>& exit = r.early_exit;
+        if (r.session_state) {
+            snn::SessionState next = *r.session_state;
+            responses[i] = Response::from(exit ? eng.run_window(train, next, *exit)
+                                               : eng.run_window(train, next));
+            responses[i].staged_session = std::move(next);
         } else {
-            responses[i] = Response::from(exit ? engine(worker).run(train, *exit)
-                                               : engine(worker).run(train));
+            responses[i] = Response::from(exit ? eng.run(train, *exit) : eng.run(train));
         }
-        responses[i].session = requests[i].session;
-        responses[i].window_seq = requests[i].window_seq;
+        echo(r, responses[i]);
     }
 }
 
@@ -292,7 +300,7 @@ void SiaBackend::run_span(std::size_t worker, std::span<const Request> requests,
                           std::span<Response> responses, std::size_t base,
                           std::uint64_t seed) {
     std::vector<snn::SpikeTrain> scratch;
-    const auto items = materialize_batch(requests, base, seed, scratch);
+    const auto items = materialize_batch(requests, responses, base, seed, scratch);
     sim::Sia& sia = resident(worker);
     respond(sia.run_batch(items), requests, responses);
     const sim::SiaBatchStats& s = sia.last_batch_stats();
@@ -354,7 +362,7 @@ void ShardedSiaBackend::run_span(std::size_t worker,
                                  std::uint64_t seed) {
     (void)worker;
     std::vector<snn::SpikeTrain> scratch;
-    const auto items = materialize_batch(requests, base, seed, scratch);
+    const auto items = materialize_batch(requests, responses, base, seed, scratch);
     respond(cluster_->run_batch(items), requests, responses);
     const sim::ShardStats& s = cluster_->last_stats();
     const std::lock_guard<std::mutex> lock(stats_mutex_);

@@ -139,20 +139,20 @@ struct Request {
     /// Logical streaming session this request is one window of. Empty =
     /// stateless one-shot inference. Non-empty: the serving path routes
     /// every window of the id to the same lane in admission order, and
-    /// the backend resumes/saves the attached session_state around the
-    /// run, so N chunked windows are bit-identical to one monolithic
-    /// run.
+    /// each window resumes the attached session_state and saves it back,
+    /// so N chunked windows are bit-identical to one monolithic run.
     std::string session;
     /// Window sequence number within the session. Assigned by the
     /// server at admission; echoed in the response.
     std::uint64_t window_seq = 0;
     /// Retire the session once this window resolves (server-side).
     bool close_session = false;
-    /// Carried state (membranes + readout) the backend resumes and
-    /// saves back. The server attaches the lane's table entry at
-    /// admission; callers driving BatchRunner directly attach their
-    /// own — but must not submit two windows of one session into the
-    /// same batch (they would race).
+    /// Carried state (membranes + readout) the window resumes from; see
+    /// Response::staged_session for how it advances. The server attaches
+    /// the lane's table entry at admission; callers driving BatchRunner
+    /// directly attach their own — but must not submit two windows of
+    /// one session into the same batch (both would resume from the same
+    /// state).
     std::shared_ptr<snn::SessionState> session_state;
 
     // --- temporal early exit (anytime inference) ---
@@ -247,6 +247,11 @@ struct Response {
     /// included. logits_per_step.back() is the readout accumulated over
     /// all session_steps, not just this window's timesteps.
     std::int64_t session_steps = 0;
+    /// The state this session window leaves behind, staged by the
+    /// backend. BatchRunner::run moves it into Request::session_state
+    /// once every request of the batch has succeeded, and leaves this
+    /// empty; a batch that throws commits nothing.
+    std::optional<snn::SessionState> staged_session;
 
     // --- structured failure (serving fault model; see ErrorCode) ---
     ErrorCode error_code = ErrorCode::kOk;
@@ -312,7 +317,10 @@ public:
     /// first element has batch index `base` — on worker `worker`,
     /// writing `responses[i]` for request i. Stochastic encodings for
     /// request i must draw from util::Rng(util::mix_seed(seed, s))
-    /// where s = requests[i].rng_stream.value_or(base + i).
+    /// where s = requests[i].rng_stream.value_or(base + i). A session
+    /// window runs on a copy of its Request::session_state and stages
+    /// the result on Response::staged_session; the request's own state
+    /// is never written here.
     virtual void run_span(std::size_t worker, std::span<const Request> requests,
                           std::span<Response> responses, std::size_t base,
                           std::uint64_t seed) = 0;
@@ -345,11 +353,12 @@ protected:
                                                             std::uint64_t stream,
                                                             snn::SpikeTrain& scratch);
     /// materialize() a whole span into simulator batch items carrying
-    /// each request's session and criterion (`scratch` holds the encoded
-    /// trains the items view).
+    /// each request's criterion (`scratch` holds the encoded trains the
+    /// items view). A session window's item runs on a copy of its state
+    /// staged on `responses[i]`.
     [[nodiscard]] static std::vector<sim::BatchItem> materialize_batch(
-        std::span<const Request> requests, std::size_t base, std::uint64_t seed,
-        std::vector<snn::SpikeTrain>& scratch);
+        std::span<const Request> requests, std::span<Response> responses,
+        std::size_t base, std::uint64_t seed, std::vector<snn::SpikeTrain>& scratch);
 
 private:
     const snn::SnnModel& model_;

@@ -99,6 +99,14 @@ std::vector<Response> BatchRunner::run(Backend& backend,
     }
     finalize(/*completed=*/true);
     sim_batch_stats_ = backend.take_sim_batch_stats();
+    // The one commit point for session windows: every span succeeded, so
+    // the states the backend staged now become the sessions' state.
+    for (std::size_t i = 0; i < n; ++i) {
+        if (auto& staged = responses[i].staged_session) {
+            *requests[i].session_state = std::move(*staged);
+            staged.reset();
+        }
+    }
     return responses;
 }
 

@@ -21,6 +21,13 @@
 //     from the batch seed and the request's stream index — never from a
 //     shared or worker-keyed stream.
 //
+// Session contract: a batch is all-or-nothing for carried state.
+// Backends stage each session window's advanced state on its Response;
+// run() writes the staged states into Request::session_state only after
+// every span succeeded. A throwing batch leaves every session exactly as
+// it was, so a caller can re-run any part of it without restoring
+// anything.
+//
 // The four bespoke pre-Request entry points (run(trains) / run_images /
 // run_images_poisson / run_sim) were deprecated in the PR that
 // introduced this API and are now removed; build Requests with the
@@ -122,8 +129,8 @@ public:
     [[nodiscard]] const BatchStats& last_stats() const noexcept { return stats_; }
 
     /// Residency accounting aggregated over every Sia::run_batch call of
-    /// the most recent batch (zero-valued after per-item or functional
-    /// runs). `waves` sums across sub-batches.
+    /// the most recent batch (zero-valued after functional runs); counts
+    /// such as `chunk_passes` sum across sub-batches.
     [[nodiscard]] const sim::SiaBatchStats& last_sim_batch_stats() const noexcept {
         return sim_batch_stats_;
     }

@@ -41,10 +41,11 @@ struct Queued {
 };
 
 /// Lifecycle record of one streaming session on a lane. `state` is
-/// shared with every queued window of the session; the backend mutates
-/// it in place, and the one-window-per-session-per-wave rule in
-/// form_wave (plus the lane's single in-flight wave) is what makes
-/// that race-free and admission-ordered.
+/// shared with every queued window of the session; the lane's runner
+/// writes it once a window's run succeeds, and the
+/// one-window-per-session-per-wave rule in form_wave (plus the lane's
+/// single in-flight wave) is what makes that race-free and
+/// admission-ordered.
 struct SessionEntry {
     std::shared_ptr<snn::SessionState> state;
     std::string tenant;  ///< adopted by every later window (affinity)
@@ -103,12 +104,11 @@ struct WaveExecResult {
 ///
 /// Correctness of every re-run rests on two invariants: (a) the
 /// request's rng_stream was pinned at admission, so a re-run encodes
-/// bit-identically to the first attempt; (b) the pre-wave SessionState
-/// of every session window is snapshotted up front and restored before
-/// any re-run, so a failed attempt never leaks partial membrane
-/// updates into the next one. A window that ultimately fails leaves
-/// its session at the pre-wave snapshot — as if the window never ran —
-/// and the stream continues from there.
+/// bit-identically to the first attempt; (b) BatchRunner::run commits
+/// session state only when the whole run succeeds, so a failed attempt
+/// leaves every session of its span exactly as it was before the wave.
+/// A window that ultimately fails leaves its session untouched — as if
+/// the window never ran — and the stream continues from there.
 class WaveExecutor {
 public:
     WaveExecutor(BatchRunner& runner, BatchRunner* fallback,
@@ -119,13 +119,6 @@ public:
           requests_(requests), expiry_(expiry) {
         result_.responses.resize(requests.size());
         result_.primary_failed.assign(requests.size(), 0);
-        snapshots_.resize(requests.size());
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            if (requests[i].session_state) {
-                snapshots_[i] =
-                    std::make_unique<snn::SessionState>(*requests[i].session_state);
-            }
-        }
     }
 
     [[nodiscard]] WaveExecResult run() {
@@ -158,12 +151,6 @@ private:
         return c;
     }
 
-    void restore(std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            if (snapshots_[i]) *requests_[i].session_state = *snapshots_[i];
-        }
-    }
-
     /// Run [lo, hi) through `runner`, filling the response slots on
     /// success. Returns the failure instead of throwing.
     [[nodiscard]] std::exception_ptr try_run(BatchRunner& runner, std::size_t lo,
@@ -181,12 +168,11 @@ private:
     }
 
     /// Invariant: every session state in [lo, hi) is at its pre-wave
-    /// snapshot on entry; a successful run advances it exactly once.
+    /// value on entry; a successful run advances it exactly once.
     void solve(std::size_t lo, std::size_t hi) {
         if (lo == hi) return;
         const std::exception_ptr failure = try_run(runner_, lo, hi);
         if (!failure) return;
-        restore(lo, hi);
         if (hi - lo > 1) {
             result_.bisected = true;
             const std::size_t mid = lo + (hi - lo) / 2;
@@ -238,7 +224,6 @@ private:
                 result_.responses[i].retries = attempts;
                 return;
             }
-            restore(i, i + 1);
             c = classify(retry_failure);
             if (c.invalid) {
                 fail(i, ErrorCode::kInvalidRequest, std::move(c.what), attempts);
@@ -255,7 +240,6 @@ private:
                 ++result_.failovers;
                 return;
             }
-            restore(i, i + 1);
             c.what += "; fallback: " + classify(fb_failure).what;
         }
         fail(i, ErrorCode::kBackendError, std::move(c.what), attempts);
@@ -267,7 +251,6 @@ private:
     const FaultOptions& fault_;
     std::vector<Request>& requests_;
     const std::vector<Clock::time_point>& expiry_;
-    std::vector<std::unique_ptr<snn::SessionState>> snapshots_;
     WaveExecResult result_;
 };
 

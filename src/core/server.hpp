@@ -131,9 +131,9 @@ struct FaultOptions {
     /// is treated as a permanent failure (0 = never retry).
     std::uint32_t max_retries = 2;
     /// Backoff before the first retry, in microseconds; doubles per
-    /// retry. Retries restore the request's pre-wave session state and
-    /// re-use its admission-pinned rng_stream, so a retried request is
-    /// bit-identical to its first attempt.
+    /// retry. A retry resumes the pre-wave session state (a failed run
+    /// commits none) and re-uses the admission-pinned rng_stream, so a
+    /// retried request is bit-identical to its first attempt.
     std::int64_t retry_backoff_us = 200;
     /// Consecutive request failures on the primary backend that trip
     /// the lane's breaker.

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -81,11 +82,15 @@ struct ExitCriterion {
     }
 
     /// The first evaluation point strictly after `steps_done` (the
-    /// chunk boundary of the layer-major engines' segmented schedule).
+    /// chunk boundary of the layer-major engines' segmented schedule),
+    /// saturated at the int64 maximum when it lies beyond it.
     [[nodiscard]] std::int64_t next_eval_step(std::int64_t steps_done) const noexcept {
         if (steps_done < min_steps) return min_steps;
-        const std::int64_t since = steps_done - min_steps;
-        return min_steps + (since / check_interval + 1) * check_interval;
+        const std::int64_t intervals = (steps_done - min_steps) / check_interval + 1;
+        if (intervals > (std::numeric_limits<std::int64_t>::max() - min_steps) / check_interval) {
+            return std::numeric_limits<std::int64_t>::max();
+        }
+        return min_steps + intervals * check_interval;
     }
 
     /// Throws std::invalid_argument on out-of-range fields (negative

@@ -228,11 +228,22 @@ SpikeTrain load_train(std::istream& in) {
         c * h * w > (1LL << 31)) {
         throw std::runtime_error("load_train: absurd geometry");
     }
-    SpikeTrain train(static_cast<std::size_t>(timesteps), SpikeMap(c, h, w));
-    for (SpikeMap& m : train) {
-        // set_words validates the word count against the geometry and
-        // recomputes the maintained spike count.
-        m.set_words(read_vec<std::uint64_t>(in));
+    // Frames are read one at a time, and each stored word count is checked
+    // against the geometry before its buffer is allocated, so a corrupt
+    // header or count fails without reserving memory for data that is
+    // not in the stream.
+    const auto words_per_frame = static_cast<std::uint64_t>((c * h * w + 63) / 64);
+    SpikeTrain train;
+    for (std::uint64_t t = 0; t < timesteps; ++t) {
+        if (read_pod<std::uint64_t>(in) != words_per_frame) {
+            throw std::runtime_error("load_train: word count does not match the geometry");
+        }
+        std::vector<std::uint64_t> words(static_cast<std::size_t>(words_per_frame));
+        in.read(reinterpret_cast<char*>(words.data()),
+                static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
+        if (!in) throw std::runtime_error("load_train: truncated frame");
+        // set_words recomputes the maintained spike count.
+        train.emplace_back(c, h, w).set_words(std::move(words));
     }
     return train;
 }

@@ -36,6 +36,8 @@ struct SessionState {
     /// False until the first window runs; an uninitialized session
     /// resumes from the model's initial potentials and a zero readout.
     bool initialized = false;
+
+    bool operator==(const SessionState&) const = default;
 };
 
 }  // namespace sia::snn

@@ -1,22 +1,27 @@
 // core::Backend API tests: the equivalence matrix proving the batched
 // Request path is bit-identical to sequential single-engine references
-// (per thread count, per backend, per schedule), backend caching,
-// failed-batch stats semantics, and the Request/Response surface itself
+// (per thread count, per backend), backend caching, failed-batch stats
+// and session-commit semantics, and the Request/Response surface itself
 // (mixed encodings, stream pinning, owned vs borrowed inputs,
 // backend-specific response extras).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/batch_runner.hpp"
 #include "core/compiler.hpp"
+#include "core/faulty_backend.hpp"
 #include "sim/sia.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
+#include "snn/session.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace sia {
@@ -464,6 +469,66 @@ TEST(BatchStatsSemantics, FailedBatchIsMarkedAndConsistent) {
     EXPECT_TRUE(ok.completed);
     EXPECT_EQ(ok.setup_ms, 0.0);
     EXPECT_GT(ok.inputs_per_sec(), 0.0);
+}
+
+// ---- session commit point ----
+
+// BatchRunner::run is all-or-nothing for carried state. The poisoned
+// request is the last one, so its span is claimed only after every
+// earlier span was, and claimed spans always run to completion: the
+// earlier sessions' windows finish before the batch throws, yet none of
+// them may land. A clean re-run then advances every session exactly
+// once, matching a sequential engine session.
+TEST(SessionCommit, ThrowingBatchLeavesEverySessionUntouched) {
+    const auto model = small_model(31);
+    const auto first = random_batch(model, 4, 3, 77);
+    const auto second = random_batch(model, 4, 3, 78);
+    const sim::SiaConfig config;
+
+    std::vector<snn::SessionState> expected(first.size());
+    snn::FunctionalEngine engine(model);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        (void)engine.run_window(first[i], expected[i]);
+        (void)engine.run_window(second[i], expected[i]);
+    }
+
+    const std::vector<std::function<std::shared_ptr<core::Backend>()>> makers = {
+        [&] { return std::make_shared<core::FunctionalBackend>(model); },
+        [&] { return std::make_shared<core::SiaBackend>(model, config); },
+    };
+    for (const auto& make : makers) {
+        const std::shared_ptr<core::Backend> backend = make();
+        SCOPED_TRACE(std::string(backend->name()));
+        std::vector<core::Request> requests;
+        for (const auto& train : first) {
+            core::Request r = core::Request::view_train(train);
+            r.session_state = std::make_shared<snn::SessionState>();
+            requests.push_back(std::move(r));
+        }
+        core::BatchRunner clean(backend, {.threads = 2});
+        (void)clean.run(requests);
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            requests[i].train_view = &second[i];
+        }
+        std::vector<snn::SessionState> before;
+        for (const auto& r : requests) before.push_back(*r.session_state);
+
+        util::FaultPlan plan;
+        plan.fail_streams = {requests.size() - 1};
+        core::BatchRunner faulty(std::make_shared<core::FaultyBackend>(make(), plan),
+                                 {.threads = 2});
+        EXPECT_THROW((void)faulty.run(requests), std::runtime_error);
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            EXPECT_EQ(*requests[i].session_state, before[i]) << "session " << i;
+        }
+
+        const auto responses = clean.run(requests);
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            EXPECT_EQ(*requests[i].session_state, expected[i]) << "session " << i;
+            EXPECT_FALSE(responses[i].staged_session.has_value());
+            EXPECT_EQ(responses[i].session_steps, 6);
+        }
+    }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/augment.hpp"
@@ -151,6 +152,23 @@ TEST(Events, FramesReportDroppedCount) {
     const auto logged = events_to_frames(events, 8, 4);
     for (std::int64_t i = 0; i < frames.numel(); ++i) {
         ASSERT_EQ(logged.flat(i), frames.flat(i));
+    }
+}
+
+// A raster geometry no sensor can have fails with invalid_argument (the
+// frame shape rejects it), never as a tensor with negative dimensions.
+TEST(Events, ImpossibleRasterGeometryThrows) {
+    const std::vector<Event> events = {{1, 2, 0, true}};
+    for (const auto& [size, steps] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+             {0, 4}, {-2, 4}, {-1, -1}, {8, -3}, {8, 0}}) {
+        SCOPED_TRACE("size=" + std::to_string(size) + " steps=" + std::to_string(steps));
+        std::int64_t dropped = 0;
+        EXPECT_THROW(static_cast<void>(events_to_frames(events, size, steps, &dropped)),
+                     std::invalid_argument);
+    }
+    for (const std::int64_t size : {0, -2}) {
+        EXPECT_THROW(static_cast<void>(events_to_windows(events, size, 4, 2)),
+                     std::invalid_argument);
     }
 }
 

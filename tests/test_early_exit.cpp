@@ -19,6 +19,7 @@
 
 #include <array>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -475,6 +476,47 @@ TEST(EarlyExit, MalformedCriterionFailsAloneAsInvalidRequest) {
         } else {
             EXPECT_TRUE(response.ok()) << response.error;
             EXPECT_EQ(response.steps_used, 5);
+        }
+    }
+}
+
+// Valid but extreme criterion fields (a client's request may carry any
+// int64) must not overflow the segment arithmetic of the layer-major
+// engines: every backend agrees with the functional engine, which
+// evaluates the criterion step by step.
+TEST(EarlyExit, ExtremeCriterionFieldsAgreeAcrossBackends) {
+    const auto model = conv_model(39);
+    const auto inputs = random_batch(model, 4, 6, 391);
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<snn::ExitCriterion> criteria = {
+        {.margin = kMax, .min_steps = 1, .check_interval = kMax},
+        {.stable_checks = kMax, .min_steps = 3, .check_interval = kMax - 1},
+        {.margin = 1, .min_steps = kMax, .check_interval = kMax},
+        {.margin = kMax, .stable_checks = kMax, .hysteresis = kMax},
+        {.margin = 1, .min_steps = 2, .check_interval = kMax},
+    };
+    std::vector<std::shared_ptr<core::Backend>> backends;
+    backends.push_back(std::make_shared<core::SiaBackend>(model, sim::SiaConfig{}));
+    for (const auto partition : {sim::ShardPartition::kPipeline, sim::ShardPartition::kChannel}) {
+        backends.push_back(std::make_shared<core::ShardedSiaBackend>(
+            model, sim::SiaConfig{}, core::ShardOptions{.partition = partition, .shards = 2}));
+    }
+    snn::FunctionalEngine reference(model);
+    for (std::size_t c = 0; c < criteria.size(); ++c) {
+        SCOPED_TRACE("criterion=" + std::to_string(c));
+        std::vector<core::Request> requests;
+        std::vector<core::Response> ref;
+        for (const auto& t : inputs) {
+            requests.push_back(core::Request::view_train(t).with_early_exit(criteria[c]));
+            ref.push_back(core::Response::from(reference.run(t, criteria[c])));
+        }
+        for (const auto& backend : backends) {
+            SCOPED_TRACE(std::string(backend->name()));
+            core::BatchRunner runner(backend, {.threads = 2});
+            const auto responses = runner.run(requests);
+            for (std::size_t i = 0; i < responses.size(); ++i) {
+                expect_same_response(responses[i], ref[i]);
+            }
         }
     }
 }

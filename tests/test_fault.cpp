@@ -15,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -26,6 +27,8 @@
 #include "core/batch_runner.hpp"
 #include "core/faulty_backend.hpp"
 #include "core/server.hpp"
+#include "snn/engine.hpp"
+#include "snn/session.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -366,6 +369,65 @@ TEST(FaultServer, BisectionQuarantinesThePoisonedRequestOnly) {
     EXPECT_EQ(stats.failed, 1U);
     EXPECT_GE(stats.isolated_waves, 1U);
     EXPECT_EQ(stats.failed_over, 0U);
+    server.shutdown();
+}
+
+// Session windows co-batched with a poisoned request on a two-worker
+// Sia lane. The wave's first span finishes before the second throws,
+// and the server keeps no snapshot to roll it back: every window must
+// still advance its session exactly once, because the runner commits
+// session state only when a whole run succeeds.
+TEST(FaultServer, BisectedWaveAdvancesEverySessionWindowOnce) {
+    const auto model = small_model(27);
+    util::FaultPlan plan;
+    plan.fail_streams = {5};  // the stateless request after the first windows
+    auto gate = std::make_shared<Gate>(std::make_shared<core::FaultyBackend>(
+        std::make_shared<core::SiaBackend>(model), plan));
+    core::ServerOptions options;
+    options.threads = 2;
+    options.max_batch = 16;
+    core::Server server(gate, options);
+
+    constexpr std::size_t kSessions = 4;
+    std::vector<std::array<snn::SpikeTrain, 2>> windows(kSessions);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        windows[s] = {random_train(model, 3, 900 + s), random_train(model, 3, 950 + s)};
+    }
+    const auto poison = random_train(model, 3, 999);
+    const auto session_id = [](std::size_t s) { return "s" + std::to_string(s); };
+
+    // The gate holds the first request's wave; the rest queue behind it.
+    // One window per session per wave: the first windows and the poison
+    // form the next wave, the second windows the one after.
+    auto holder = server.submit(core::Request::view_train(poison));
+    ASSERT_TRUE(eventually([&] { return server.queue_depth() == 0; }));
+    std::vector<std::future<core::Response>> firsts;
+    std::vector<std::future<core::Response>> seconds;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        firsts.push_back(server.submit(
+            core::Request::view_train(windows[s][0]).with_session(session_id(s))));
+    }
+    auto poisoned = server.submit(core::Request::view_train(poison));
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        seconds.push_back(server.submit(
+            core::Request::view_train(windows[s][1]).with_session(session_id(s))));
+    }
+    ASSERT_TRUE(eventually([&] { return server.queue_depth() == 2 * kSessions + 1; }));
+    gate->open();
+
+    EXPECT_TRUE(holder.get().ok());
+    EXPECT_EQ(poisoned.get().error_code, core::ErrorCode::kBackendError);
+    snn::FunctionalEngine engine(model);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        snn::SessionState reference;
+        const auto r0 = firsts[s].get();
+        const auto r1 = seconds[s].get();
+        ASSERT_TRUE(r0.ok() && r1.ok()) << r0.error << r1.error;
+        EXPECT_EQ(r0.logits, engine.run_window(windows[s][0], reference).readout);
+        EXPECT_EQ(r1.logits, engine.run_window(windows[s][1], reference).readout);
+        EXPECT_EQ(r1.session_steps, 6) << "session " << s;
+    }
+    EXPECT_GE(server.stats().isolated_waves, 1U);
     server.shutdown();
 }
 
@@ -737,6 +799,161 @@ TEST(FaultStorm, SeededStormKeepsNonFaultedRequestsBitIdenticalWithExactLedger) 
     EXPECT_EQ(stats.shed, 0U);
     EXPECT_EQ(stats.rejected, 0U);
     server.shutdown();
+}
+
+// A seeded random schedule of 10k operations on one lane: stateless
+// requests and session windows, some with an early-exit criterion, some
+// windows closing their session, explicit closes, and hot reloads that
+// swap the lane between the functional and the cycle-accurate backend,
+// all under a seeded throw + transient fault plan. One submitter pins
+// every rng stream, so the faulted set is known up front. Checks: every
+// future resolves once; each stateless request matches a sequential
+// engine run or fails exactly when its stream is poisoned; each
+// session's windows resolve in window_seq order and its successful
+// windows match a sequential engine session that skips the failed ones;
+// and the server ledger balances exactly.
+TEST(FaultStorm, SeededRandomScheduleMatchesSequentialReference) {
+    const auto model = small_model(61);
+    constexpr std::size_t kOps = 10'000;
+    constexpr std::size_t kSlots = 6;  // concurrently open sessions
+
+    util::FaultPlan plan;
+    plan.seed = 6161;
+    plan.throw_probability = 0.01;
+    plan.transient_probability = 0.01;
+    const util::FaultInjector oracle(plan);
+    const auto make_backend = [&](bool sia) -> std::shared_ptr<core::Backend> {
+        std::shared_ptr<core::Backend> inner;
+        if (sia) {
+            inner = std::make_shared<core::SiaBackend>(model);
+        } else {
+            inner = std::make_shared<core::FunctionalBackend>(model);
+        }
+        return std::make_shared<core::FaultyBackend>(inner, plan);
+    };
+    core::ServerOptions options;
+    options.threads = 2;
+    options.max_batch = 8;
+    options.max_queue = 64;
+    options.fault.max_retries = 1;
+    options.fault.retry_backoff_us = 1;
+    options.fault.breaker_failures = 0;         // no consecutive trip
+    options.fault.breaker_failure_rate = 2.0;   // no rate trip
+    core::Server server(make_backend(false), options);
+
+    struct Slot {
+        std::string id;
+        std::uint64_t next_seq = 0;
+        snn::SessionState reference;
+    };
+    struct Pending {
+        std::future<core::Response> future;
+        snn::SpikeTrain train;
+        std::optional<snn::ExitCriterion> exit;
+        std::uint64_t stream = 0;
+        std::size_t slot = kSlots;  ///< kSlots = stateless
+        std::uint64_t seq = 0;
+    };
+    std::vector<Slot> slots(kSlots);
+    std::size_t sessions_started = 0;
+    const auto open_slot = [&](Slot& s) {
+        s = Slot{"s" + std::to_string(sessions_started++), 0, {}};
+    };
+    for (Slot& s : slots) open_slot(s);
+
+    util::Rng rng(616);
+    snn::FunctionalEngine engine(model);
+    std::vector<Pending> pending;
+    std::size_t thrown = 0;
+    std::size_t transients = 0;
+    bool on_sia = false;
+    const auto drain = [&] {
+        std::vector<Pending> resolving = std::move(pending);
+        pending.clear();
+        for (Pending& p : resolving) {
+            const core::Response r = p.future.get();
+            const util::FaultKind kind = oracle.decide(p.stream);
+            if (kind == util::FaultKind::kTransient) ++transients;
+            if (kind == util::FaultKind::kThrow) {
+                ++thrown;
+                ASSERT_EQ(r.error_code, core::ErrorCode::kBackendError) << p.stream;
+            } else {
+                ASSERT_TRUE(r.ok()) << "stream " << p.stream << ": " << r.error;
+            }
+            if (p.slot == kSlots) {
+                if (!r.ok()) continue;
+                const auto want = p.exit ? engine.run(p.train, *p.exit) : engine.run(p.train);
+                ASSERT_EQ(r.logits, want.readout) << "stream " << p.stream;
+                ASSERT_EQ(r.steps_used, want.timesteps) << "stream " << p.stream;
+                continue;
+            }
+            Slot& s = slots[p.slot];
+            ASSERT_EQ(r.window_seq, p.seq) << "stream " << p.stream;
+            if (!r.ok()) continue;  // a failed window leaves its session as it was
+            snn::SessionState& state = s.reference;
+            const auto want = p.exit ? engine.run_window(p.train, state, *p.exit)
+                                     : engine.run_window(p.train, state);
+            ASSERT_EQ(r.logits, want.readout) << "stream " << p.stream;
+            ASSERT_EQ(r.session_steps, state.steps) << "stream " << p.stream;
+        }
+    };
+
+    for (std::uint64_t op = 0; op < kOps; ++op) {
+        Pending p;
+        p.stream = op;
+        p.train = random_train(model, rng.integer(1, 4), 100'000 + op);
+        if (rng.bernoulli(0.3)) {
+            p.exit = snn::ExitCriterion{.margin = rng.integer(1, 300),
+                                        .min_steps = rng.integer(1, 3)};
+        }
+        core::Request request = core::Request::view_train(p.train);
+        if (p.exit) request = std::move(request).with_early_exit(*p.exit);
+        std::size_t ended = kSlots;  // the slot whose session this op ends
+        if (rng.bernoulli(0.6)) {
+            p.slot = static_cast<std::size_t>(rng.integer(0, kSlots - 1));
+            Slot& s = slots[p.slot];
+            p.seq = s.next_seq++;
+            const bool close = rng.bernoulli(0.05);
+            if (close) ended = p.slot;
+            request = std::move(request).with_session(s.id, close);
+        }
+        p.future = server.submit(std::move(request));
+        pending.push_back(std::move(p));
+        if (ended == kSlots && rng.bernoulli(0.01)) {
+            // An explicit close, deferred behind any pending windows.
+            ended = static_cast<std::size_t>(rng.integer(0, kSlots - 1));
+            EXPECT_EQ(server.close_session(slots[ended].id), slots[ended].next_seq > 0);
+        }
+        if (ended != kSlots) {
+            // Drain so the reference finishes the session before the
+            // slot moves on to a fresh id.
+            drain();
+            open_slot(slots[ended]);
+        }
+        if (pending.size() >= 256) drain();
+        if (op % 2'500 == 2'499) {
+            on_sia = !on_sia;
+            server.reload_model(core::Server::kDefaultModel, make_backend(on_sia));
+        }
+        if (HasFatalFailure()) return;
+    }
+    drain();
+    if (HasFatalFailure()) return;
+    for (const Slot& s : slots) (void)server.close_session(s.id);
+    ASSERT_TRUE(eventually([&] { return server.session_count() == 0; }));
+    ASSERT_GT(thrown, 0U) << "schedule injected no permanent faults; re-seed";
+    ASSERT_GT(transients, 0U) << "schedule injected no transient faults; re-seed";
+
+    server.shutdown();
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.submitted, kOps);
+    EXPECT_EQ(stats.completed, kOps - thrown);
+    EXPECT_EQ(stats.failed, thrown);
+    EXPECT_EQ(stats.retried, transients);  // each transient clears on its retry
+    EXPECT_EQ(stats.reloads, 4U);
+    EXPECT_EQ(stats.breaker_trips, 0U);
+    EXPECT_EQ(stats.sessions_opened, stats.sessions_closed);
+    EXPECT_EQ(stats.active_sessions, 0U);
 }
 
 }  // namespace

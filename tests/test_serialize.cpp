@@ -3,8 +3,12 @@
 // to the original (functional engine outputs match exactly).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/convert.hpp"
 #include "nn/vgg.hpp"
@@ -155,6 +159,60 @@ TEST(SerializeTrain, RejectsBadMagicAndTruncation) {
     const std::string bytes = buf.str();
     std::stringstream truncated(bytes.substr(0, bytes.size() - 4));
     EXPECT_THROW(load_train(truncated), std::runtime_error);
+}
+
+// ---- malformed train files: each fails alone, with a runtime_error ----
+
+/// A saved two-frame train (2x4x4: one packed word per frame) and the
+/// byte offsets of its header fields.
+std::string small_train_bytes() {
+    SpikeTrain train(2, SpikeMap(2, 4, 4));
+    train[0].set_flat(3, true);
+    std::stringstream buf;
+    save_train(train, buf);
+    return buf.str();
+}
+constexpr std::size_t kVersionAt = 8;
+constexpr std::size_t kTimestepsAt = 12;
+constexpr std::size_t kChannelsAt = 20;
+constexpr std::size_t kFirstWordCountAt = 44;
+
+template <typename T>
+std::string patched(std::string bytes, std::size_t offset, T value) {
+    std::memcpy(bytes.data() + offset, &value, sizeof(T));
+    return bytes;
+}
+
+SpikeTrain load_bytes(const std::string& bytes) {
+    std::stringstream in(bytes);
+    return load_train(in);
+}
+
+TEST(SerializeTrain, RejectsWordCountThatDisagreesWithGeometry) {
+    const std::string good = small_train_bytes();
+    ASSERT_EQ(load_bytes(good).size(), 2U);
+    EXPECT_THROW(load_bytes(patched<std::uint64_t>(good, kFirstWordCountAt, 2)),
+                 std::runtime_error);
+    EXPECT_THROW(load_bytes(patched<std::uint64_t>(good, kFirstWordCountAt, 0)),
+                 std::runtime_error);
+}
+
+TEST(SerializeTrain, CorruptHeaderClaimsFailWithoutAllocatingThem) {
+    const std::string good = small_train_bytes();
+    const std::vector<std::string> bad = {
+        patched<std::uint32_t>(good, kVersionAt, kSpikeTrainFormatVersion + 1),
+        patched<std::int64_t>(good, kChannelsAt, -2),
+        patched<std::int64_t>(good, kChannelsAt, std::int64_t{1} << 40),
+        // 2^24 frames claimed, two present.
+        patched<std::uint64_t>(good, kTimestepsAt, std::uint64_t{1} << 24),
+        // 2^31 words (16 GiB) claimed for a one-word frame.
+        patched<std::uint64_t>(good, kFirstWordCountAt, std::uint64_t{1} << 31),
+        // A geometry of 2^20 channels needs 2^18 words a frame; one is stored.
+        patched<std::int64_t>(good, kChannelsAt, std::int64_t{1} << 20),
+    };
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(load_bytes(bad[i]), std::runtime_error) << "case " << i;
+    }
 }
 
 TEST(SerializeTrain, RejectsMixedGeometry) {

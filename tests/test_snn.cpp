@@ -416,6 +416,16 @@ TEST(ExitCriterion, EnabledAndEvaluationSchedule) {
     EXPECT_EQ(c.next_eval_step(0), 3);
     EXPECT_EQ(c.next_eval_step(3), 5);  // strictly after the argument
     EXPECT_EQ(c.next_eval_step(4), 5);
+
+    // Points past the int64 range saturate instead of overflowing.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const ExitCriterion far{.margin = 1, .min_steps = 3, .check_interval = kMax - 1};
+    EXPECT_EQ(far.next_eval_step(3), kMax);
+    EXPECT_EQ((ExitCriterion{.margin = 1, .check_interval = kMax}).next_eval_step(1), kMax);
+    EXPECT_EQ((ExitCriterion{.margin = 1, .min_steps = kMax}).next_eval_step(5), kMax);
+    EXPECT_EQ((ExitCriterion{.margin = 1, .min_steps = 2, .check_interval = kMax - 2})
+                  .next_eval_step(2),
+              kMax);
 }
 
 TEST(ExitEvaluator, SingleClassModelNeverExits) {
