@@ -2,15 +2,22 @@
 // density-adaptive kernel dispatch, swept over spike density x layer
 // shape (VGG-11 / ResNet-18 conv blocks + a pool-unrolled-style FC),
 // plus the fire-stage sweep — scalar per-neuron loop vs the fused
-// vectorized aggregate+fire kernels, both under adaptive dispatch.
+// vectorized aggregate+fire kernels, both under adaptive dispatch —
+// and the intra-inference section: one whole VGG-11 inference (32 px,
+// T=8, the calibrated model bench/e2e serves) at helper-team sizes 1,
+// 2 and 4 against the serial engine.
 //
 // Prints steps/s per (shape, density, mode) and emits machine-readable
 // BENCH_ENGINE.json (dispatch rows in "results", the fire-stage sweep
-// in "fire_results"). With --check, exits nonzero if, on any conv
+// in "fire_results", single-inference latency per team size in
+// "intra_inference"). With --check, exits nonzero if, on any conv
 // shape at 5% density, adaptive dispatch is slower than dense OR the
 // fused fire stage is slower than the scalar baseline (the CI
 // perf-smoke gates: at paper-realistic spike rates neither
-// optimization may regress below its baseline).
+// optimization may regress below its baseline), or if any tiled
+// inference differs from the serial one in its readout, spike counts
+// or any layer's last-step spikes. The team sizes carry no timing gate:
+// they need idle cores, which shared CI runners do not promise.
 //
 // Flags: --quick (reduced sweep), --check, --out <path>,
 //        --min-ms <per-measurement milliseconds>.
@@ -19,12 +26,18 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/e2e/models.hpp"
+#include "core/convert.hpp"
+#include "nn/vgg.hpp"
+#include "snn/encoding.hpp"
 #include "snn/engine.hpp"
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
+#include "snn/tile_team.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -150,8 +163,86 @@ struct ResultRow {
     double vector_fire_sps = 0.0;
 };
 
-void write_json(const std::string& path, const std::vector<ResultRow>& rows, bool quick,
-                double threshold) {
+/// Single-inference latency at one helper-team size (0 = the serial
+/// engine, no team lent).
+struct TeamRow {
+    std::size_t team = 0;
+    double median_ms = 0.0;
+    bool bit_identical = true;
+};
+
+/// Everything one inference leaves behind that tiling must not change.
+struct Fingerprint {
+    std::vector<std::int64_t> readout;
+    std::vector<std::int64_t> spike_counts;
+    std::vector<snn::SpikeMap> last_spikes;
+
+    bool operator==(const Fingerprint&) const = default;
+};
+
+Fingerprint fingerprint(const snn::FunctionalEngine& engine, const snn::RunResult& run) {
+    Fingerprint f{run.readout, run.spike_counts, {}};
+    for (std::size_t l = 0; l < engine.model().layers.size(); ++l) {
+        f.last_spikes.push_back(engine.layer_spikes(l));
+    }
+    return f;
+}
+
+/// The intra-inference section: every image runs through the serial
+/// engine and through each team size in turn, alternating, so host
+/// drift hits every configuration alike; each reading is the median
+/// over images and passes.
+std::vector<TeamRow> measure_teams(bool quick) {
+    util::Rng calibration(bench::e2e::kModelSeed);
+    const auto ann = bench::e2e::calibrated_ann<nn::Vgg11>(
+        nn::VggConfig{}, bench::e2e::uniform_images(2, 3, 32, calibration));
+    const snn::SnnModel model = core::AnnToSnnConverter{}.convert(ann->ir());
+    const auto images = bench::e2e::image_pool(quick ? 4 : 16, 3, 32, 1);
+    const int passes = quick ? 2 : 3;
+    constexpr std::int64_t kTimesteps = 8;
+
+    const std::vector<std::size_t> sizes = {0, 1, 2, 4};
+    std::vector<std::unique_ptr<snn::TileTeam>> teams;
+    std::vector<std::unique_ptr<snn::FunctionalEngine>> engines;
+    for (const std::size_t size : sizes) {
+        teams.push_back(size > 0 ? std::make_unique<snn::TileTeam>(size - 1) : nullptr);
+        engines.push_back(std::make_unique<snn::FunctionalEngine>(
+            model, snn::EngineConfig{.record_readout_history = false}));
+    }
+    std::vector<TeamRow> rows(sizes.size());
+    std::vector<std::vector<double>> times(sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) rows[i].team = sizes[i];
+    for (int pass = -1; pass < passes; ++pass) {  // pass -1 warms up
+        for (const tensor::Tensor& image : images) {
+            const snn::SpikeTrain train = snn::encode_thermometer(image, kTimesteps);
+            Fingerprint serial;
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
+                snn::FunctionalEngine& engine = *engines[i];
+                const snn::TeamLoan loan(engine, teams[i].get());
+                const util::WallTimer timer;
+                const snn::RunResult run = engine.run(train);
+                const double ms = timer.millis();
+                if (pass >= 0) times[i].push_back(ms);
+                Fingerprint got = fingerprint(engine, run);
+                if (i == 0) {
+                    serial = std::move(got);
+                } else if (!(got == serial)) {
+                    rows[i].bit_identical = false;
+                }
+            }
+        }
+    }
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        std::vector<double>& t = times[i];
+        std::nth_element(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(t.size() / 2),
+                         t.end());
+        rows[i].median_ms = t[t.size() / 2];
+    }
+    return rows;
+}
+
+void write_json(const std::string& path, const std::vector<ResultRow>& rows,
+                const std::vector<TeamRow>& teams, bool quick, double threshold) {
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
         std::cerr << "engine_hotpath: cannot open " << path << "\n";
@@ -185,7 +276,17 @@ void write_json(const std::string& path, const std::vector<ResultRow>& rows, boo
             << (r.scalar_fire_sps > 0 ? r.vector_fire_sps / r.scalar_fire_sps : 0.0)
             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    out << "  ]\n}\n";
+    const double serial_ms = teams.front().median_ms;
+    out << "  ],\n  \"intra_inference\": {\"model\": \"vgg11_32px_T8\", "
+        << "\"serial_ms\": " << serial_ms << ", \"teams\": [\n";
+    for (std::size_t i = 1; i < teams.size(); ++i) {
+        const TeamRow& t = teams[i];
+        out << "    {\"team\": " << t.team << ", \"median_ms\": " << t.median_ms
+            << ", \"speedup\": " << (t.median_ms > 0 ? serial_ms / t.median_ms : 0.0)
+            << ", \"bit_identical\": " << (t.bit_identical ? "true" : "false") << "}"
+            << (i + 1 < teams.size() ? "," : "") << "\n";
+    }
+    out << "  ]}\n}\n";
 }
 
 }  // namespace
@@ -316,12 +417,30 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     fire_table.print(std::cout);
 
-    write_json(out_path, rows, quick, adaptive.scatter_density_threshold);
+    const std::vector<TeamRow> teams = measure_teams(quick);
+    util::Table team_table("intra-inference: one VGG-11 inference (32 px, T=8) per "
+                           "helper-team size");
+    team_table.header({"team", "median ms", "speedup", "bit-identical"});
+    for (const TeamRow& t : teams) {
+        team_table.row({t.team == 0 ? "serial" : std::to_string(t.team),
+                        util::cell(t.median_ms, 2),
+                        util::cell(teams.front().median_ms / t.median_ms, 2) + "x",
+                        t.bit_identical ? "yes" : "NO"});
+        if (check && !t.bit_identical) {
+            check_failed = true;
+            std::cerr << "CHECK FAILED: team size " << t.team
+                      << " diverged from the serial engine\n";
+        }
+    }
+    team_table.print(std::cout);
+
+    write_json(out_path, rows, teams, quick, adaptive.scatter_density_threshold);
     std::cout << "wrote " << out_path << "\n";
 
     if (check_failed) {
         std::cerr << "FATAL: a hot-path optimization lost to its baseline at <=5% "
-                     "density (see CHECK FAILED lines)\n";
+                     "density, or a tiled inference diverged (see CHECK FAILED "
+                     "lines)\n";
         return EXIT_FAILURE;
     }
     return EXIT_SUCCESS;

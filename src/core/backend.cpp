@@ -231,6 +231,11 @@ FunctionalBackend::FunctionalBackend(const snn::SnnModel& model,
 
 void FunctionalBackend::prepare(std::size_t workers) {
     if (engines_.size() < workers) engines_.resize(workers);
+    const std::size_t helpers =
+        workers > 1 && snn::tiling_possible(model()) ? workers - 1 : 0;
+    if ((team_ ? team_->helpers() : 0) != helpers) {
+        team_ = helpers > 0 ? std::make_unique<snn::TileTeam>(helpers) : nullptr;
+    }
 }
 
 snn::FunctionalEngine& FunctionalBackend::engine(std::size_t worker) {
@@ -247,12 +252,21 @@ void FunctionalBackend::run_span(std::size_t worker,
                                  std::span<const Request> requests,
                                  std::span<Response> responses, std::size_t base,
                                  std::uint64_t seed) {
+    spans_in_flight_.fetch_add(1, std::memory_order_relaxed);
+    struct Leave {
+        std::atomic<std::size_t>& spans;
+        ~Leave() { spans.fetch_sub(1, std::memory_order_relaxed); }
+    } const leave{spans_in_flight_};
     snn::SpikeTrain scratch;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Request& r = requests[i];
         const snn::SpikeTrain& train =
             materialize(r, seed, r.rng_stream.value_or(base + i), scratch);
         snn::FunctionalEngine& eng = engine(worker);
+        // Only a lone span borrows the team: with company, the other
+        // workers are busy and there are no idle cores to lend.
+        const snn::TeamLoan loan(
+            eng, spans_in_flight_.load(std::memory_order_relaxed) == 1 ? team_.get() : nullptr);
         const std::optional<snn::ExitCriterion>& exit = r.early_exit;
         if (r.session_state) {
             snn::SessionState next = *r.session_state;

@@ -370,6 +370,16 @@ private:
 /// request and reused across batches. Honors EngineConfig's
 /// density-adaptive kernel dispatch; responses carry the per-layer
 /// dispatch counters.
+///
+/// Intra-inference parallelism: prepare(workers) builds one
+/// snn::TileTeam of workers - 1 helper threads, shared by the backend's
+/// engines, unless no step of the model can ever split
+/// (snn::tiling_possible). A span that is the backend's only span in
+/// flight lends the team to its engine for each inference
+/// (snn::TeamLoan), so a lone request's heavy conv layer-steps run on
+/// the cores the idle workers would otherwise leave unused. Concurrent
+/// spans run serially, exactly as without a team. Results are
+/// bit-identical either way.
 class FunctionalBackend final : public Backend {
 public:
     explicit FunctionalBackend(const snn::SnnModel& model,
@@ -392,6 +402,8 @@ private:
 
     snn::EngineConfig config_;
     std::vector<std::unique_ptr<snn::FunctionalEngine>> engines_;
+    std::unique_ptr<snn::TileTeam> team_;  ///< null with one worker or no heavy layer
+    std::atomic<std::size_t> spans_in_flight_{0};
 };
 
 /// Cycle-accurate backend: the compiled program is cached inside the

@@ -1,6 +1,7 @@
 #include "snn/compute.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "snn/simd.hpp"
 
@@ -80,10 +81,18 @@ void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
                        const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
                        std::span<std::int32_t> psum) {
     std::fill(psum.begin(), psum.end(), 0);
+    conv_psum_scatter_words(b, wt, in, out_h, out_w, 0,
+                            static_cast<std::int64_t>(in.raw().size()), psum);
+}
+
+void conv_psum_scatter_words(const Branch& b, const std::vector<std::int8_t>& wt,
+                             const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
+                             std::int64_t word_begin, std::int64_t word_end,
+                             std::span<std::int32_t> psum) {
     const std::int64_t oc = b.out_channels;
     const std::int64_t in_w = in.width();
     const std::int64_t plane = in.height() * in_w;
-    in.for_each_spike([&](std::int64_t flat) {
+    in.for_each_spike(word_begin, word_end, [&](std::int64_t flat) {
         const std::int64_t ic = flat / plane;
         const std::int64_t rem = flat - ic * plane;
         const std::int64_t iy = rem / in_w;
@@ -143,10 +152,18 @@ void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
 
 namespace {
 
+/// Sum of element `i` over every source bank.
+inline std::int32_t sum_at(std::span<const std::int32_t* const> banks,
+                           std::int64_t i) noexcept {
+    std::int32_t v = 0;
+    for (const std::int32_t* bank : banks) v += bank[i];
+    return v;
+}
+
 /// Scalar tile transpose (the remainder path, and the whole path when
 /// no shuffle support is compiled in): 16x16 int32 tiles keep both
 /// faces in L1 while the writes stay sequential runs.
-void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw,
+void transpose_tile_scalar(std::span<const std::int32_t* const> hwc, std::int32_t* chw,
                            std::int64_t channels, std::int64_t plane,
                            std::int64_t p0, std::int64_t p_end, std::int64_t c0,
                            std::int64_t c_end) {
@@ -158,7 +175,7 @@ void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw,
             for (std::int64_t c = ct; c < c1; ++c) {
                 std::int32_t* crow = chw + c * plane;
                 for (std::int64_t p = pt; p < p1; ++p) {
-                    crow[p] = hwc[p * channels + c];
+                    crow[p] = sum_at(hwc, p * channels + c);
                 }
             }
         }
@@ -167,8 +184,9 @@ void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw,
 
 }  // namespace
 
-void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
-                          std::int64_t channels, std::int64_t plane) {
+void transpose_hwc_to_chw(std::span<const std::int32_t* const> hwc, std::int32_t* chw,
+                          std::int64_t channels, std::int64_t plane, std::int64_t c_begin,
+                          std::int64_t c_end) {
 #if defined(SIA_SIMD_SHUFFLE)
     // Bulk: 8x8 register-resident tiles through the shuffle network;
     // the ragged right/bottom edges fall back to the scalar tiles.
@@ -176,14 +194,16 @@ void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
     // writes stream along the plane — plane is typically a power-of-two
     // number of KiB, so the plane-outer order would land every tile's 8
     // writes in one L1 set and thrash it.
-    const std::int64_t c8 = channels & ~std::int64_t{7};
+    const std::int64_t c8 = c_begin + ((c_end - c_begin) & ~std::int64_t{7});
     const std::int64_t p8 = plane & ~std::int64_t{7};
-    for (std::int64_t c0 = 0; c0 < c8; c0 += 8) {
+    for (std::int64_t c0 = c_begin; c0 < c8; c0 += 8) {
         for (std::int64_t p0 = 0; p0 < p8; p0 += 8) {
             simd::i32x8 rows[8];
             simd::i32x8 cols[8];
             for (int k = 0; k < 8; ++k) {
-                rows[k] = simd::load(hwc + (p0 + k) * channels + c0);
+                const std::int64_t at = (p0 + k) * channels + c0;
+                rows[k] = simd::load(hwc[0] + at);
+                for (std::size_t s = 1; s < hwc.size(); ++s) rows[k] += simd::load(hwc[s] + at);
             }
             simd::transpose8x8(rows, cols);
             for (int j = 0; j < 8; ++j) {
@@ -191,11 +211,32 @@ void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
             }
         }
     }
-    if (c8 < channels) transpose_tile_scalar(hwc, chw, channels, plane, 0, p8, c8, channels);
-    if (p8 < plane) transpose_tile_scalar(hwc, chw, channels, plane, p8, plane, 0, channels);
+    if (c8 < c_end) transpose_tile_scalar(hwc, chw, channels, plane, 0, p8, c8, c_end);
+    if (p8 < plane) transpose_tile_scalar(hwc, chw, channels, plane, p8, plane, c_begin, c_end);
 #else
-    transpose_tile_scalar(hwc, chw, channels, plane, 0, plane, 0, channels);
+    transpose_tile_scalar(hwc, chw, channels, plane, 0, plane, c_begin, c_end);
 #endif
+}
+
+FireArgs FireArgs::channel_slice(std::int64_t c_begin, std::int64_t c_end) const noexcept {
+    const std::int64_t first = c_begin * plane;
+    // Absent banks stay null (a null pointer may not be offset).
+    const auto at = [](auto* p, std::int64_t offset) { return p != nullptr ? p + offset : p; };
+    FireArgs s = *this;
+    s.psum = at(psum, first);
+    s.gain = at(gain, first);
+    s.bias = at(bias, first);
+    s.channel_gain = at(channel_gain, c_begin);
+    s.channel_bias = at(channel_bias, c_begin);
+    s.skip_psum = at(skip_psum, first);
+    s.skip_gain = at(skip_gain, first);
+    s.skip_bias = at(skip_bias, first);
+    s.skip_channel_gain = at(skip_channel_gain, c_begin);
+    s.skip_channel_bias = at(skip_channel_bias, c_begin);
+    s.skip_words = at(skip_words, first / simd::kBlock);
+    s.membrane = at(membrane, first);
+    s.neurons = (c_end - c_begin) * plane;
+    return s;
 }
 
 // ------------------------------------------------------------------------
@@ -233,7 +274,7 @@ inline simd::i32x8 aggregate8(const std::int32_t* psum, simd::i32x8 gain,
 }
 
 template <bool kLif, bool kSubtract, SkipKind kSkipKind, bool kUniform>
-void fused_fire(const FireArgs& a, SpikeMap& out) {
+std::int64_t fused_fire(const FireArgs& a, std::uint64_t* out) {
     using simd::i32x8;
     const i32x8 thr = simd::broadcast(a.threshold);
     const i32x8 charge = simd::broadcast(a.identity_charge);
@@ -255,6 +296,7 @@ void fused_fire(const FireArgs& a, SpikeMap& out) {
     [[maybe_unused]] i32x8 skip_bias_u{};
 
     const std::int64_t words = (a.neurons + simd::kBlock - 1) / simd::kBlock;
+    std::int64_t spikes = 0;
     for (std::int64_t w = 0; w < words; ++w) {
         const std::int64_t base = w * simd::kBlock;
         [[maybe_unused]] std::uint64_t skip_word = 0;
@@ -310,51 +352,49 @@ void fused_fire(const FireArgs& a, SpikeMap& out) {
             const std::uint64_t tail = static_cast<std::uint64_t>(a.neurons) & 63U;
             if (tail != 0) fired &= ~std::uint64_t{0} >> (64U - tail);
         }
-        out.set_word(w, fired);
+        out[w] = fired;
+        spikes += std::popcount(fired);
     }
+    return spikes;
 }
 
 template <bool kLif, bool kSubtract, SkipKind kSkipKind>
-void fire_dispatch_uniform(const FireArgs& a, SpikeMap& out) {
+std::int64_t fire_dispatch_uniform(const FireArgs& a, std::uint64_t* out) {
     const bool uniform = a.plane > 0 && a.plane % simd::kBlock == 0 &&
                          a.channel_gain != nullptr && a.channel_bias != nullptr;
-    if (uniform) {
-        fused_fire<kLif, kSubtract, kSkipKind, true>(a, out);
-    } else {
-        fused_fire<kLif, kSubtract, kSkipKind, false>(a, out);
-    }
+    return uniform ? fused_fire<kLif, kSubtract, kSkipKind, true>(a, out)
+                   : fused_fire<kLif, kSubtract, kSkipKind, false>(a, out);
 }
 
 template <bool kLif>
-void fire_dispatch(const FireArgs& a, SpikeMap& out) {
+std::int64_t fire_dispatch(const FireArgs& a, std::uint64_t* out) {
     const SkipKind skip = a.skip_words != nullptr  ? SkipKind::kIdentity
                           : a.skip_psum != nullptr ? SkipKind::kConv
                                                    : SkipKind::kNone;
     const bool subtract = a.reset == ResetMode::kSubtract;
     switch (skip) {
         case SkipKind::kNone:
-            subtract ? fire_dispatch_uniform<kLif, true, SkipKind::kNone>(a, out)
-                     : fire_dispatch_uniform<kLif, false, SkipKind::kNone>(a, out);
-            break;
+            return subtract ? fire_dispatch_uniform<kLif, true, SkipKind::kNone>(a, out)
+                            : fire_dispatch_uniform<kLif, false, SkipKind::kNone>(a, out);
         case SkipKind::kIdentity:
-            subtract ? fire_dispatch_uniform<kLif, true, SkipKind::kIdentity>(a, out)
-                     : fire_dispatch_uniform<kLif, false, SkipKind::kIdentity>(a, out);
-            break;
+            return subtract
+                       ? fire_dispatch_uniform<kLif, true, SkipKind::kIdentity>(a, out)
+                       : fire_dispatch_uniform<kLif, false, SkipKind::kIdentity>(a, out);
         case SkipKind::kConv:
-            subtract ? fire_dispatch_uniform<kLif, true, SkipKind::kConv>(a, out)
-                     : fire_dispatch_uniform<kLif, false, SkipKind::kConv>(a, out);
-            break;
+            return subtract ? fire_dispatch_uniform<kLif, true, SkipKind::kConv>(a, out)
+                            : fire_dispatch_uniform<kLif, false, SkipKind::kConv>(a, out);
     }
+    return 0;
 }
 
 }  // namespace
 
-void aggregate_fire_dense(const FireArgs& a, SpikeMap& out) {
-    fire_dispatch<false>(a, out);
+std::int64_t aggregate_fire_dense(const FireArgs& a, std::uint64_t* out) {
+    return fire_dispatch<false>(a, out);
 }
 
-void aggregate_fire_lif(const FireArgs& a, SpikeMap& out) {
-    fire_dispatch<true>(a, out);
+std::int64_t aggregate_fire_lif(const FireArgs& a, std::uint64_t* out) {
+    return fire_dispatch<true>(a, out);
 }
 
 }  // namespace sia::snn::compute

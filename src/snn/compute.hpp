@@ -64,6 +64,15 @@ void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
                        const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
                        std::span<std::int32_t> psum);
 
+/// As conv_psum_scatter but visiting only the spikes in packed input
+/// words [word_begin, word_end) and accumulating into `psum` without
+/// clearing — one input range of a tiled layer-step. Disjoint ranges
+/// that cover every word compose bit-identically to one full pass.
+void conv_psum_scatter_words(const Branch& b, const std::vector<std::int8_t>& wt,
+                             const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
+                             std::int64_t word_begin, std::int64_t word_end,
+                             std::span<std::int32_t> psum);
+
 /// Gather-form fully-connected partial sums ([F], cleared first): scans
 /// every input feature's bit and accumulates the set ones.
 void linear_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
@@ -85,12 +94,18 @@ void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
                          const SpikeMap& in, std::span<std::int32_t> psum);
 
 /// Cache-blocked [plane][channels] -> [channels][plane] int32 transpose:
-/// reorders an HWC psum accumulation bank into the CHW order the fused
-/// fire kernels (and the packed SpikeMap bit layout) use. `chw` may be
-/// padded past channels * plane; only the first channels * plane
-/// elements are written.
-void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw,
-                          std::int64_t channels, std::int64_t plane);
+/// reorders HWC psum accumulation banks into the CHW order the fused
+/// fire kernels (and the packed SpikeMap bit layout) use. Each output
+/// element is the sum of the matching element of every bank in `hwc`
+/// (one bank for a serial layer-step; one per participant of a tiled
+/// one, whose partial psums add exactly). Only channels [c_begin,
+/// c_end) of `chw` are written, so disjoint channel ranges can be
+/// transposed concurrently; `chw` may be padded past channels * plane.
+/// With plane == 1 or channels == 1 the two orders coincide and this
+/// is an elementwise sum.
+void transpose_hwc_to_chw(std::span<const std::int32_t* const> hwc, std::int32_t* chw,
+                          std::int64_t channels, std::int64_t plane, std::int64_t c_begin,
+                          std::int64_t c_end);
 
 /// Inputs of the fused aggregate+fire kernels. All banks are flat CHW,
 /// 64-byte aligned, padded to a 64-neuron multiple with zero psum and
@@ -134,6 +149,15 @@ struct FireArgs {
     ResetMode reset = ResetMode::kSubtract;
     int leak_shift = 0;  ///< LIF kernel only
     std::int64_t neurons = 0;
+
+    /// These arguments restricted to output channels [c_begin, c_end)
+    /// of a CHW layer whose `plane` is set: per-neuron pointers advance
+    /// by c_begin * plane, per-channel pointers by c_begin and the
+    /// identity-skip words by c_begin * plane / 64. c_begin * plane
+    /// must be a multiple of 64, so the slice starts on a packed spike
+    /// word and its output words are disjoint from every other slice's.
+    [[nodiscard]] FireArgs channel_slice(std::int64_t c_begin,
+                                         std::int64_t c_end) const noexcept;
 };
 
 /// Fused fire stage for IF neurons: one dense sweep over the SoA banks
@@ -141,14 +165,16 @@ struct FireArgs {
 /// (subtract/zero) and emits spikes — 64 neurons per iteration as
 /// 8-lane int32 groups with no per-neuron branches, the fire mask
 /// assembled from lane compares and written word-wise into `out`
-/// (every word overwritten, tail bits masked). Bit-identical to the
-/// scalar aggregate()/update_neuron() loop: each lane performs the
-/// same util/fixed_point lane ops in the same order.
-void aggregate_fire_dense(const FireArgs& a, SpikeMap& out);
+/// (ceil(neurons / 64) packed words, every one overwritten, tail bits
+/// masked). Returns the number of spikes emitted; the caller owns the
+/// map's count (SpikeMap::set_count). Bit-identical to the scalar
+/// aggregate()/update_neuron() loop: each lane performs the same
+/// util/fixed_point lane ops in the same order.
+[[nodiscard]] std::int64_t aggregate_fire_dense(const FireArgs& a, std::uint64_t* out);
 
 /// As aggregate_fire_dense with the LIF leak (U -= U >> leak_shift,
 /// saturating) fused in front of the integration.
-void aggregate_fire_lif(const FireArgs& a, SpikeMap& out);
+[[nodiscard]] std::int64_t aggregate_fire_lif(const FireArgs& a, std::uint64_t* out);
 
 /// Aggregation-core arithmetic (batch-norm unit of Eq. 2): 16-bit
 /// saturating psum, fixed-point gain multiply, bias add. Written in the

@@ -1,12 +1,75 @@
 #include "snn/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
 #include "snn/compute.hpp"
 
 namespace sia::snn {
+
+namespace {
+
+/// Tiles per participant in each phase of a tiled layer-step. More tiles
+/// than participants: the shared cursor then balances uneven tiles, and
+/// a helper that falls behind (preempted mid-tile) holds up only a small
+/// share of the step.
+constexpr std::size_t kTilesPerParticipant = 4;
+
+/// The fused kernels' arguments for layer `layer`'s whole fire stage:
+/// CHW fire banks, the per-channel coefficient arrays, and the residual
+/// source (`skip_spikes`, null without a skip).
+compute::FireArgs fire_args(const SnnLayer& layer, LayerState& st,
+                            const SpikeMap* skip_spikes) {
+    compute::FireArgs args;
+    args.psum = st.psum.data();
+    args.gain = st.gain.data();
+    args.bias = st.bias.data();
+    args.channel_gain = layer.main.gain.data();
+    args.channel_bias = layer.main.bias.data();
+    args.plane = st.plane;
+    args.gain_shift = layer.main.gain_shift;
+    if (layer.has_skip() && !layer.skip_is_identity) {
+        args.skip_psum = st.skip_psum.data();
+        args.skip_gain = st.skip_gain.data();
+        args.skip_bias = st.skip_bias.data();
+        args.skip_channel_gain = layer.skip.gain.data();
+        args.skip_channel_bias = layer.skip.bias.data();
+        args.skip_gain_shift = layer.skip.gain_shift;
+    } else if (layer.has_skip()) {
+        // Identity skip: same CHW geometry as the output, so the packed
+        // source words align bit-for-bit with the fire blocks.
+        args.skip_words = skip_spikes->raw().data();
+        args.identity_charge = layer.identity_skip.charge;
+    }
+    args.membrane = st.membrane.data();
+    args.threshold = layer.threshold;
+    args.reset = layer.reset;
+    args.leak_shift = layer.leak_shift;
+    args.neurons = st.neurons;
+    return args;
+}
+
+std::int64_t fire(const SnnLayer& layer, const compute::FireArgs& args,
+                  std::uint64_t* words) {
+    return layer.neuron == NeuronKind::kLif ? compute::aggregate_fire_lif(args, words)
+                                            : compute::aggregate_fire_dense(args, words);
+}
+
+}  // namespace
+
+bool tiling_possible(const SnnModel& model) noexcept {
+    return std::any_of(model.layers.begin(), model.layers.end(), [&](const SnnLayer& l) {
+        const std::int64_t sites =
+            l.input == -1 ? model.input_channels * model.input_h * model.input_w
+                          : model.layers[static_cast<std::size_t>(l.input)].neurons();
+        return l.op == LayerOp::kConv && l.spiking &&
+               sites * l.main.kernel * l.main.kernel * l.out_channels >= kTileMinWork;
+    });
+}
 
 std::size_t argmax_first(std::span<const std::int64_t> logits) noexcept {
     std::size_t best = 0;
@@ -133,6 +196,10 @@ const SpikeMap& FunctionalEngine::source_spikes(int src, const SpikeMap& input) 
     return src == -1 ? input : spikes_.at(static_cast<std::size_t>(src));
 }
 
+const SpikeMap* FunctionalEngine::skip_source(const SnnLayer& layer) const {
+    return layer.has_skip() ? &source_spikes(layer.skip_src, *current_input_) : nullptr;
+}
+
 void FunctionalEngine::step(const SpikeMap& input) {
     if (input.channels() != model_.input_channels || input.height() != model_.input_h ||
         input.width() != model_.input_w) {
@@ -142,6 +209,10 @@ void FunctionalEngine::step(const SpikeMap& input) {
     for (std::size_t i = 0; i < model_.layers.size(); ++i) {
         const SnnLayer& layer = model_.layers[i];
         const SpikeMap& in = source_spikes(layer.input, input);
+        if (splits(layer, in)) {
+            step_tiled(i, in);
+            continue;
+        }
         if (layer.op == LayerOp::kConv) {
             run_conv_layer(i, in);
         } else {
@@ -151,6 +222,135 @@ void FunctionalEngine::step(const SpikeMap& input) {
         // integrate_and_fire needs the skip source; it reads it lazily via
         // the spikes_ array, which is valid because skip_src < i.
     }
+}
+
+bool FunctionalEngine::splits(const SnnLayer& layer, const SpikeMap& input) const noexcept {
+    // The scalar fire path stays the serial reference loop.
+    return team_ != nullptr && layer.op == LayerOp::kConv && layer.spiking &&
+           config_.fire == FirePath::kVector &&
+           input.count() * layer.main.kernel * layer.main.kernel * layer.out_channels >=
+               kTileMinWork;
+}
+
+void FunctionalEngine::add_input_tiles(const SpikeMap& in, bool scatter, bool skip,
+                                       std::int64_t in_channels, std::size_t max_tiles) {
+    if (!scatter) {
+        // Gather: the scan costs the same per input channel, so cut the
+        // channels evenly (conv_psum_chunk's ic range).
+        const auto tiles = std::min<std::int64_t>(in_channels,
+                                                  static_cast<std::int64_t>(max_tiles));
+        for (std::int64_t t = 0; t < tiles; ++t) {
+            tiles_.push_back({in_channels * t / tiles, in_channels * (t + 1) / tiles, skip,
+                              false});
+        }
+        return;
+    }
+    // Scatter: cost follows the spikes, so cut the packed words where the
+    // running spike count crosses each 1/max_tiles share of the total.
+    const std::vector<std::uint64_t>& words = in.raw();
+    const auto parts = static_cast<std::int64_t>(max_tiles);
+    const std::int64_t total = in.count();
+    std::int64_t seen = 0;
+    std::int64_t share = 1;
+    std::int64_t begin = 0;
+    for (std::size_t w = 0; w < words.size() && seen < total; ++w) {
+        seen += std::popcount(words[w]);
+        if (seen * parts < share * total) continue;
+        const auto end = static_cast<std::int64_t>(w) + 1;
+        tiles_.push_back({begin, end, skip, true});
+        begin = end;
+        while (share * total <= seen * parts) ++share;
+    }
+}
+
+void FunctionalEngine::step_tiled(std::size_t index, const SpikeMap& input) {
+    const SnnLayer& layer = model_.layers[index];
+    LayerState& st = state_[index];
+    TileTeam& team = *team_;
+    const std::size_t parts = team.participants();
+    const std::size_t max_tiles = kTilesPerParticipant * parts;
+    const SpikeMap* skip_spikes = skip_source(layer);
+    const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
+    const auto n = static_cast<std::size_t>(st.neurons);
+
+    // Phase A, split the input: each participant accumulates the input
+    // ranges it takes into its own HWC banks (main, then skip) in team
+    // scratch, zeroed on its first tile, so no two participants ever
+    // write the same psum. Same per-step scatter/gather choice as the
+    // serial path, per branch.
+    const bool scatter = use_scatter(input);
+    tiles_.clear();
+    add_input_tiles(input, scatter, false, layer.main.in_channels, max_tiles);
+    if (conv_skip) {
+        add_input_tiles(*skip_spikes, use_scatter(*skip_spikes), true,
+                        layer.skip.in_channels, max_tiles);
+    }
+    const std::size_t bank = conv_skip ? 2 * n : n;
+    team.reserve_scratch(bank);
+    used_.assign(parts, 0);
+    team.run(tiles_.size(), [&](std::size_t t, std::size_t p) {
+        std::int32_t* psum = team.scratch(p);
+        if (used_[p] == 0) {
+            std::fill(psum, psum + bank, 0);
+            used_[p] = 1;
+        }
+        const InputTile& tile = tiles_[t];
+        const Branch& b = tile.skip ? layer.skip : layer.main;
+        const std::vector<std::int8_t>& wt = tile.skip ? skip_wt_[index] : main_wt_[index];
+        const SpikeMap& in = tile.skip ? *skip_spikes : input;
+        const std::span<std::int32_t> out(psum + (tile.skip ? n : 0), n);
+        if (tile.scatter) {
+            compute::conv_psum_scatter_words(b, wt, in, layer.out_h, layer.out_w, tile.begin,
+                                             tile.end, out);
+        } else {
+            compute::conv_psum_chunk(b, wt, in, layer.out_h, layer.out_w, tile.begin,
+                                     tile.end, out);
+        }
+    });
+
+    // Phase B, split the output: channel ranges that start both on a
+    // packed spike word and on one of the transpose's 8-channel blocks
+    // (multiples of 8 channels for planes of 64 or more, of 16 for 2x2,
+    // of 64 for 1x1). Each range sums the participants' banks while
+    // transposing HWC to CHW, then fires; fire tiles write raw words and
+    // return their spike counts, and the map's count is set once here.
+    sources_.clear();
+    skip_sources_.clear();
+    for (std::size_t p = 0; p < parts; ++p) {
+        if (used_[p] == 0) continue;
+        sources_.push_back(team.scratch(p));
+        if (conv_skip) skip_sources_.push_back(team.scratch(p) + n);
+    }
+    const compute::FireArgs args = fire_args(layer, st, skip_spikes);
+    const std::int64_t step =
+        std::max<std::int64_t>(8, simd::kBlock / std::gcd(st.plane, simd::kBlock));
+    const std::int64_t groups = (st.channels + step - 1) / step;
+    const std::int64_t ranges = std::min(groups, static_cast<std::int64_t>(max_tiles));
+    SpikeMap& out = spikes_[index];
+    std::uint64_t* words = out.words();
+    std::atomic<std::int64_t> fired{0};
+    team.run(static_cast<std::size_t>(ranges), [&](std::size_t t, std::size_t) {
+        const auto r = static_cast<std::int64_t>(t);
+        const std::int64_t c0 = std::min(st.channels, groups * r / ranges * step);
+        const std::int64_t c1 = std::min(st.channels, groups * (r + 1) / ranges * step);
+        compute::transpose_hwc_to_chw(sources_, st.psum.data(), st.channels, st.plane, c0,
+                                      c1);
+        if (conv_skip) {
+            compute::transpose_hwc_to_chw(skip_sources_, st.skip_psum.data(), st.channels,
+                                          st.plane, c0, c1);
+        }
+        fired.fetch_add(fire(layer, args.channel_slice(c0, c1),
+                             words + c0 * st.plane / simd::kBlock),
+                        std::memory_order_relaxed);
+    });
+    out.set_count(fired.load(std::memory_order_relaxed));
+
+    LayerDispatchStats& d = dispatch_[index];
+    ++(scatter ? d.scatter_steps : d.dense_steps);
+    d.input_spikes += input.count();
+    d.input_sites += input.size();
+    ++d.vector_fire_steps;
+    spike_counts_[index] += out.count();
 }
 
 bool FunctionalEngine::dispatch_conv(const Branch& b, const std::vector<std::int8_t>& wt,
@@ -210,19 +410,12 @@ void FunctionalEngine::integrate_and_fire(std::size_t index) {
     }
 
     // Resolve the residual source and accumulate the downsample psum.
-    // skip_src may be -1 (network input) when the stem runs on the
-    // processor-side front end and the first block skips from it.
-    const SpikeMap* skip_spikes = nullptr;
-    if (layer.has_skip()) {
-        skip_spikes = layer.skip_src == -1
-                          ? current_input_
-                          : &spikes_.at(static_cast<std::size_t>(layer.skip_src));
-        if (!layer.skip_is_identity) {
-            // Same density-adaptive choice as the main branch (counters
-            // track the main branch only; the downsample rides along).
-            (void)dispatch_conv(layer.skip, skip_wt_[index], *skip_spikes, layer.out_h,
-                                layer.out_w, st.skip_accum());
-        }
+    const SpikeMap* skip_spikes = skip_source(layer);
+    if (layer.has_skip() && !layer.skip_is_identity) {
+        // Same density-adaptive choice as the main branch (counters
+        // track the main branch only; the downsample rides along).
+        (void)dispatch_conv(layer.skip, skip_wt_[index], *skip_spikes, layer.out_h,
+                            layer.out_w, st.skip_accum());
     }
 
     if (config_.fire == FirePath::kScalar) {
@@ -243,48 +436,19 @@ void FunctionalEngine::fire_vector(std::size_t index, const SpikeMap* skip_spike
     // Reorder the HWC accumulation banks into the CHW fire banks; when
     // the orders coincide the kernels already accumulated in place.
     if (st.interleaved) {
-        compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels,
-                                      st.plane);
+        const std::int32_t* main_bank = st.psum_hwc.data();
+        compute::transpose_hwc_to_chw({&main_bank, 1}, st.psum.data(), st.channels, st.plane,
+                                      0, st.channels);
         if (conv_skip) {
-            compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
-                                          st.channels, st.plane);
+            const std::int32_t* skip_bank = st.skip_psum_hwc.data();
+            compute::transpose_hwc_to_chw({&skip_bank, 1}, st.skip_psum.data(), st.channels,
+                                          st.plane, 0, st.channels);
         }
     }
 
-    compute::FireArgs args;
-    args.psum = st.psum.data();
-    args.gain = st.gain.data();
-    args.bias = st.bias.data();
-    args.channel_gain = layer.main.gain.data();
-    args.channel_bias = layer.main.bias.data();
-    args.plane = st.plane;
-    args.gain_shift = layer.main.gain_shift;
-    if (conv_skip) {
-        args.skip_psum = st.skip_psum.data();
-        args.skip_gain = st.skip_gain.data();
-        args.skip_bias = st.skip_bias.data();
-        args.skip_channel_gain = layer.skip.gain.data();
-        args.skip_channel_bias = layer.skip.bias.data();
-        args.skip_gain_shift = layer.skip.gain_shift;
-    } else if (layer.has_skip()) {
-        // Identity skip: same CHW geometry as the output, so the packed
-        // source words align bit-for-bit with the fire blocks.
-        args.skip_words = skip_spikes->raw().data();
-        args.identity_charge = layer.identity_skip.charge;
-    }
-    args.membrane = st.membrane.data();
-    args.threshold = layer.threshold;
-    args.reset = layer.reset;
-    args.leak_shift = layer.leak_shift;
-    args.neurons = st.neurons;
-
-    // No clear(): the kernels overwrite every packed word of the map.
+    // Every packed word of the map is overwritten.
     SpikeMap& out = spikes_[index];
-    if (layer.neuron == NeuronKind::kLif) {
-        compute::aggregate_fire_lif(args, out);
-    } else {
-        compute::aggregate_fire_dense(args, out);
-    }
+    out.set_count(fire(layer, fire_args(layer, st, skip_spikes), out.words()));
 }
 
 void FunctionalEngine::fire_scalar(std::size_t index, const SpikeMap* skip_spikes) {
@@ -402,6 +566,19 @@ RunResult FunctionalEngine::run_window(const SpikeTrain& input, SessionState& se
     session.steps += res.timesteps;
     ++session.windows;
     return res;
+}
+
+TeamLoan::TeamLoan(FunctionalEngine& engine, TileTeam* team) noexcept : engine_(engine) {
+    if (team != nullptr && engine.team_ == nullptr && team->try_claim()) {
+        team_ = team;
+        engine.team_ = team;
+    }
+}
+
+TeamLoan::~TeamLoan() {
+    if (team_ == nullptr) return;
+    engine_.team_ = nullptr;
+    team_->release();
 }
 
 RunResult run_snn(const SnnModel& model, const SpikeTrain& input, EngineConfig config) {

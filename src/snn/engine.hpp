@@ -19,6 +19,7 @@
 #include "snn/model.hpp"
 #include "snn/session.hpp"
 #include "snn/spike.hpp"
+#include "snn/tile_team.hpp"
 
 namespace sia::snn {
 
@@ -72,6 +73,19 @@ struct EngineConfig {
     /// RunResult::readout (always filled) instead.
     bool record_readout_history = true;
 };
+
+/// Work threshold of intra-inference tiling: with a TileTeam lent (see
+/// TeamLoan), a spiking conv layer-step whose input spike count x k^2 x
+/// OC reaches this many MACs is split across the team; lighter steps
+/// run serially, since a split's fixed cost (publishing two jobs,
+/// zeroing and summing per-participant psum banks) would eat their
+/// gain. The spike count is the O(1) observable adaptive dispatch reads.
+inline constexpr std::int64_t kTileMinWork = std::int64_t{1} << 19;
+
+/// True when some spiking conv layer of `model` can reach kTileMinWork,
+/// i.e. with every one of its input sites spiking. Otherwise no step of
+/// the model ever splits, and lending its engines a team is pointless.
+[[nodiscard]] bool tiling_possible(const SnnModel& model) noexcept;
 
 /// Per-layer dispatch counters accumulated across step() calls.
 struct LayerDispatchStats {
@@ -129,6 +143,8 @@ struct RunResult {
 };
 
 class FunctionalEngine {
+    friend class TeamLoan;
+
 public:
     /// Keeps a reference to `model` (must outlive the engine); validates
     /// it and precomputes the shared transposed weight layouts (used by
@@ -228,6 +244,14 @@ private:
     void run_conv_layer(std::size_t index, const SpikeMap& input);
     void run_linear_layer(std::size_t index, const SpikeMap& input);
     void integrate_and_fire(std::size_t index);
+    /// Whether this layer-step splits across the lent team.
+    [[nodiscard]] bool splits(const SnnLayer& layer, const SpikeMap& input) const noexcept;
+    /// One conv layer-step split across team_: psum and fire, with the
+    /// same spikes, membranes and counters as the serial path.
+    void step_tiled(std::size_t index, const SpikeMap& input);
+    /// Input tiles of one branch of a tiled layer-step (appended to tiles_).
+    void add_input_tiles(const SpikeMap& in, bool scatter, bool skip,
+                         std::int64_t in_channels, std::size_t max_tiles);
     /// Fire-stage implementations over the layer's SoA banks; both
     /// update membranes + spikes_[index] identically (spike emission
     /// included), differing only in throughput. `skip_spikes` is the
@@ -235,6 +259,10 @@ private:
     void fire_vector(std::size_t index, const SpikeMap* skip_spikes);
     void fire_scalar(std::size_t index, const SpikeMap* skip_spikes);
     [[nodiscard]] const SpikeMap& source_spikes(int src, const SpikeMap& input) const;
+    /// The layer's resolved residual source (null when it has no skip).
+    /// skip_src may be -1 (network input) when the stem runs on the
+    /// processor-side front end and the first block skips from it.
+    [[nodiscard]] const SpikeMap* skip_source(const SnnLayer& layer) const;
     /// Density-adaptive path choice for one kernel invocation.
     [[nodiscard]] bool use_scatter(const SpikeMap& in) const noexcept;
     /// Run one conv psum through the dispatched kernel form; returns
@@ -256,6 +284,44 @@ private:
     std::vector<std::int64_t> spike_counts_;             // per layer since reset
     std::vector<LayerDispatchStats> dispatch_;           // per layer since reset
     const SpikeMap* current_input_ = nullptr;            // valid during step()
+
+    /// Intra-inference tiling: the team lent by a TeamLoan (null =
+    /// serial) and per-step scratch reused across tiled steps.
+    struct InputTile {
+        std::int64_t begin = 0;  ///< packed word (scatter) or input channel (gather)
+        std::int64_t end = 0;
+        bool skip = false;       ///< residual downsample branch, else main
+        bool scatter = false;
+    };
+    TileTeam* team_ = nullptr;
+    std::vector<InputTile> tiles_;
+    std::vector<std::uint8_t> used_;  ///< participant accumulated a psum bank
+    std::vector<const std::int32_t*> sources_;
+    std::vector<const std::int32_t*> skip_sources_;
+};
+
+/// Scoped loan of a TileTeam to one engine, typically for one inference.
+/// It claims the team without blocking; when the claim succeeds, the
+/// engine's step() splits each heavy spiking conv layer-step (input
+/// spikes x k^2 x OC >= kTileMinWork, vector fire path) across the team
+/// until the loan ends. A loan that finds the team claimed elsewhere,
+/// or gets no team, leaves the engine serial. Results are bit-identical
+/// either way: int32 psum adds are exact and order-independent, and
+/// every participant writes disjoint memory.
+class TeamLoan {
+public:
+    TeamLoan(FunctionalEngine& engine, TileTeam* team) noexcept;
+    ~TeamLoan();
+
+    TeamLoan(const TeamLoan&) = delete;
+    TeamLoan& operator=(const TeamLoan&) = delete;
+
+    /// True when the engine holds the team.
+    explicit operator bool() const noexcept { return team_ != nullptr; }
+
+private:
+    FunctionalEngine& engine_;
+    TileTeam* team_ = nullptr;
 };
 
 /// Convenience: run a model over an encoded input and return results.

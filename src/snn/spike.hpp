@@ -91,8 +91,15 @@ public:
     /// zero words, ctz + clear-lowest-bit within a word.
     template <typename Visit>
     void for_each_spike(Visit&& visit) const {
-        const auto nwords = static_cast<std::int64_t>(words_.size());
-        for (std::int64_t w = 0; w < nwords; ++w) {
+        for_each_spike(0, static_cast<std::int64_t>(words_.size()),
+                       std::forward<Visit>(visit));
+    }
+    /// As for_each_spike, restricted to packed words [word_begin,
+    /// word_end) — the input ranges of a tiled scatter.
+    template <typename Visit>
+    void for_each_spike(std::int64_t word_begin, std::int64_t word_end,
+                        Visit&& visit) const {
+        for (std::int64_t w = word_begin; w < word_end; ++w) {
             std::uint64_t bits = words_[static_cast<std::size_t>(w)];
             while (bits != 0) {
                 visit(w * kWordBits + std::countr_zero(bits));
@@ -102,16 +109,26 @@ public:
     }
 
     /// Overwrite packed word `w` wholesale, maintaining the set-bit
-    /// count — the fused fire kernels' spike-emission path (one word
-    /// per 64-neuron block, no per-bit calls). For the final word the
-    /// caller must have masked bits past size() (the kernels do; the
-    /// class invariant that trailing bits are zero is preserved, not
-    /// re-enforced here).
+    /// count (one word per 64-neuron block, no per-bit calls). Single
+    /// writer only: concurrent writers use words() + set_count(). For
+    /// the final word the caller must have masked bits past size()
+    /// (the class invariant that trailing bits are zero is preserved,
+    /// not re-enforced here).
     void set_word(std::int64_t w, std::uint64_t bits) noexcept {
         std::uint64_t& slot = words_[static_cast<std::size_t>(w)];
         count_ += std::popcount(bits) - std::popcount(slot);
         slot = bits;
     }
+
+    /// Mutable packed words for bulk emission. The fused fire kernels
+    /// write disjoint word ranges through it — from several threads
+    /// when a layer-step is tiled — and return their spike counts
+    /// instead of touching the shared count; the caller then publishes
+    /// the map's total once with set_count(). Writers keep bits past
+    /// size() zero.
+    [[nodiscard]] std::uint64_t* words() noexcept { return words_.data(); }
+    /// Set the maintained spike count after a bulk write through words().
+    void set_count(std::int64_t count) noexcept { count_ = count; }
 
     /// Packed 64-bit words (the wire/serialization representation).
     /// Bits past size() are guaranteed zero, so equality of raw() is

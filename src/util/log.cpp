@@ -1,11 +1,12 @@
 #include "util/log.hpp"
 
-#include <iostream>
+#include <atomic>
+#include <cstdio>
 
 namespace sia::util {
 
 namespace {
-LogLevel g_level = LogLevel::kInfo;
+std::atomic<LogLevel> g_level{LogLevel::kInfo};
 
 const char* level_name(LogLevel level) {
     switch (level) {
@@ -19,12 +20,20 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level = level; }
+void set_log_level(LogLevel level) noexcept { g_level.store(level, std::memory_order_relaxed); }
 
-LogLevel log_level() noexcept { return g_level; }
+LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
 
 void log_line(LogLevel level, const std::string& msg) {
-    std::cerr << "[" << level_name(level) << "] " << msg << '\n';
+    std::string line = "[";
+    line.reserve(msg.size() + 10);
+    line += level_name(level);
+    line += "] ";
+    line += msg;
+    line += '\n';
+    // One stdio call per line: the stream's lock keeps lines logged by
+    // concurrent threads whole.
+    std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace sia::util

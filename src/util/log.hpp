@@ -1,6 +1,8 @@
-// Lightweight leveled logger. Single-threaded use (the reproduction is
-// deterministic and single-threaded by design); writes to stderr so bench
-// stdout stays machine-parseable.
+// Lightweight leveled logger; writes to stderr so bench stdout stays
+// machine-parseable. Thread-safe: the level is atomic (set_log_level may
+// run while lane dispatchers log), and each line is formatted whole and
+// written with one call, so lines from concurrent threads never
+// interleave.
 #pragma once
 
 #include <sstream>

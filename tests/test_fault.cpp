@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -492,6 +493,68 @@ TEST(FaultServer, InvalidRequestsAreNeverRetried) {
 }
 
 // -------------------------------------------------------- deadlines
+
+// The lane dispatchers log every failed request through util/log while
+// another thread flips the global level: the level is atomic and each
+// line one write, so this runs race-free under ThreadSanitizer, and
+// logging never disturbs the results or the ledger.
+TEST(FaultServer, LogLevelFlipsWhileDispatchersLogFailures) {
+    const auto model = small_model(31);
+    util::FaultPlan plan;
+    plan.seed = 77;
+    plan.throw_probability = 0.25;
+    core::Server server(
+        std::make_shared<core::FaultyBackend>(std::make_shared<core::FunctionalBackend>(model),
+                                              plan),
+        {.threads = 2, .max_batch = 4});
+
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> flips{0};
+    std::thread flipper([&] {
+        // Mostly silent levels, so the test's stderr stays short; kWarn
+        // lets some failure lines through while others are being logged.
+        const util::LogLevel levels[] = {util::LogLevel::kOff, util::LogLevel::kError,
+                                         util::LogLevel::kWarn, util::LogLevel::kOff};
+        for (std::size_t i = 0; !done.load(); ++i) {
+            util::set_log_level(levels[i % 4]);
+            flips.fetch_add(1);
+            std::this_thread::yield();
+        }
+    });
+    ASSERT_TRUE(eventually([&] { return flips.load() > 0; }));
+
+    constexpr std::size_t kRequests = 48;
+    std::vector<snn::SpikeTrain> trains;
+    for (std::size_t i = 0; i < kRequests; ++i) trains.push_back(random_train(model, 3, 700 + i));
+    // One submitter: admission order pins request i to rng stream i, so
+    // the injector's pure decision names the failed set.
+    std::vector<std::future<core::Response>> futures;
+    for (const auto& train : trains) {
+        futures.push_back(server.submit(core::Request::view_train(train)));
+    }
+    const util::FaultInjector oracle(plan);
+    snn::FunctionalEngine reference(model);
+    std::size_t expected_failures = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        const core::Response response = futures[i].get();
+        if (oracle.decide(i) == util::FaultKind::kThrow) {
+            ++expected_failures;
+            EXPECT_EQ(response.error_code, core::ErrorCode::kBackendError) << i;
+        } else {
+            ASSERT_TRUE(response.ok()) << i << ": " << response.error;
+            EXPECT_EQ(response.logits_per_step, reference.run(trains[i]).logits_per_step) << i;
+        }
+    }
+    done.store(true);
+    flipper.join();
+    util::set_log_level(util::LogLevel::kError);
+
+    server.shutdown();
+    const auto stats = server.stats();
+    EXPECT_GT(expected_failures, 0U);
+    EXPECT_EQ(stats.failed, expected_failures);
+    EXPECT_EQ(stats.completed, kRequests - expected_failures);
+}
 
 TEST(FaultDeadlines, BlockedAdmissionGivesUpAtTheDeadline) {
     const auto model = small_model(31);
