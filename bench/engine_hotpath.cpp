@@ -1,27 +1,32 @@
-// FunctionalEngine hot-path bench: dense gather vs scatter vs
-// density-adaptive kernel dispatch, swept over spike density x layer
-// shape (VGG-11 / ResNet-18 conv blocks + a pool-unrolled-style FC),
-// plus the fire-stage sweep — scalar per-neuron loop vs the fused
-// vectorized aggregate+fire kernels, both under adaptive dispatch —
-// and the intra-inference section: one whole VGG-11 inference (32 px,
-// T=8, the calibrated model bench/e2e serves) at helper-team sizes 1,
-// 2 and 4 against the serial engine.
+// FunctionalEngine hot-path bench: the psum kernels the two engines
+// run — the output-stationary event kernel (index build +
+// compute::conv_psum_event, what FunctionalEngine runs) against the
+// dense gather (compute::conv_psum_chunk_oc on a zeroed bank, what
+// sim::Sia runs) — swept over spike density x VGG-11 / ResNet-18 conv
+// shape; the fire-stage sweep — scalar per-neuron loop vs the fused
+// vectorized aggregate+fire kernels, engine steps over the same shapes
+// plus a pool-unrolled-style FC; and the intra-inference section: one
+// whole VGG-11 inference (32 px, T=8, the calibrated model bench/e2e
+// serves) at helper-team sizes 1, 2 and 4 against the serial engine.
 //
-// Prints steps/s per (shape, density, mode) and emits machine-readable
-// BENCH_ENGINE.json (dispatch rows in "results", the fire-stage sweep
+// Prints steps/s per (shape, density) and emits machine-readable
+// BENCH_ENGINE.json (the psum sweep in "results", the fire-stage sweep
 // in "fire_results", single-inference latency per team size in
 // "intra_inference"). With --check, exits nonzero if, on any conv
-// shape at 5% density, adaptive dispatch is slower than dense OR the
+// shape at 5% or 50% density, the event kernel is slower than the
+// dense gather or its psums differ from the gather's; if at 5% the
 // fused fire stage is slower than the scalar baseline (the CI
 // perf-smoke gates: at paper-realistic spike rates neither
-// optimization may regress below its baseline), or if any tiled
-// inference differs from the serial one in its readout, spike counts
-// or any layer's last-step spikes. The team sizes carry no timing gate:
-// they need idle cores, which shared CI runners do not promise.
+// optimization may regress below its baseline, and the event kernel
+// must hold up at half-full maps too); or if any tiled inference
+// differs from the serial one in its readout, spike counts or any
+// layer's last-step spikes. The team sizes carry no timing gate: they
+// need idle cores, which shared CI runners do not promise.
 //
 // Flags: --quick (reduced sweep), --check, --out <path>,
 //        --min-ms <per-measurement milliseconds>.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -33,6 +38,7 @@
 #include "bench/e2e/models.hpp"
 #include "core/convert.hpp"
 #include "nn/vgg.hpp"
+#include "snn/compute.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
 #include "snn/model.hpp"
@@ -115,36 +121,85 @@ std::vector<snn::SpikeMap> make_inputs(const snn::SnnModel& model, double densit
     return inputs;
 }
 
-struct Measurement {
-    double steps_per_sec = 0.0;
-    double scatter_fraction = 0.0;  ///< share of steps the engine ran via scatter
-};
-
-Measurement measure(const snn::SnnModel& model, snn::EngineConfig config,
-                    const std::vector<snn::SpikeMap>& inputs, double min_ms) {
-    snn::FunctionalEngine engine(model, config);
-    for (const auto& in : inputs) engine.step(in);  // warm caches + page in
-    // Best of 3 independent reps: a single scheduler stall inside one
-    // rep cannot poison the reading (measurements run on shared CI
-    // runners, and a fast step here is microseconds).
+/// Best rate of `run` (which performs `steps` steps per call) over 3
+/// independent reps of at least `min_ms` each: a single scheduler stall
+/// inside one rep cannot poison the reading (measurements run on shared
+/// CI runners, and a fast step here is microseconds).
+template <typename Run>
+double best_steps_per_sec(Run&& run, std::int64_t steps, double min_ms) {
+    run();  // warm caches + page in
     double best_sps = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         const util::WallTimer timer;
-        std::int64_t steps = 0;
+        std::int64_t done = 0;
         double elapsed = 0.0;
         do {
-            for (const auto& in : inputs) engine.step(in);
-            steps += static_cast<std::int64_t>(inputs.size());
+            run();
+            done += steps;
             elapsed = timer.millis();
         } while (elapsed < min_ms);
-        best_sps = std::max(best_sps, 1e3 * static_cast<double>(steps) / elapsed);
+        best_sps = std::max(best_sps, 1e3 * static_cast<double>(done) / elapsed);
     }
-    const auto& d = engine.dispatch_stats(0);
-    const std::int64_t total = d.dense_steps + d.scatter_steps;
-    return {.steps_per_sec = best_sps,
-            .scatter_fraction = total > 0 ? static_cast<double>(d.scatter_steps) /
-                                                static_cast<double>(total)
-                                          : 0.0};
+    return best_sps;
+}
+
+double engine_steps_per_sec(const snn::SnnModel& model, snn::EngineConfig config,
+                            const std::vector<snn::SpikeMap>& inputs, double min_ms) {
+    snn::FunctionalEngine engine(model, config);
+    return best_steps_per_sec(
+        [&] {
+            for (const auto& in : inputs) engine.step(in);
+        },
+        static_cast<std::int64_t>(inputs.size()), min_ms);
+}
+
+/// Main-branch psums of one conv layer over every input, through each
+/// kernel; `identical` records whether the banks agreed on every input.
+struct PsumReading {
+    double gather_sps = 0.0;
+    double event_sps = 0.0;
+    bool identical = true;
+};
+
+PsumReading measure_psum(const snn::SnnModel& model, const std::vector<snn::SpikeMap>& inputs,
+                         double min_ms) {
+    const snn::SnnLayer& layer = model.layers.front();
+    const snn::Branch& b = layer.main;
+    const std::vector<std::int8_t> wt = snn::compute::transpose_conv(b);
+    const std::vector<std::int8_t> blocked = snn::compute::block_conv(b);
+    const std::int64_t plane = layer.out_h * layer.out_w;
+    const std::int64_t units = snn::compute::conv_event_blocks(b.out_channels) * plane;
+    std::vector<std::int32_t> gather(static_cast<std::size_t>(plane * b.out_channels));
+    std::vector<std::int32_t> event(gather.size());
+    snn::compute::SpikeIndex index;
+    const auto run_gather = [&](const snn::SpikeMap& in) {
+        std::fill(gather.begin(), gather.end(), 0);
+        snn::compute::conv_psum_chunk_oc(b, wt, in, layer.out_h, layer.out_w, 0, b.in_channels,
+                                         0, b.out_channels, gather);
+    };
+    const auto run_event = [&](const snn::SpikeMap& in) {
+        index.build(in);
+        snn::compute::conv_psum_event(b, blocked, index, layer.out_h, layer.out_w, 0, units,
+                                      event);
+    };
+    PsumReading r;
+    for (const auto& in : inputs) {
+        run_gather(in);
+        run_event(in);
+        r.identical = r.identical && gather == event;
+    }
+    const auto steps = static_cast<std::int64_t>(inputs.size());
+    r.gather_sps = best_steps_per_sec(
+        [&] {
+            for (const auto& in : inputs) run_gather(in);
+        },
+        steps, min_ms);
+    r.event_sps = best_steps_per_sec(
+        [&] {
+            for (const auto& in : inputs) run_event(in);
+        },
+        steps, min_ms);
+    return r;
 }
 
 struct ResultRow {
@@ -152,13 +207,10 @@ struct ResultRow {
     bool conv = true;
     double density = 0.0;
     double measured_density = 0.0;
-    double dense_sps = 0.0;
-    double scatter_sps = 0.0;
-    double adaptive_sps = 0.0;
-    double adaptive_scatter_fraction = 0.0;
-    /// Fire-stage sweep (both under adaptive psum dispatch): the scalar
-    /// per-neuron loop vs the fused vector kernels. vector_fire_sps is
-    /// the same configuration as adaptive_sps and reuses its reading.
+    /// Psum sweep (conv shapes only).
+    PsumReading psum;
+    /// Fire-stage sweep: engine steps with the scalar per-neuron loop
+    /// vs the fused vector kernels.
     double scalar_fire_sps = 0.0;
     double vector_fire_sps = 0.0;
 };
@@ -242,7 +294,7 @@ std::vector<TeamRow> measure_teams(bool quick) {
 }
 
 void write_json(const std::string& path, const std::vector<ResultRow>& rows,
-                const std::vector<TeamRow>& teams, bool quick, double threshold) {
+                const std::vector<TeamRow>& teams, bool quick) {
     std::ofstream out(path, std::ios::trunc);
     if (!out) {
         std::cerr << "engine_hotpath: cannot open " << path << "\n";
@@ -250,20 +302,20 @@ void write_json(const std::string& path, const std::vector<ResultRow>& rows,
     }
     out << "{\n  \"bench\": \"engine_hotpath\",\n"
         << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-        << "  \"scatter_density_threshold\": " << threshold << ",\n"
         << "  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const ResultRow& r = rows[i];
-        out << "    {\"shape\": \"" << r.shape << "\", \"kind\": \""
-            << (r.conv ? "conv" : "linear") << "\", \"density\": " << r.density
+    std::vector<const ResultRow*> conv_rows;
+    for (const ResultRow& r : rows) {
+        if (r.conv) conv_rows.push_back(&r);
+    }
+    for (std::size_t i = 0; i < conv_rows.size(); ++i) {
+        const ResultRow& r = *conv_rows[i];
+        out << "    {\"shape\": \"" << r.shape << "\", \"density\": " << r.density
             << ", \"measured_density\": " << r.measured_density
-            << ", \"dense_steps_per_sec\": " << r.dense_sps
-            << ", \"scatter_steps_per_sec\": " << r.scatter_sps
-            << ", \"adaptive_steps_per_sec\": " << r.adaptive_sps
-            << ", \"adaptive_scatter_fraction\": " << r.adaptive_scatter_fraction
-            << ", \"scatter_speedup\": " << (r.dense_sps > 0 ? r.scatter_sps / r.dense_sps : 0.0)
-            << ", \"adaptive_speedup\": " << (r.dense_sps > 0 ? r.adaptive_sps / r.dense_sps : 0.0)
-            << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+            << ", \"gather_steps_per_sec\": " << r.psum.gather_sps
+            << ", \"event_steps_per_sec\": " << r.psum.event_sps << ", \"event_speedup\": "
+            << (r.psum.gather_sps > 0 ? r.psum.event_sps / r.psum.gather_sps : 0.0)
+            << ", \"bit_identical\": " << (r.psum.identical ? "true" : "false") << "}"
+            << (i + 1 < conv_rows.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"fire_results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -331,27 +383,26 @@ int main(int argc, char** argv) {
     std::vector<double> densities = {0.01, 0.05, 0.10, 0.15, 0.25, 0.50};
     if (quick) {
         shapes = {shapes[0], shapes[4]};  // headline VGG conv block + the FC
-        densities = {0.05, 0.25};
+        densities = {0.05, 0.50};
     }
 
-    const snn::EngineConfig adaptive;  // defaults: kAdaptive + vector fire
     const snn::EngineConfig scalar_fire{.fire = snn::FirePath::kScalar};
     std::cout << "==============================================================\n"
-              << "Engine hot path: dense vs scatter vs adaptive dispatch,\n"
-              << "scalar vs fused-vector fire stage\n"
-              << "(steps/s of FunctionalEngine::step, T=16 inputs per pass,\n"
-              << " adaptive threshold " << adaptive.scatter_density_threshold << ")\n"
+              << "Engine hot path: event kernel vs dense gather (psums),\n"
+              << "scalar vs fused-vector fire stage (engine steps)\n"
+              << "(steps/s, T=16 inputs per pass)\n"
               << "==============================================================\n";
 
     std::vector<ResultRow> rows;
-    util::Table table("engine_hotpath" + std::string(quick ? " (quick)" : ""));
-    table.header({"shape", "density", "dense st/s", "scatter st/s", "adaptive st/s",
-                  "adapt path", "speedup"});
-    util::Table fire_table("fire stage: scalar loop vs fused vector kernels "
-                           "(adaptive dispatch)");
+    util::Table table("psum kernels" + std::string(quick ? " (quick)" : ""));
+    table.header({"shape", "density", "gather st/s", "event st/s", "speedup", "identical"});
+    util::Table fire_table("fire stage: scalar loop vs fused vector kernels");
     fire_table.header({"shape", "density", "scalar st/s", "vector st/s", "speedup"});
 
     bool check_failed = false;
+    const auto gated = [](double density) {
+        return std::abs(density - 0.05) < 1e-9 || std::abs(density - 0.50) < 1e-9;
+    };
     for (const BenchShape& shape : shapes) {
         util::Rng rng(0xE7E47ULL);
         const snn::SnnModel model = make_model(shape, rng);
@@ -369,49 +420,46 @@ int main(int argc, char** argv) {
             row.density = density;
             row.measured_density =
                 sites > 0 ? static_cast<double>(spikes) / static_cast<double>(sites) : 0.0;
-            row.dense_sps =
-                measure(model, {.dispatch = snn::DispatchMode::kDense}, inputs, min_ms)
-                    .steps_per_sec;
-            row.scatter_sps =
-                measure(model, {.dispatch = snn::DispatchMode::kScatter}, inputs, min_ms)
-                    .steps_per_sec;
-            const Measurement ad = measure(model, adaptive, inputs, min_ms);
-            row.adaptive_sps = ad.steps_per_sec;
-            row.adaptive_scatter_fraction = ad.scatter_fraction;
-            // Fire-stage sweep: same adaptive psum dispatch, scalar
-            // fire loop vs the fused kernels (= the adaptive reading).
-            row.scalar_fire_sps = measure(model, scalar_fire, inputs, min_ms).steps_per_sec;
-            row.vector_fire_sps = row.adaptive_sps;
+            if (shape.conv) {
+                row.psum = measure_psum(model, inputs, min_ms);
+                table.row({shape.name, util::cell(density, 2),
+                           util::cell(row.psum.gather_sps, 0),
+                           util::cell(row.psum.event_sps, 0),
+                           util::cell(row.psum.event_sps / row.psum.gather_sps, 2) + "x",
+                           row.psum.identical ? "yes" : "NO"});
+            }
+            row.scalar_fire_sps = engine_steps_per_sec(model, scalar_fire, inputs, min_ms);
+            row.vector_fire_sps = engine_steps_per_sec(model, {}, inputs, min_ms);
             rows.push_back(row);
-
-            table.row({shape.name, util::cell(density, 2), util::cell(row.dense_sps, 0),
-                       util::cell(row.scatter_sps, 0), util::cell(row.adaptive_sps, 0),
-                       ad.scatter_fraction >= 0.5 ? "scatter" : "dense",
-                       util::cell(row.adaptive_sps / row.dense_sps, 2) + "x"});
             fire_table.row({shape.name, util::cell(density, 2),
                             util::cell(row.scalar_fire_sps, 0),
                             util::cell(row.vector_fire_sps, 0),
                             util::cell(row.vector_fire_sps / row.scalar_fire_sps, 2) +
                                 "x"});
 
-            if (check && shape.conv && density <= 0.05 + 1e-9) {
-                if (row.adaptive_sps < row.dense_sps) {
-                    check_failed = true;
-                    std::cerr << "CHECK FAILED: adaptive (" << row.adaptive_sps
-                              << " steps/s) slower than dense (" << row.dense_sps
-                              << " steps/s) on " << shape.name << " at density "
-                              << density << "\n";
-                }
-                if (row.vector_fire_sps < row.scalar_fire_sps) {
-                    check_failed = true;
-                    std::cerr << "CHECK FAILED: fused fire (" << row.vector_fire_sps
-                              << " steps/s) slower than scalar fire ("
-                              << row.scalar_fire_sps << " steps/s) on " << shape.name
-                              << " at density " << density << "\n";
-                }
+            if (check && shape.conv && !row.psum.identical) {
+                check_failed = true;
+                std::cerr << "CHECK FAILED: event-kernel psums differ from the gather's on "
+                          << shape.name << " at density " << density << "\n";
+            }
+            if (check && shape.conv && gated(density) &&
+                row.psum.event_sps < row.psum.gather_sps) {
+                check_failed = true;
+                std::cerr << "CHECK FAILED: event kernel (" << row.psum.event_sps
+                          << " steps/s) slower than the dense gather ("
+                          << row.psum.gather_sps << " steps/s) on " << shape.name
+                          << " at density " << density << "\n";
+            }
+            if (check && shape.conv && density <= 0.05 + 1e-9 &&
+                row.vector_fire_sps < row.scalar_fire_sps) {
+                check_failed = true;
+                std::cerr << "CHECK FAILED: fused fire (" << row.vector_fire_sps
+                          << " steps/s) slower than scalar fire (" << row.scalar_fire_sps
+                          << " steps/s) on " << shape.name << " at density " << density
+                          << "\n";
             }
         }
-        table.separator();
+        if (shape.conv) table.separator();
         fire_table.separator();
     }
     table.print(std::cout);
@@ -434,13 +482,12 @@ int main(int argc, char** argv) {
     }
     team_table.print(std::cout);
 
-    write_json(out_path, rows, teams, quick, adaptive.scatter_density_threshold);
+    write_json(out_path, rows, teams, quick);
     std::cout << "wrote " << out_path << "\n";
 
     if (check_failed) {
-        std::cerr << "FATAL: a hot-path optimization lost to its baseline at <=5% "
-                     "density, or a tiled inference diverged (see CHECK FAILED "
-                     "lines)\n";
+        std::cerr << "FATAL: a hot-path kernel lost to its baseline or diverged from "
+                     "it, or a tiled inference diverged (see CHECK FAILED lines)\n";
         return EXIT_FAILURE;
     }
     return EXIT_SUCCESS;

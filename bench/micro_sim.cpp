@@ -58,13 +58,17 @@ void BM_ConvPsum(benchmark::State& state) {
     const auto channels = state.range(0);
     util::Rng rng(1);
     const auto branch = make_branch(channels, 64, rng);
-    const auto wt = snn::compute::transpose_conv(branch);
+    const auto wt = snn::compute::block_conv(branch);
     snn::SpikeMap in(channels, 16, 16);
     for (std::int64_t i = 0; i < in.size(); ++i) in.set_flat(i, rng.bernoulli(0.15));
     std::vector<std::int32_t> psum(static_cast<std::size_t>(64 * 16 * 16));
+    snn::compute::SpikeIndex index;
+    const std::int64_t units = snn::compute::conv_event_blocks(64) * 16 * 16;
     for (auto _ : state) {
-        snn::compute::conv_psum(branch, wt, in, 16, 16, psum);
+        index.build(in);
+        snn::compute::conv_psum_event(branch, wt, index, 16, 16, 0, units, psum);
         benchmark::DoNotOptimize(psum.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * in.count() * 9 * 64);
 }

@@ -1,8 +1,10 @@
 // core::Server offered-load sweep: submit pre-encoded requests at a
 // controlled arrival rate against each backend (functional engine and
 // cycle-accurate sim::Sia) and report achieved throughput plus p50/p95/
-// p99 latency from the server's streaming histogram, with client-side
-// per-submitter histograms merged as a cross-check.
+// p99 latency from the server's streaming histogram, with the client's
+// view (submit to future-ready, recorded by a collector thread) as a
+// cross-check: with --check, every load point's client p99 must reach
+// the server's p99, less one histogram bucket.
 //
 // The sweep is self-calibrating: a warm-up batch estimates the
 // backend's capacity, then offered load runs at fractions of it. With
@@ -43,7 +45,9 @@
 // --threads <n>.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -51,6 +55,7 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -82,6 +87,10 @@ using Clock = std::chrono::steady_clock;
 // Wave bound of the single-model sweep (also recorded in the JSON).
 constexpr std::size_t kMaxBatch = 16;
 
+/// Relative width of one util::StreamingHistogram bucket (64 per decade):
+/// the quantization two histogram quantiles may differ by.
+const double kHistogramBucket = std::pow(10.0, 1.0 / 64.0);
+
 /// Serving lanes don't read per-step readout history — only the final
 /// logits and the exit decision — so the functional lanes drop it.
 snn::EngineConfig lean_engine_config() {
@@ -112,7 +121,7 @@ struct LoadPoint {
     double p50_us = 0.0;
     double p95_us = 0.0;
     double p99_us = 0.0;
-    double client_p99_us = 0.0;  ///< merged per-submitter histograms
+    double client_p99_us = 0.0;  ///< submit to future-ready, seen by the client
     double mean_batch = 0.0;
     std::size_t completed = 0;
     std::size_t rejected = 0;
@@ -170,37 +179,73 @@ LoadPoint run_load(const std::shared_ptr<core::Backend>& backend,
         std::chrono::duration<double>(1.0 / per_submitter_rps));
     const std::size_t per_submitter = total / submitters;
 
-    std::vector<util::StreamingHistogram> client_latency(submitters);
-    std::vector<std::thread> threads_vec;
+    // A collector thread records each request's client latency as soon
+    // as its future is ready: reading the futures in submission order
+    // after the whole schedule would charge every early request the
+    // rest of the schedule. Polling can record a completion late, never
+    // early, so the client p99 stays an upper view of the server's.
+    struct Pending {
+        Clock::time_point submitted;
+        std::future<core::Response> future;
+    };
+    std::mutex inbox_mutex;
+    std::vector<Pending> inbox;  // guarded by inbox_mutex
+    std::atomic<std::size_t> submitting{submitters};
+    util::StreamingHistogram client_latency;
     const util::WallTimer wall;
+    std::thread collector([&] {
+        std::vector<Pending> pending;
+        while (true) {
+            const bool last_scan = submitting.load() == 0;
+            {
+                const std::lock_guard<std::mutex> lock(inbox_mutex);
+                for (Pending& p : inbox) pending.push_back(std::move(p));
+                inbox.clear();
+            }
+            if (last_scan && pending.empty()) break;
+            bool progressed = false;
+            for (std::size_t i = 0; i < pending.size();) {
+                if (pending[i].future.wait_for(std::chrono::seconds(0)) !=
+                    std::future_status::ready) {
+                    ++i;
+                    continue;
+                }
+                const auto done = Clock::now();
+                try {
+                    (void)pending[i].future.get();
+                } catch (const std::exception&) {
+                    // Counted by the server's ledger, which --check reads.
+                }
+                client_latency.add(
+                    std::chrono::duration<double, std::micro>(done - pending[i].submitted)
+                        .count());
+                pending[i] = std::move(pending.back());
+                pending.pop_back();
+                progressed = true;
+            }
+            if (!progressed) std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+    });
+    std::vector<std::thread> threads_vec;
     for (std::size_t s = 0; s < submitters; ++s) {
         threads_vec.emplace_back([&, s] {
             auto next = Clock::now();
-            std::vector<std::pair<Clock::time_point, std::future<core::Response>>>
-                futures;
-            futures.reserve(per_submitter);
             for (std::size_t i = 0; i < per_submitter; ++i) {
                 std::this_thread::sleep_until(next);
                 next += interval;
-                const auto t0 = Clock::now();
-                futures.emplace_back(
-                    t0, server.submit(core::Request::view_train(
-                            pool[(s * per_submitter + i) % pool.size()])));
+                Pending p{Clock::now(), {}};
+                p.future = server.submit(
+                    core::Request::view_train(pool[(s * per_submitter + i) % pool.size()]));
+                const std::lock_guard<std::mutex> lock(inbox_mutex);
+                inbox.push_back(std::move(p));
             }
-            for (auto& [t0, f] : futures) {
-                (void)f.get();
-                client_latency[s].add(
-                    std::chrono::duration<double, std::micro>(Clock::now() - t0)
-                        .count());
-            }
+            submitting.fetch_sub(1);
         });
     }
     for (auto& t : threads_vec) t.join();
+    collector.join();
     const double wall_ms = wall.millis();
     server.shutdown();
-
-    util::StreamingHistogram merged;
-    for (const auto& h : client_latency) merged.merge(h);
 
     const auto stats = server.stats();
     LoadPoint point;
@@ -210,7 +255,7 @@ LoadPoint run_load(const std::shared_ptr<core::Backend>& backend,
     point.p50_us = stats.latency_us.p50();
     point.p95_us = stats.latency_us.p95();
     point.p99_us = stats.latency_us.p99();
-    point.client_p99_us = merged.p99();
+    point.client_p99_us = client_latency.p99();
     point.mean_batch = stats.mean_batch_size();
     point.completed = stats.completed;
     point.rejected = stats.rejected;
@@ -763,7 +808,7 @@ int main(int argc, char** argv) {
     util::Table table("serving_latency" + std::string(quick ? " (quick)" : "") +
                       ", VGG-11 w=8, T=6, threads=" + std::to_string(threads));
     table.header({"backend", "offered r/s", "achieved r/s", "p50 ms", "p95 ms",
-                  "p99 ms", "mean batch"});
+                  "p99 ms", "client p99 ms", "mean batch"});
 
     bool check_failed = false;
     double functional_capacity = 0.0;
@@ -814,6 +859,7 @@ int main(int argc, char** argv) {
                        util::cell(point.p50_us / 1e3, 2),
                        util::cell(point.p95_us / 1e3, 2),
                        util::cell(point.p99_us / 1e3, 2),
+                       util::cell(point.client_p99_us / 1e3, 2),
                        util::cell(point.mean_batch, 2)});
             if (check) {
                 const bool lost = point.completed != total || point.rejected != 0;
@@ -821,6 +867,11 @@ int main(int argc, char** argv) {
                     !(point.p50_us > 0.0) || point.p50_us > point.p95_us + 1e-9 ||
                     point.p95_us > point.p99_us + 1e-9;
                 const bool stalled = !(point.achieved_rps > 0.0);
+                // The client clock encloses the server's admission-to-
+                // completion clock, so the client p99 cannot be lower
+                // than the server's, less one bucket of quantization.
+                const bool client_below_server =
+                    point.client_p99_us * kHistogramBucket < point.p99_us;
                 // The tail gate: at 0.25x load a request should ride a
                 // wave of ~1. A reintroduced admission window would add
                 // its wait to (nearly) every request, so gate the
@@ -839,7 +890,7 @@ int main(int argc, char** argv) {
                     fraction == 0.25 &&
                     (point.p50_us > solo.p50() + std::max(1000.0, solo.p50()) ||
                      point.p99_us > 8.0 * std::max(solo.p99(), 1000.0));
-                if (lost || disordered || stalled || tail_stall) {
+                if (lost || disordered || stalled || tail_stall || client_below_server) {
                     check_failed = true;
                     std::cerr << "CHECK FAILED: backend=" << name << " offered="
                               << offered << " completed=" << point.completed << "/"
@@ -848,7 +899,10 @@ int main(int argc, char** argv) {
                               << point.p95_us << "/" << point.p99_us
                               << " single_p50/p99=" << solo.p50() << "/"
                               << solo.p99()
+                              << " client_p99=" << point.client_p99_us
                               << (tail_stall ? " (low-load tail regression)" : "")
+                              << (client_below_server ? " (client p99 below server p99)"
+                                                      : "")
                               << "\n";
                 }
             }

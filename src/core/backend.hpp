@@ -225,7 +225,7 @@ struct Response {
     std::vector<std::int64_t> logits;
     std::vector<std::int64_t> spike_counts;                  ///< per layer
     std::vector<std::int64_t> neuron_counts;                 ///< per layer
-    /// Kernel-dispatch/density counters (FunctionalBackend only).
+    /// Per-layer step and input-density counters (FunctionalBackend only).
     std::vector<snn::LayerDispatchStats> layer_dispatch;
     /// Cycle-accurate per-layer stats (SiaBackend only).
     std::vector<sim::LayerCycleStats> layer_stats;
@@ -367,9 +367,8 @@ private:
 
 /// Functional (bit-accurate, cycle-agnostic) backend: one private
 /// snn::FunctionalEngine per worker, built lazily on the worker's first
-/// request and reused across batches. Honors EngineConfig's
-/// density-adaptive kernel dispatch; responses carry the per-layer
-/// dispatch counters.
+/// request and reused across batches, configured by EngineConfig;
+/// responses carry the per-layer step counters.
 ///
 /// Intra-inference parallelism: prepare(workers) builds one
 /// snn::TileTeam of workers - 1 helper threads, shared by the backend's

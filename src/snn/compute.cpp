@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <stdexcept>
 
 #include "snn/simd.hpp"
 
@@ -32,12 +34,206 @@ std::vector<std::int8_t> transpose_linear(const Branch& b) {
     return wt;
 }
 
-void conv_psum_chunk(const Branch& b, const std::vector<std::int8_t>& wt,
-                     const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                     std::int64_t ic_begin, std::int64_t ic_end,
+void SpikeIndex::reshape(const SpikeMap& in) {
+    if (in.channels() > std::numeric_limits<std::uint16_t>::max()) {
+        throw std::invalid_argument("SpikeIndex: more channels than a uint16 entry can name");
+    }
+    capacity_ = in.channels();
+    height_ = in.height();
+    width_ = in.width();
+    // Grow only: engines index maps of every layer's geometry in turn,
+    // and a shrink followed by a grow would re-zero the tail each time.
+    const auto sites = static_cast<std::size_t>(height_ * width_);
+    if (counts_.size() < sites) counts_.resize(sites);
+    if (channels_.size() < sites * static_cast<std::size_t>(capacity_)) {
+        channels_.resize(sites * static_cast<std::size_t>(capacity_));
+    }
+}
+
+void SpikeIndex::fill(const SpikeMap& in, std::int64_t site_begin, std::int64_t site_end) {
+    if (site_begin >= site_end) return;
+    const std::int64_t plane = sites();
+    const std::uint64_t* words = in.raw().data();
+    std::uint16_t* counts = counts_.data();
+    std::uint16_t* rows = channels_.data();
+    std::fill(counts + site_begin, counts + site_end, std::uint16_t{0});
+    // Channel-major over the packed CHW words, so each row fills in
+    // ascending channel order; bits outside the site range are masked
+    // off the first and last word of each channel's stretch.
+    for (std::int64_t c = 0; c < capacity_; ++c) {
+        const std::int64_t base = c * plane;
+        const std::int64_t begin = base + site_begin;
+        const std::int64_t end = base + site_end;
+        const std::int64_t last = (end - 1) >> 6;
+        std::int64_t w = begin >> 6;
+        std::uint64_t bits = words[w] & (~std::uint64_t{0} << (begin & 63));
+        while (true) {
+            if (w == last) bits &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+            while (bits != 0) {
+                const std::int64_t site = w * 64 + std::countr_zero(bits) - base;
+                rows[site * capacity_ + counts[site]++] = static_cast<std::uint16_t>(c);
+                bits &= bits - 1;
+            }
+            if (w == last) break;
+            bits = words[++w];
+        }
+    }
+}
+
+void SpikeIndex::build(const SpikeMap& in) {
+    reshape(in);
+    fill(in, 0, sites());
+}
+
+std::int64_t conv_event_blocks(std::int64_t out_channels) noexcept {
+    return out_channels / 64 + (out_channels % 64 >= 8 ? 1 : 0) +
+           (out_channels % 8 != 0 ? 1 : 0);
+}
+
+namespace {
+
+/// Output channels [begin, begin + width) of event block `b`.
+struct OcBlock {
+    std::int64_t begin = 0;
+    std::int64_t width = 0;
+};
+
+OcBlock oc_block(std::int64_t oc, std::int64_t b) noexcept {
+    const std::int64_t full = oc / 64;
+    if (b < full) return {b * 64, 64};
+    const std::int64_t grouped = oc % 64 / 8 * 8;
+    if (b == full && grouped > 0) return {full * 64, grouped};
+    return {oc - oc % 8, oc % 8};
+}
+
+struct EventConv {
+    const std::int8_t* wt = nullptr;  ///< block_conv layout
+    const SpikeIndex* in = nullptr;
+    std::int32_t* psum = nullptr;
+    std::int64_t oc = 0;
+    std::int64_t kernel = 0;
+    std::int64_t stride = 0;
+    std::int64_t padding = 0;
+    std::int64_t out_w = 0;
+    std::int64_t patch = 0;  ///< IC * k * k: weight rows per block
+};
+
+/// Call visit(channels, count, tap) for every in-bounds site of output
+/// position (y, x)'s receptive field, where tap = ky * k + kx.
+template <typename Visit>
+inline void for_each_site(const EventConv& e, std::int64_t y, std::int64_t x,
+                          Visit&& visit) {
+    const std::int64_t iy0 = y * e.stride - e.padding;
+    const std::int64_t ix0 = x * e.stride - e.padding;
+    const std::int64_t ky1 = std::min(e.kernel, e.in->height() - iy0);
+    const std::int64_t kx1 = std::min(e.kernel, e.in->width() - ix0);
+    for (std::int64_t ky = std::max<std::int64_t>(0, -iy0); ky < ky1; ++ky) {
+        for (std::int64_t kx = std::max<std::int64_t>(0, -ix0); kx < kx1; ++kx) {
+            const std::int64_t site = (iy0 + ky) * e.in->width() + ix0 + kx;
+            visit(e.in->channels(site), e.in->count(site), ky * e.kernel + kx);
+        }
+    }
+}
+
+/// G 8-lane groups of output channels from `o0`, at output positions
+/// [pos_begin, pos_end): the psums live in G vector registers for the
+/// whole receptive field and are stored once.
+template <int G>
+void event_block(const EventConv& e, std::int64_t o0, std::int64_t pos_begin,
+                 std::int64_t pos_end) {
+    constexpr std::int64_t kWidth = G * simd::kLanes;
+    const std::int8_t* block = e.wt + o0 * e.patch;
+    const std::int64_t ic_stride = e.kernel * e.kernel * kWidth;
+    for (std::int64_t pos = pos_begin; pos < pos_end; ++pos) {
+        const std::int64_t y = pos / e.out_w;
+        simd::i32x8 acc[G];
+        for (int g = 0; g < G; ++g) acc[g] = simd::broadcast(0);
+        for_each_site(e, y, pos - y * e.out_w,
+                      [&](const std::uint16_t* channels, std::int64_t n, std::int64_t tap) {
+                          const std::int8_t* rows = block + tap * kWidth;
+                          for (std::int64_t j = 0; j < n; ++j) {
+                              const std::int8_t* w = rows + channels[j] * ic_stride;
+                              for (int g = 0; g < G; ++g) {
+                                  acc[g] = acc[g] + simd::load_i8(w + g * simd::kLanes);
+                              }
+                          }
+                      });
+        std::int32_t* out = e.psum + pos * e.oc + o0;
+        for (int g = 0; g < G; ++g) simd::store(out + g * simd::kLanes, acc[g]);
+    }
+}
+
+/// The scalar tail: fewer than 8 output channels from `o0`.
+void event_tail(const EventConv& e, std::int64_t o0, std::int64_t width,
+                std::int64_t pos_begin, std::int64_t pos_end) {
+    const std::int8_t* block = e.wt + o0 * e.patch;
+    const std::int64_t ic_stride = e.kernel * e.kernel * width;
+    for (std::int64_t pos = pos_begin; pos < pos_end; ++pos) {
+        const std::int64_t y = pos / e.out_w;
+        std::int32_t acc[simd::kLanes] = {};
+        for_each_site(e, y, pos - y * e.out_w,
+                      [&](const std::uint16_t* channels, std::int64_t n, std::int64_t tap) {
+                          const std::int8_t* rows = block + tap * width;
+                          for (std::int64_t j = 0; j < n; ++j) {
+                              const std::int8_t* w = rows + channels[j] * ic_stride;
+                              for (std::int64_t o = 0; o < width; ++o) acc[o] += w[o];
+                          }
+                      });
+        std::copy(acc, acc + width, e.psum + pos * e.oc + o0);
+    }
+}
+
+}  // namespace
+
+std::vector<std::int8_t> block_conv(const Branch& b) {
+    const std::int64_t oc = b.out_channels;
+    const std::int64_t patch = b.in_channels * b.kernel * b.kernel;
+    std::vector<std::int8_t> wt(static_cast<std::size_t>(patch * oc), 0);
+    for (std::int64_t block = 0; block < conv_event_blocks(oc); ++block) {
+        const OcBlock blk = oc_block(oc, block);
+        std::int8_t* dst = wt.data() + blk.begin * patch;
+        for (std::int64_t p = 0; p < patch; ++p) {
+            for (std::int64_t o = 0; o < blk.width; ++o) {
+                dst[p * blk.width + o] =
+                    b.weights[static_cast<std::size_t>((blk.begin + o) * patch + p)];
+            }
+        }
+    }
+    return wt;
+}
+
+void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
+                     const SpikeIndex& in, std::int64_t out_h, std::int64_t out_w,
+                     std::int64_t unit_begin, std::int64_t unit_end,
                      std::span<std::int32_t> psum) {
-    conv_psum_chunk_oc(b, wt, in, out_h, out_w, ic_begin, ic_end, 0, b.out_channels,
-                       psum);
+    const EventConv e{.wt = wt.data(),
+                      .in = &in,
+                      .psum = psum.data(),
+                      .oc = b.out_channels,
+                      .kernel = b.kernel,
+                      .stride = b.stride,
+                      .padding = b.padding,
+                      .out_w = out_w,
+                      .patch = b.in_channels * b.kernel * b.kernel};
+    const std::int64_t plane = out_h * out_w;
+    for (std::int64_t u = unit_begin; u < unit_end;) {
+        const std::int64_t block = u / plane;
+        const std::int64_t pos_begin = u - block * plane;
+        const std::int64_t pos_end = std::min(plane, pos_begin + (unit_end - u));
+        const OcBlock blk = oc_block(e.oc, block);
+        switch (blk.width / simd::kLanes) {
+            case 8: event_block<8>(e, blk.begin, pos_begin, pos_end); break;
+            case 7: event_block<7>(e, blk.begin, pos_begin, pos_end); break;
+            case 6: event_block<6>(e, blk.begin, pos_begin, pos_end); break;
+            case 5: event_block<5>(e, blk.begin, pos_begin, pos_end); break;
+            case 4: event_block<4>(e, blk.begin, pos_begin, pos_end); break;
+            case 3: event_block<3>(e, blk.begin, pos_begin, pos_end); break;
+            case 2: event_block<2>(e, blk.begin, pos_begin, pos_end); break;
+            case 1: event_block<1>(e, blk.begin, pos_begin, pos_end); break;
+            default: event_tail(e, blk.begin, blk.width, pos_begin, pos_end); break;
+        }
+        u += pos_end - pos_begin;
+    }
 }
 
 void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
@@ -71,61 +267,6 @@ void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
     }
 }
 
-void conv_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
-               std::int64_t out_h, std::int64_t out_w, std::span<std::int32_t> psum) {
-    std::fill(psum.begin(), psum.end(), 0);
-    conv_psum_chunk(b, wt, in, out_h, out_w, 0, b.in_channels, psum);
-}
-
-void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                       std::span<std::int32_t> psum) {
-    std::fill(psum.begin(), psum.end(), 0);
-    conv_psum_scatter_words(b, wt, in, out_h, out_w, 0,
-                            static_cast<std::int64_t>(in.raw().size()), psum);
-}
-
-void conv_psum_scatter_words(const Branch& b, const std::vector<std::int8_t>& wt,
-                             const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                             std::int64_t word_begin, std::int64_t word_end,
-                             std::span<std::int32_t> psum) {
-    const std::int64_t oc = b.out_channels;
-    const std::int64_t in_w = in.width();
-    const std::int64_t plane = in.height() * in_w;
-    in.for_each_spike(word_begin, word_end, [&](std::int64_t flat) {
-        const std::int64_t ic = flat / plane;
-        const std::int64_t rem = flat - ic * plane;
-        const std::int64_t iy = rem / in_w;
-        const std::int64_t ix = rem - iy * in_w;
-        const std::int8_t* wplane = wt.data() + ic * b.kernel * b.kernel * oc;
-        for (std::int64_t ky = 0; ky < b.kernel; ++ky) {
-            // Output rows hit by this spike: y * stride + ky - padding == iy.
-            const std::int64_t ty = iy + b.padding - ky;
-            if (ty < 0) break;  // ty only decreases with ky
-            if (ty % b.stride != 0) continue;
-            const std::int64_t y = ty / b.stride;
-            if (y >= out_h) continue;
-            const std::int8_t* wrow_y = wplane + ky * b.kernel * oc;
-            std::int32_t* prow_y = psum.data() + y * out_w * oc;
-            for (std::int64_t kx = 0; kx < b.kernel; ++kx) {
-                const std::int64_t tx = ix + b.padding - kx;
-                if (tx < 0) break;
-                if (tx % b.stride != 0) continue;
-                const std::int64_t x = tx / b.stride;
-                if (x >= out_w) continue;
-                const std::int8_t* wrow = wrow_y + kx * oc;
-                std::int32_t* prow = prow_y + x * oc;
-                for (std::int64_t o = 0; o < oc; ++o) prow[o] += wrow[o];
-            }
-        }
-    });
-}
-
-void linear_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
-                 std::span<std::int32_t> psum) {
-    linear_psum_range(b, wt, in, 0, b.out_features, psum);
-}
-
 void linear_psum_range(const Branch& b, const std::vector<std::int8_t>& wt,
                        const SpikeMap& in, std::int64_t f_begin, std::int64_t f_end,
                        std::span<std::int32_t> psum) {
@@ -152,21 +293,12 @@ void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
 
 namespace {
 
-/// Sum of element `i` over every source bank.
-inline std::int32_t sum_at(std::span<const std::int32_t* const> banks,
-                           std::int64_t i) noexcept {
-    std::int32_t v = 0;
-    for (const std::int32_t* bank : banks) v += bank[i];
-    return v;
-}
-
 /// Scalar tile transpose (the remainder path, and the whole path when
 /// no shuffle support is compiled in): 16x16 int32 tiles keep both
 /// faces in L1 while the writes stay sequential runs.
-void transpose_tile_scalar(std::span<const std::int32_t* const> hwc, std::int32_t* chw,
-                           std::int64_t channels, std::int64_t plane,
-                           std::int64_t p0, std::int64_t p_end, std::int64_t c0,
-                           std::int64_t c_end) {
+void transpose_tile_scalar(const std::int32_t* hwc, std::int32_t* chw, std::int64_t channels,
+                           std::int64_t plane, std::int64_t p0, std::int64_t p_end,
+                           std::int64_t c0, std::int64_t c_end) {
     constexpr std::int64_t kTile = 16;
     for (std::int64_t pt = p0; pt < p_end; pt += kTile) {
         const std::int64_t p1 = std::min(pt + kTile, p_end);
@@ -174,9 +306,7 @@ void transpose_tile_scalar(std::span<const std::int32_t* const> hwc, std::int32_
             const std::int64_t c1 = std::min(ct + kTile, c_end);
             for (std::int64_t c = ct; c < c1; ++c) {
                 std::int32_t* crow = chw + c * plane;
-                for (std::int64_t p = pt; p < p1; ++p) {
-                    crow[p] = sum_at(hwc, p * channels + c);
-                }
+                for (std::int64_t p = pt; p < p1; ++p) crow[p] = hwc[p * channels + c];
             }
         }
     }
@@ -184,9 +314,8 @@ void transpose_tile_scalar(std::span<const std::int32_t* const> hwc, std::int32_
 
 }  // namespace
 
-void transpose_hwc_to_chw(std::span<const std::int32_t* const> hwc, std::int32_t* chw,
-                          std::int64_t channels, std::int64_t plane, std::int64_t c_begin,
-                          std::int64_t c_end) {
+void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw, std::int64_t channels,
+                          std::int64_t plane, std::int64_t c_begin, std::int64_t c_end) {
 #if defined(SIA_SIMD_SHUFFLE)
     // Bulk: 8x8 register-resident tiles through the shuffle network;
     // the ragged right/bottom edges fall back to the scalar tiles.
@@ -200,11 +329,7 @@ void transpose_hwc_to_chw(std::span<const std::int32_t* const> hwc, std::int32_t
         for (std::int64_t p0 = 0; p0 < p8; p0 += 8) {
             simd::i32x8 rows[8];
             simd::i32x8 cols[8];
-            for (int k = 0; k < 8; ++k) {
-                const std::int64_t at = (p0 + k) * channels + c0;
-                rows[k] = simd::load(hwc[0] + at);
-                for (std::size_t s = 1; s < hwc.size(); ++s) rows[k] += simd::load(hwc[s] + at);
-            }
+            for (int k = 0; k < 8; ++k) rows[k] = simd::load(hwc + (p0 + k) * channels + c0);
             simd::transpose8x8(rows, cols);
             for (int j = 0; j < 8; ++j) {
                 simd::store(chw + (c0 + j) * plane + p0, cols[j]);

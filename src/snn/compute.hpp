@@ -2,9 +2,13 @@
 //
 // Both the functional engine (snn::FunctionalEngine) and the
 // cycle-accurate hardware simulator (sim::Sia) perform their numerics
-// through these functions — one implementation, two schedulers — which
-// is what makes the bit-exact software/hardware co-verification a
-// structural property rather than a testing aspiration.
+// through these functions. They call different psum kernels — the
+// engine the output-stationary event kernel, Sia the dense gather in
+// its chunked, channel-sliced schedule — but every kernel performs the
+// same multiset of exact int32 additions, and both engines share the
+// aggregate and neuron-update arithmetic below. That is what makes the
+// bit-exact software/hardware co-verification a structural property
+// rather than a testing aspiration.
 #pragma once
 
 #include <cstdint>
@@ -20,92 +24,122 @@ namespace sia::snn::compute {
 /// Transpose conv weights [OC][IC][k][k] -> [IC*k*k][OC] (gather layout).
 [[nodiscard]] std::vector<std::int8_t> transpose_conv(const Branch& b);
 
+/// Event-kernel layout of conv weights: the output-channel blocks of
+/// conv_event_blocks one after another, each [IC][k][k][block width],
+/// so every block's weight slice is contiguous. (In the transpose_conv
+/// layout a 64-lane block's rows sit one OC-wide row apart: at OC = 512
+/// its 295 KB slice maps onto an eighth of the cache sets and no longer
+/// fits a 2 MB, 16-way L2.)
+[[nodiscard]] std::vector<std::int8_t> block_conv(const Branch& b);
+
 /// Transpose linear weights [F][D] -> [D][F].
 [[nodiscard]] std::vector<std::int8_t> transpose_linear(const Branch& b);
 
-/// Gather-form convolution partial sums: scans every output pixel x
-/// input tap and accumulates where the input bit is set, so cost is
-/// O(out_h * out_w * IC * k * k) scan plus O(spikes * k * k * OC) adds
-/// regardless of sparsity. `psum` is HWC ([out_h][out_w][OC], int32)
-/// and is cleared first. Accumulation is exact int32
-/// (order-independent); 16-bit saturation is applied at aggregation
-/// handoff, matching the PE-to-aggregation-core interface.
-void conv_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
-               std::int64_t out_h, std::int64_t out_w, std::span<std::int32_t> psum);
+/// Per-input-site index of a spike map's spiking channels: for every
+/// site (y, x) of the map's plane, how many channels spike there and
+/// which, in ascending order. This is the input side of the event conv
+/// kernel, which visits only these channels inside each receptive
+/// field. Storage is one fixed-capacity row per site ([site][channels],
+/// uint16), so disjoint site ranges fill independently — a tiled
+/// layer-step builds its index as one team job.
+class SpikeIndex {
+public:
+    /// Size the index for `in`'s geometry (reallocating only to grow)
+    /// without filling it. Throws std::invalid_argument when the map has
+    /// more channels than a uint16 entry can name.
+    void reshape(const SpikeMap& in);
+    /// Fill the rows of sites [site_begin, site_end) from `in`'s packed
+    /// words; reshape(in) must have run. Disjoint ranges may be filled
+    /// concurrently.
+    void fill(const SpikeMap& in, std::int64_t site_begin, std::int64_t site_end);
+    /// reshape(in) + fill(in) over every site.
+    void build(const SpikeMap& in);
 
-/// As conv_psum but restricted to input channels [ic_begin, ic_end) and
-/// accumulating into `psum` without clearing — the weight-memory-chunked
-/// schedule of the hardware.
-void conv_psum_chunk(const Branch& b, const std::vector<std::int8_t>& wt,
-                     const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                     std::int64_t ic_begin, std::int64_t ic_end,
+    [[nodiscard]] std::int64_t sites() const noexcept { return height_ * width_; }
+    [[nodiscard]] std::int64_t height() const noexcept { return height_; }
+    [[nodiscard]] std::int64_t width() const noexcept { return width_; }
+    /// Spiking channels at `site`, and the first of them.
+    [[nodiscard]] std::int64_t count(std::int64_t site) const noexcept {
+        return counts_[static_cast<std::size_t>(site)];
+    }
+    [[nodiscard]] const std::uint16_t* channels(std::int64_t site) const noexcept {
+        return channels_.data() + site * capacity_;
+    }
+
+private:
+    std::int64_t capacity_ = 0;  ///< the map's channels: one row's length
+    std::int64_t height_ = 0;
+    std::int64_t width_ = 0;
+    std::vector<std::uint16_t> counts_;
+    std::vector<std::uint16_t> channels_;
+};
+
+/// Work units of the event conv kernel for a layer with `out_channels`
+/// outputs: the output channels fall into blocks of 64 lanes, then one
+/// block of the remaining whole 8-lane groups, then a scalar tail when
+/// out_channels is not a multiple of 8. A unit is one block at one
+/// output position; units are numbered block-major, unit = block *
+/// out_plane + position, so a contiguous unit range walks one block's
+/// weight slice across the output plane before moving to the next.
+[[nodiscard]] std::int64_t conv_event_blocks(std::int64_t out_channels) noexcept;
+
+/// Output-stationary event-driven convolution partial sums over units
+/// [unit_begin, unit_end) (see conv_event_blocks). Each unit keeps its
+/// block's psums in registers, visits only the spiking input channels
+/// of each in-bounds receptive-field site (`in` indexes the input map),
+/// adds each one's int8 weight row (`wt` in the block_conv layout)
+/// widened to int32, and stores the block once into `psum` (HWC,
+/// [out_h][out_w][OC], full-OC stride): no zero-fill, no read-back.
+/// Every psum entry of a unit is written by that unit alone, so
+/// disjoint unit ranges can run concurrently, and the sums are the
+/// exact int32 additions every other conv kernel here performs
+/// (bit-identical to conv_psum_chunk_oc over the full ranges on a
+/// zeroed bank).
+void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
+                     const SpikeIndex& in, std::int64_t out_h, std::int64_t out_w,
+                     std::int64_t unit_begin, std::int64_t unit_end,
                      std::span<std::int32_t> psum);
 
-/// As conv_psum_chunk but additionally restricted to output channels
-/// [oc_begin, oc_end) — the channel-parallel shard schedule, where each
-/// accelerator owns a contiguous slice of a layer's output channels.
-/// `psum` keeps the full-OC HWC stride; only the slice's entries are
-/// touched, and each touched entry receives exactly the additions the
-/// unsliced kernel performs (int32, order-independent), so disjoint
-/// slices compose bit-identically to one full pass.
+/// Dense-gather convolution partial sums restricted to input channels
+/// [ic_begin, ic_end) and output channels [oc_begin, oc_end),
+/// accumulating into `psum` without clearing: scans every output pixel
+/// x input tap and accumulates where the input bit is set. This is the
+/// weight-memory-chunked, channel-parallel schedule sim::Sia runs, and
+/// the dense reference the event kernel is tested against. `psum` keeps
+/// the full-OC HWC stride; only the slice's entries are touched, and
+/// each receives exactly the additions the unsliced kernel performs
+/// (int32, order-independent), so disjoint slices compose bit-identically
+/// to one full pass.
 void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
                         const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
                         std::int64_t ic_begin, std::int64_t ic_end,
                         std::int64_t oc_begin, std::int64_t oc_end,
                         std::span<std::int32_t> psum);
 
-/// Scatter-form (truly event-driven) convolution partial sums: iterates
-/// the input's spike events via the packed-word iterator and scatters
-/// each spike's [k][k][OC] weight rows into the output windows it
-/// touches — O(spikes * k * k * OC) with no dense scan, so cost scales
-/// with activity. Bit-identical to conv_psum: both perform the same
-/// multiset of exact int32 additions, which are order-independent.
-void conv_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                       std::span<std::int32_t> psum);
-
-/// As conv_psum_scatter but visiting only the spikes in packed input
-/// words [word_begin, word_end) and accumulating into `psum` without
-/// clearing — one input range of a tiled layer-step. Disjoint ranges
-/// that cover every word compose bit-identically to one full pass.
-void conv_psum_scatter_words(const Branch& b, const std::vector<std::int8_t>& wt,
-                             const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                             std::int64_t word_begin, std::int64_t word_end,
-                             std::span<std::int32_t> psum);
-
-/// Gather-form fully-connected partial sums ([F], cleared first): scans
-/// every input feature's bit and accumulates the set ones.
-void linear_psum(const Branch& b, const std::vector<std::int8_t>& wt, const SpikeMap& in,
-                 std::span<std::int32_t> psum);
-
-/// As linear_psum but restricted to output features [f_begin, f_end) —
-/// the channel-parallel shard schedule for FC layers. `psum` keeps the
-/// full-F layout; only the slice's entries are cleared and accumulated,
-/// bit-identically to the matching entries of one full pass.
+/// Gather-form fully-connected partial sums restricted to output
+/// features [f_begin, f_end) — the channel-parallel shard schedule for
+/// FC layers. `psum` keeps the full-F layout; only the slice's entries
+/// are cleared and accumulated, bit-identically to the matching entries
+/// of one full pass.
 void linear_psum_range(const Branch& b, const std::vector<std::int8_t>& wt,
                        const SpikeMap& in, std::int64_t f_begin, std::int64_t f_end,
                        std::span<std::int32_t> psum);
 
-/// Scatter-form fully-connected partial sums: word-skips the packed
-/// input to visit only spike events, accumulating each spike's [F]
-/// weight row. Bit-identical to linear_psum (same adds, same ascending
-/// feature order).
+/// Scatter-form fully-connected partial sums ([F], cleared first):
+/// word-skips the packed input to visit only spike events, accumulating
+/// each spike's [F] weight row. Bit-identical to linear_psum_range over
+/// every feature (same adds, same ascending feature order).
 void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
                          const SpikeMap& in, std::span<std::int32_t> psum);
 
 /// Cache-blocked [plane][channels] -> [channels][plane] int32 transpose:
-/// reorders HWC psum accumulation banks into the CHW order the fused
-/// fire kernels (and the packed SpikeMap bit layout) use. Each output
-/// element is the sum of the matching element of every bank in `hwc`
-/// (one bank for a serial layer-step; one per participant of a tiled
-/// one, whose partial psums add exactly). Only channels [c_begin,
-/// c_end) of `chw` are written, so disjoint channel ranges can be
-/// transposed concurrently; `chw` may be padded past channels * plane.
-/// With plane == 1 or channels == 1 the two orders coincide and this
-/// is an elementwise sum.
-void transpose_hwc_to_chw(std::span<const std::int32_t* const> hwc, std::int32_t* chw,
-                          std::int64_t channels, std::int64_t plane, std::int64_t c_begin,
-                          std::int64_t c_end);
+/// reorders an HWC psum accumulation bank into the CHW order the fused
+/// fire kernels (and the packed SpikeMap bit layout) use. Only channels
+/// [c_begin, c_end) of `chw` are written, so disjoint channel ranges can
+/// be transposed concurrently; `chw` may be padded past channels *
+/// plane.
+void transpose_hwc_to_chw(const std::int32_t* hwc, std::int32_t* chw, std::int64_t channels,
+                          std::int64_t plane, std::int64_t c_begin, std::int64_t c_end);
 
 /// Inputs of the fused aggregate+fire kernels. All banks are flat CHW,
 /// 64-byte aligned, padded to a 64-neuron multiple with zero psum and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -17,7 +16,12 @@ namespace {
 /// than participants: the shared cursor then balances uneven tiles, and
 /// a helper that falls behind (preempted mid-tile) holds up only a small
 /// share of the step.
-constexpr std::size_t kTilesPerParticipant = 4;
+constexpr std::int64_t kTilesPerParticipant = 4;
+
+/// Fewest input sites one index-building tile takes: every tile visits
+/// each channel's packed words over its site range, so thinner ranges
+/// repeat that per-channel cost without dividing much spike work.
+constexpr std::int64_t kMinIndexSites = 16;
 
 /// The fused kernels' arguments for layer `layer`'s whole fire stage:
 /// CHW fire banks, the per-channel coefficient arrays, and the residual
@@ -100,9 +104,9 @@ FunctionalEngine::FunctionalEngine(const SnnModel& model, EngineConfig config)
     for (std::size_t i = 0; i < n; ++i) {
         const SnnLayer& layer = model_.layers[i];
         if (layer.op == LayerOp::kConv) {
-            main_wt_[i] = compute::transpose_conv(layer.main);
+            main_wt_[i] = compute::block_conv(layer.main);
             if (layer.has_skip() && !layer.skip_is_identity) {
-                skip_wt_[i] = compute::transpose_conv(layer.skip);
+                skip_wt_[i] = compute::block_conv(layer.skip);
             }
         } else {
             main_wt_[i] = compute::transpose_linear(layer.main);
@@ -180,18 +184,6 @@ void FunctionalEngine::restore_session(const SessionState& session) {
     reset_stats();
 }
 
-bool FunctionalEngine::use_scatter(const SpikeMap& in) const noexcept {
-    switch (config_.dispatch) {
-        case DispatchMode::kDense: return false;
-        case DispatchMode::kScatter: return true;
-        case DispatchMode::kAdaptive: break;
-    }
-    const std::int64_t sites = in.size();
-    return sites > 0 &&
-           static_cast<double>(in.count()) <
-               config_.scatter_density_threshold * static_cast<double>(sites);
-}
-
 const SpikeMap& FunctionalEngine::source_spikes(int src, const SpikeMap& input) const {
     return src == -1 ? input : spikes_.at(static_cast<std::size_t>(src));
 }
@@ -232,100 +224,79 @@ bool FunctionalEngine::splits(const SnnLayer& layer, const SpikeMap& input) cons
                kTileMinWork;
 }
 
-void FunctionalEngine::add_input_tiles(const SpikeMap& in, bool scatter, bool skip,
-                                       std::int64_t in_channels, std::size_t max_tiles) {
-    if (!scatter) {
-        // Gather: the scan costs the same per input channel, so cut the
-        // channels evenly (conv_psum_chunk's ic range).
-        const auto tiles = std::min<std::int64_t>(in_channels,
-                                                  static_cast<std::int64_t>(max_tiles));
-        for (std::int64_t t = 0; t < tiles; ++t) {
-            tiles_.push_back({in_channels * t / tiles, in_channels * (t + 1) / tiles, skip,
-                              false});
-        }
-        return;
-    }
-    // Scatter: cost follows the spikes, so cut the packed words where the
-    // running spike count crosses each 1/max_tiles share of the total.
-    const std::vector<std::uint64_t>& words = in.raw();
-    const auto parts = static_cast<std::int64_t>(max_tiles);
-    const std::int64_t total = in.count();
-    std::int64_t seen = 0;
-    std::int64_t share = 1;
-    std::int64_t begin = 0;
-    for (std::size_t w = 0; w < words.size() && seen < total; ++w) {
-        seen += std::popcount(words[w]);
-        if (seen * parts < share * total) continue;
-        const auto end = static_cast<std::int64_t>(w) + 1;
-        tiles_.push_back({begin, end, skip, true});
-        begin = end;
-        while (share * total <= seen * parts) ++share;
-    }
-}
-
 void FunctionalEngine::step_tiled(std::size_t index, const SpikeMap& input) {
     const SnnLayer& layer = model_.layers[index];
     LayerState& st = state_[index];
     TileTeam& team = *team_;
-    const std::size_t parts = team.participants();
-    const std::size_t max_tiles = kTilesPerParticipant * parts;
+    const auto parts = static_cast<std::int64_t>(team.participants());
+    const std::int64_t max_tiles = kTilesPerParticipant * parts;
     const SpikeMap* skip_spikes = skip_source(layer);
     const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
-    const auto n = static_cast<std::size_t>(st.neurons);
 
-    // Phase A, split the input: each participant accumulates the input
-    // ranges it takes into its own HWC banks (main, then skip) in team
-    // scratch, zeroed on its first tile, so no two participants ever
-    // write the same psum. Same per-step scatter/gather choice as the
-    // serial path, per branch.
-    const bool scatter = use_scatter(input);
-    tiles_.clear();
-    add_input_tiles(input, scatter, false, layer.main.in_channels, max_tiles);
+    // Phase A1, index the input: each tile fills a range of input sites
+    // (main input, then the conv skip's), so rows never overlap. A range
+    // of fewer than kMinIndexSites sites would cost more in per-channel
+    // word visits than it saves.
+    const auto site_tiles = [&](const compute::SpikeIndex& idx) {
+        return std::clamp<std::int64_t>(idx.sites() / kMinIndexSites, 1, max_tiles);
+    };
+    index_.reshape(input);
+    const std::int64_t main_index_tiles = site_tiles(index_);
+    std::int64_t skip_index_tiles = 0;
     if (conv_skip) {
-        add_input_tiles(*skip_spikes, use_scatter(*skip_spikes), true,
-                        layer.skip.in_channels, max_tiles);
+        skip_index_.reshape(*skip_spikes);
+        skip_index_tiles = site_tiles(skip_index_);
     }
-    const std::size_t bank = conv_skip ? 2 * n : n;
-    team.reserve_scratch(bank);
-    used_.assign(parts, 0);
-    team.run(tiles_.size(), [&](std::size_t t, std::size_t p) {
-        std::int32_t* psum = team.scratch(p);
-        if (used_[p] == 0) {
-            std::fill(psum, psum + bank, 0);
-            used_[p] = 1;
-        }
-        const InputTile& tile = tiles_[t];
-        const Branch& b = tile.skip ? layer.skip : layer.main;
-        const std::vector<std::int8_t>& wt = tile.skip ? skip_wt_[index] : main_wt_[index];
-        const SpikeMap& in = tile.skip ? *skip_spikes : input;
-        const std::span<std::int32_t> out(psum + (tile.skip ? n : 0), n);
-        if (tile.scatter) {
-            compute::conv_psum_scatter_words(b, wt, in, layer.out_h, layer.out_w, tile.begin,
-                                             tile.end, out);
-        } else {
-            compute::conv_psum_chunk(b, wt, in, layer.out_h, layer.out_w, tile.begin,
-                                     tile.end, out);
-        }
-    });
+    team.run(static_cast<std::size_t>(main_index_tiles + skip_index_tiles),
+             [&](std::size_t tile, std::size_t) {
+                 auto t = static_cast<std::int64_t>(tile);
+                 const bool skip = t >= main_index_tiles;
+                 if (skip) t -= main_index_tiles;
+                 compute::SpikeIndex& idx = skip ? skip_index_ : index_;
+                 const std::int64_t n = skip ? skip_index_tiles : main_index_tiles;
+                 idx.fill(skip ? *skip_spikes : input, idx.sites() * t / n,
+                          idx.sites() * (t + 1) / n);
+             });
 
-    // Phase B, split the output: channel ranges that start both on a
-    // packed spike word and on one of the transpose's 8-channel blocks
+    // Phase A2, split the output: event-kernel unit ranges, block-major,
+    // written straight into the layer's HWC banks (a unit is stored by
+    // exactly one tile). With at least two channel blocks per
+    // participant, tiles take whole blocks, so each block's weight
+    // slice streams through one core; otherwise they split the units
+    // evenly.
+    const std::int64_t blocks = compute::conv_event_blocks(layer.out_channels);
+    const std::int64_t grain = blocks >= 2 * parts ? st.plane : 1;
+    const std::int64_t grains = blocks * st.plane / grain;
+    const std::int64_t psum_tiles = std::min(grains, max_tiles);
+    team.run(static_cast<std::size_t>(conv_skip ? 2 * psum_tiles : psum_tiles),
+             [&](std::size_t tile, std::size_t) {
+                 auto t = static_cast<std::int64_t>(tile);
+                 const bool skip = t >= psum_tiles;
+                 if (skip) t -= psum_tiles;
+                 const std::int64_t u0 = grains * t / psum_tiles * grain;
+                 const std::int64_t u1 = grains * (t + 1) / psum_tiles * grain;
+                 if (skip) {
+                     compute::conv_psum_event(layer.skip, skip_wt_[index], skip_index_,
+                                              layer.out_h, layer.out_w, u0, u1,
+                                              st.skip_accum());
+                 } else {
+                     compute::conv_psum_event(layer.main, main_wt_[index], index_, layer.out_h,
+                                              layer.out_w, u0, u1, st.accum());
+                 }
+             });
+
+    // Phase B, split the output again: channel ranges that start both on
+    // a packed spike word and on one of the transpose's 8-channel blocks
     // (multiples of 8 channels for planes of 64 or more, of 16 for 2x2,
-    // of 64 for 1x1). Each range sums the participants' banks while
-    // transposing HWC to CHW, then fires; fire tiles write raw words and
-    // return their spike counts, and the map's count is set once here.
-    sources_.clear();
-    skip_sources_.clear();
-    for (std::size_t p = 0; p < parts; ++p) {
-        if (used_[p] == 0) continue;
-        sources_.push_back(team.scratch(p));
-        if (conv_skip) skip_sources_.push_back(team.scratch(p) + n);
-    }
+    // of 64 for 1x1). Each range transposes its channels from HWC to CHW
+    // (when the orders differ), then fires; fire tiles write raw words
+    // and return their spike counts, and the map's count is set once
+    // here.
     const compute::FireArgs args = fire_args(layer, st, skip_spikes);
     const std::int64_t step =
         std::max<std::int64_t>(8, simd::kBlock / std::gcd(st.plane, simd::kBlock));
     const std::int64_t groups = (st.channels + step - 1) / step;
-    const std::int64_t ranges = std::min(groups, static_cast<std::int64_t>(max_tiles));
+    const std::int64_t ranges = std::min(groups, max_tiles);
     SpikeMap& out = spikes_[index];
     std::uint64_t* words = out.words();
     std::atomic<std::int64_t> fired{0};
@@ -333,11 +304,13 @@ void FunctionalEngine::step_tiled(std::size_t index, const SpikeMap& input) {
         const auto r = static_cast<std::int64_t>(t);
         const std::int64_t c0 = std::min(st.channels, groups * r / ranges * step);
         const std::int64_t c1 = std::min(st.channels, groups * (r + 1) / ranges * step);
-        compute::transpose_hwc_to_chw(sources_, st.psum.data(), st.channels, st.plane, c0,
-                                      c1);
-        if (conv_skip) {
-            compute::transpose_hwc_to_chw(skip_sources_, st.skip_psum.data(), st.channels,
+        if (st.interleaved) {
+            compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels,
                                           st.plane, c0, c1);
+            if (conv_skip) {
+                compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
+                                              st.channels, st.plane, c0, c1);
+            }
         }
         fired.fetch_add(fire(layer, args.channel_slice(c0, c1),
                              words + c0 * st.plane / simd::kBlock),
@@ -345,50 +318,37 @@ void FunctionalEngine::step_tiled(std::size_t index, const SpikeMap& input) {
     });
     out.set_count(fired.load(std::memory_order_relaxed));
 
-    LayerDispatchStats& d = dispatch_[index];
-    ++(scatter ? d.scatter_steps : d.dense_steps);
-    d.input_spikes += input.count();
-    d.input_sites += input.size();
-    ++d.vector_fire_steps;
+    count_step(index, input);
+    ++dispatch_[index].vector_fire_steps;
     spike_counts_[index] += out.count();
 }
 
-bool FunctionalEngine::dispatch_conv(const Branch& b, const std::vector<std::int8_t>& wt,
-                                     const SpikeMap& in, std::int64_t out_h,
-                                     std::int64_t out_w,
-                                     std::span<std::int32_t> psum) {
-    const bool scatter = use_scatter(in);
-    if (scatter) {
-        compute::conv_psum_scatter(b, wt, in, out_h, out_w, psum);
-    } else {
-        compute::conv_psum(b, wt, in, out_h, out_w, psum);
-    }
-    return scatter;
+void FunctionalEngine::count_step(std::size_t index, const SpikeMap& input) {
+    LayerDispatchStats& d = dispatch_[index];
+    ++d.scatter_steps;
+    d.input_spikes += input.count();
+    d.input_sites += input.size();
 }
 
 void FunctionalEngine::run_conv_layer(std::size_t index, const SpikeMap& input) {
     const SnnLayer& layer = model_.layers[index];
-    LayerDispatchStats& d = dispatch_[index];
-    const bool scatter = dispatch_conv(layer.main, main_wt_[index], input, layer.out_h,
-                                       layer.out_w, state_[index].accum());
-    ++(scatter ? d.scatter_steps : d.dense_steps);
-    d.input_spikes += input.count();
-    d.input_sites += input.size();
+    LayerState& st = state_[index];
+    const std::int64_t units = compute::conv_event_blocks(layer.out_channels) * st.plane;
+    index_.build(input);
+    compute::conv_psum_event(layer.main, main_wt_[index], index_, layer.out_h, layer.out_w, 0,
+                             units, st.accum());
+    if (layer.has_skip() && !layer.skip_is_identity) {
+        skip_index_.build(*skip_source(layer));
+        compute::conv_psum_event(layer.skip, skip_wt_[index], skip_index_, layer.out_h,
+                                 layer.out_w, 0, units, st.skip_accum());
+    }
+    count_step(index, input);
 }
 
 void FunctionalEngine::run_linear_layer(std::size_t index, const SpikeMap& input) {
     const SnnLayer& layer = model_.layers[index];
-    LayerDispatchStats& d = dispatch_[index];
-    const bool scatter = use_scatter(input);
-    if (scatter) {
-        compute::linear_psum_scatter(layer.main, main_wt_[index], input,
-                                     state_[index].accum());
-    } else {
-        compute::linear_psum(layer.main, main_wt_[index], input, state_[index].accum());
-    }
-    ++(scatter ? d.scatter_steps : d.dense_steps);
-    d.input_spikes += input.count();
-    d.input_sites += input.size();
+    compute::linear_psum_scatter(layer.main, main_wt_[index], input, state_[index].accum());
+    count_step(index, input);
 }
 
 void FunctionalEngine::integrate_and_fire(std::size_t index) {
@@ -409,14 +369,7 @@ void FunctionalEngine::integrate_and_fire(std::size_t index) {
         return;
     }
 
-    // Resolve the residual source and accumulate the downsample psum.
     const SpikeMap* skip_spikes = skip_source(layer);
-    if (layer.has_skip() && !layer.skip_is_identity) {
-        // Same density-adaptive choice as the main branch (counters
-        // track the main branch only; the downsample rides along).
-        (void)dispatch_conv(layer.skip, skip_wt_[index], *skip_spikes, layer.out_h,
-                            layer.out_w, st.skip_accum());
-    }
 
     if (config_.fire == FirePath::kScalar) {
         fire_scalar(index, skip_spikes);
@@ -436,13 +389,11 @@ void FunctionalEngine::fire_vector(std::size_t index, const SpikeMap* skip_spike
     // Reorder the HWC accumulation banks into the CHW fire banks; when
     // the orders coincide the kernels already accumulated in place.
     if (st.interleaved) {
-        const std::int32_t* main_bank = st.psum_hwc.data();
-        compute::transpose_hwc_to_chw({&main_bank, 1}, st.psum.data(), st.channels, st.plane,
+        compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels, st.plane,
                                       0, st.channels);
         if (conv_skip) {
-            const std::int32_t* skip_bank = st.skip_psum_hwc.data();
-            compute::transpose_hwc_to_chw({&skip_bank, 1}, st.skip_psum.data(), st.channels,
-                                          st.plane, 0, st.channels);
+            compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
+                                          st.channels, st.plane, 0, st.channels);
         }
     }
 

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "snn/compute.hpp"
 #include "snn/exit.hpp"
 #include "snn/layer_state.hpp"
 #include "snn/model.hpp"
@@ -29,19 +30,9 @@ namespace sia::snn {
 /// readout comparator tree implements).
 [[nodiscard]] std::size_t argmax_first(std::span<const std::int64_t> logits) noexcept;
 
-/// Which psum kernel form FunctionalEngine uses per layer per timestep.
-enum class DispatchMode : std::uint8_t {
-    /// Per layer per timestep: scatter when the input map's density
-    /// (O(1) spike count / sites) is below the configured threshold,
-    /// dense gather otherwise.
-    kAdaptive,
-    kDense,    ///< always the gather kernels (the pre-dispatch behaviour)
-    kScatter,  ///< always the scatter kernels
-};
-
-/// Which fire-stage implementation FunctionalEngine runs. Like the psum
-/// dispatch, both paths are bit-identical (spikes, membranes, logits) —
-/// the choice only trades throughput.
+/// Which fire-stage implementation FunctionalEngine runs. Both paths are
+/// bit-identical (spikes, membranes, logits); the choice only trades
+/// throughput.
 enum class FirePath : std::uint8_t {
     /// Fused SoA kernels (compute::aggregate_fire_*): 64 neurons per
     /// iteration, spike words emitted directly. The default.
@@ -52,17 +43,8 @@ enum class FirePath : std::uint8_t {
     kScalar,
 };
 
-/// Execution knobs of FunctionalEngine. Both paths of either knob are
-/// bit-identical, so this only trades throughput, never results.
+/// Execution knobs of FunctionalEngine. Neither changes results.
 struct EngineConfig {
-    DispatchMode dispatch = DispatchMode::kAdaptive;
-    /// kAdaptive: input densities strictly below this run the scatter
-    /// kernels. Default calibrated with bench/engine_hotpath: scatter
-    /// wins decisively at paper-realistic 5-15% rates (2-5x on VGG conv
-    /// shapes) and stays ahead through ~25%; the dense scan is only
-    /// competitive once maps approach half-full, so that is where the
-    /// adaptive path falls back to it.
-    double scatter_density_threshold = 0.5;
     /// Fire-stage implementation (vectorized fused kernels vs scalar
     /// reference loop).
     FirePath fire = FirePath::kVector;
@@ -77,9 +59,8 @@ struct EngineConfig {
 /// Work threshold of intra-inference tiling: with a TileTeam lent (see
 /// TeamLoan), a spiking conv layer-step whose input spike count x k^2 x
 /// OC reaches this many MACs is split across the team; lighter steps
-/// run serially, since a split's fixed cost (publishing two jobs,
-/// zeroing and summing per-participant psum banks) would eat their
-/// gain. The spike count is the O(1) observable adaptive dispatch reads.
+/// run serially, since a split's fixed cost (publishing three jobs) would
+/// eat their gain. The spike count is the map's O(1) observable.
 inline constexpr std::int64_t kTileMinWork = std::int64_t{1} << 19;
 
 /// True when some spiking conv layer of `model` can reach kTileMinWork,
@@ -87,10 +68,12 @@ inline constexpr std::int64_t kTileMinWork = std::int64_t{1} << 19;
 /// the model ever splits, and lending its engines a team is pointless.
 [[nodiscard]] bool tiling_possible(const SnnModel& model) noexcept;
 
-/// Per-layer dispatch counters accumulated across step() calls.
+/// Per-layer step counters accumulated across step() calls.
 struct LayerDispatchStats {
-    std::int64_t dense_steps = 0;    ///< timesteps run through the gather kernel
-    std::int64_t scatter_steps = 0;  ///< timesteps run through the scatter kernel
+    /// Always 0: every psum step is event-driven. bench/e2e's report
+    /// still reads it.
+    std::int64_t dense_steps = 0;
+    std::int64_t scatter_steps = 0;  ///< timesteps run through the event-driven kernels
     std::int64_t vector_fire_steps = 0;  ///< timesteps fired through the fused kernels
     std::int64_t scalar_fire_steps = 0;  ///< timesteps fired through the scalar loop
     std::int64_t input_spikes = 0;   ///< main-branch input spikes summed over steps
@@ -116,7 +99,7 @@ struct RunResult {
     std::vector<std::int64_t> spike_counts;
     /// Neurons per layer (denominator for spike rates).
     std::vector<std::int64_t> neuron_counts;
-    /// Per-layer kernel-dispatch and input-density counters.
+    /// Per-layer kernel and input-density counters.
     std::vector<LayerDispatchStats> layer_dispatch;
     /// Timesteps actually integrated (== steps_offered unless an
     /// ExitCriterion fired first).
@@ -147,8 +130,7 @@ class FunctionalEngine {
 
 public:
     /// Keeps a reference to `model` (must outlive the engine); validates
-    /// it and precomputes the shared transposed weight layouts (used by
-    /// gather and scatter kernels alike).
+    /// it and precomputes the weight layouts the psum kernels read.
     explicit FunctionalEngine(const SnnModel& model, EngineConfig config = {});
 
     /// Full reset: membranes to their initial potential, readout
@@ -244,14 +226,13 @@ private:
     void run_conv_layer(std::size_t index, const SpikeMap& input);
     void run_linear_layer(std::size_t index, const SpikeMap& input);
     void integrate_and_fire(std::size_t index);
+    /// Count one psum step of layer `index` over `input`.
+    void count_step(std::size_t index, const SpikeMap& input);
     /// Whether this layer-step splits across the lent team.
     [[nodiscard]] bool splits(const SnnLayer& layer, const SpikeMap& input) const noexcept;
     /// One conv layer-step split across team_: psum and fire, with the
     /// same spikes, membranes and counters as the serial path.
     void step_tiled(std::size_t index, const SpikeMap& input);
-    /// Input tiles of one branch of a tiled layer-step (appended to tiles_).
-    void add_input_tiles(const SpikeMap& in, bool scatter, bool skip,
-                         std::int64_t in_channels, std::size_t max_tiles);
     /// Fire-stage implementations over the layer's SoA banks; both
     /// update membranes + spikes_[index] identically (spike emission
     /// included), differing only in throughput. `skip_spikes` is the
@@ -263,18 +244,11 @@ private:
     /// skip_src may be -1 (network input) when the stem runs on the
     /// processor-side front end and the first block skips from it.
     [[nodiscard]] const SpikeMap* skip_source(const SnnLayer& layer) const;
-    /// Density-adaptive path choice for one kernel invocation.
-    [[nodiscard]] bool use_scatter(const SpikeMap& in) const noexcept;
-    /// Run one conv psum through the dispatched kernel form; returns
-    /// true when the scatter path was taken.
-    bool dispatch_conv(const Branch& b, const std::vector<std::int8_t>& wt,
-                       const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                       std::span<std::int32_t> psum);
 
     const SnnModel& model_;
     EngineConfig config_;
-    /// Transposed weights per layer branch: [IC*k*k][OC] contiguous in OC
-    /// for cache-friendly gather accumulation.
+    /// Weights per layer branch in the psum kernels' layouts: conv
+    /// compute::block_conv, linear [D][F].
     std::vector<std::vector<std::int8_t>> main_wt_;
     std::vector<std::vector<std::int8_t>> skip_wt_;
 
@@ -284,20 +258,14 @@ private:
     std::vector<std::int64_t> spike_counts_;             // per layer since reset
     std::vector<LayerDispatchStats> dispatch_;           // per layer since reset
     const SpikeMap* current_input_ = nullptr;            // valid during step()
+    /// Spiking-channel indexes of the current conv step's input and of
+    /// its conv skip's input, rebuilt every conv layer-step.
+    compute::SpikeIndex index_;
+    compute::SpikeIndex skip_index_;
 
     /// Intra-inference tiling: the team lent by a TeamLoan (null =
-    /// serial) and per-step scratch reused across tiled steps.
-    struct InputTile {
-        std::int64_t begin = 0;  ///< packed word (scatter) or input channel (gather)
-        std::int64_t end = 0;
-        bool skip = false;       ///< residual downsample branch, else main
-        bool scatter = false;
-    };
+    /// serial).
     TileTeam* team_ = nullptr;
-    std::vector<InputTile> tiles_;
-    std::vector<std::uint8_t> used_;  ///< participant accumulated a psum bank
-    std::vector<const std::int32_t*> sources_;
-    std::vector<const std::int32_t*> skip_sources_;
 };
 
 /// Scoped loan of a TileTeam to one engine, typically for one inference.

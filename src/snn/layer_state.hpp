@@ -14,9 +14,10 @@
 //                          per-lane channel indexing (and channel
 //                          boundaries inside a 64-block need no care)
 //
-// The psum accumulation kernels (conv_psum*/linear_psum*) produce HWC
-// order — their inner loop accumulates a contiguous [OC] weight row per
-// input tap — while the fire stage wants CHW, the SpikeMap bit order.
+// The psum kernels (compute::conv_psum_event, linear_psum_scatter)
+// produce HWC order — the event kernel stores each unit's block of
+// output channels contiguously — while the fire stage wants CHW, the
+// SpikeMap bit order.
 // When the two orders differ (channels > 1 and a spatial plane > 1) the
 // layer carries a separate HWC accumulation bank and the engine runs a
 // cache-blocked transpose (compute::transpose_hwc_to_chw) between the

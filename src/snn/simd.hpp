@@ -1,8 +1,11 @@
-// Portable fixed-width SIMD helpers for the fused fire-stage kernels.
+// Portable fixed-width SIMD helpers for the fused fire-stage kernels
+// and the event conv kernel.
 //
 // The fused aggregate+fire pass (snn::compute::aggregate_fire_*) walks
 // flat CHW neuron banks 64 neurons at a time — one packed SpikeMap word
-// per iteration — as eight groups of eight int32 lanes. On GCC/Clang
+// per iteration — as eight groups of eight int32 lanes; the event conv
+// kernel (snn::compute::conv_psum_event) holds up to eight such groups
+// of psums in registers and adds widened int8 weight rows. On GCC/Clang
 // the lane type compiles to the native vector extensions (SSE2/AVX2
 // depending on -march), everywhere else to a plain struct whose
 // elementwise loops the optimizer can still auto-vectorize; both
@@ -59,6 +62,25 @@ using i16x8 = std::int16_t __attribute__((vector_size(16)));
     i16x8 s;
     std::memcpy(&s, p, sizeof s);
     return __builtin_convertvector(s, i32x8);
+}
+/// Load 8 int8 values sign-extended to int32 lanes: the weight-row read
+/// of the event conv kernel. GCC lowers the generic 8x int8 -> int32
+/// convertvector into per-lane extracts and inserts, which made that
+/// kernel several times slower, so AVX2 builds take the one-instruction
+/// widening load.
+[[nodiscard]] inline i32x8 load_i8(const std::int8_t* p) noexcept {
+#if defined(__AVX2__)
+    const __m256i v =
+        _mm256_cvtepi8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+    i32x8 out;
+    std::memcpy(&out, &v, sizeof out);
+    return out;
+#else
+    using i8x8 = std::int8_t __attribute__((vector_size(8)));
+    i8x8 s;
+    std::memcpy(&s, p, sizeof s);
+    return __builtin_convertvector(s, i32x8);
+#endif
 }
 /// Store int32 lanes narrowed to int16 (values must already be in
 /// int16 range — the kernels clamp before storing).
@@ -152,6 +174,11 @@ struct i32x8 {
     return v;
 }
 [[nodiscard]] inline i32x8 load_i16(const std::int16_t* p) noexcept {
+    i32x8 v;
+    for (int i = 0; i < 8; ++i) v.l[i] = p[i];
+    return v;
+}
+[[nodiscard]] inline i32x8 load_i8(const std::int8_t* p) noexcept {
     i32x8 v;
     for (int i = 0; i < 8; ++i) v.l[i] = p[i];
     return v;

@@ -16,11 +16,11 @@ namespace sia::snn {
 /// Storage is bit-packed into 64-bit words (flat CHW index `i` lives at
 /// bit `i % 64` of word `i / 64`; bits past `size()` in the last word
 /// are always zero), with a maintained set-bit count so `count()` is
-/// O(1) — it is read per layer per timestep by both engines' dispatch
+/// O(1) — it is read per layer per timestep by both engines' counters
 /// and cycle accounting. `for_each_spike` iterates set bits in
 /// ascending flat order by skipping zero words and peeling bits with
-/// count-trailing-zeros; that is the traversal the scatter-form kernels
-/// in snn::compute are built on.
+/// count-trailing-zeros; that is the traversal the scatter-form linear
+/// kernel in snn::compute is built on.
 class SpikeMap {
 public:
     static constexpr std::int64_t kWordBits = 64;
@@ -91,18 +91,10 @@ public:
     /// zero words, ctz + clear-lowest-bit within a word.
     template <typename Visit>
     void for_each_spike(Visit&& visit) const {
-        for_each_spike(0, static_cast<std::int64_t>(words_.size()),
-                       std::forward<Visit>(visit));
-    }
-    /// As for_each_spike, restricted to packed words [word_begin,
-    /// word_end) — the input ranges of a tiled scatter.
-    template <typename Visit>
-    void for_each_spike(std::int64_t word_begin, std::int64_t word_end,
-                        Visit&& visit) const {
-        for (std::int64_t w = word_begin; w < word_end; ++w) {
-            std::uint64_t bits = words_[static_cast<std::size_t>(w)];
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+            std::uint64_t bits = words_[w];
             while (bits != 0) {
-                visit(w * kWordBits + std::countr_zero(bits));
+                visit(static_cast<std::int64_t>(w) * kWordBits + std::countr_zero(bits));
                 bits &= bits - 1;
             }
         }

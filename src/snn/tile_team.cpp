@@ -24,7 +24,7 @@ inline void cpu_relax() noexcept {
 
 }  // namespace
 
-TileTeam::TileTeam(std::size_t helpers) : scratch_(helpers + 1) {
+TileTeam::TileTeam(std::size_t helpers) {
     threads_.reserve(helpers);
     try {
         for (std::size_t i = 0; i < helpers; ++i) {
@@ -47,12 +47,6 @@ void TileTeam::stop_helpers() noexcept {
     }
     park_cv_.notify_all();
     for (auto& t : threads_) t.join();
-}
-
-void TileTeam::reserve_scratch(std::size_t elements) {
-    for (auto& bank : scratch_) {
-        if (bank.size() < elements) bank.assign(elements);
-    }
 }
 
 bool TileTeam::take_tiles(std::size_t participant) {

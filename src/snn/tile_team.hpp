@@ -16,10 +16,6 @@
 //     as the claim is released.
 // A tile's exception is rethrown by run() after the job drains; the
 // team stays usable.
-//
-// The team also owns each participant's int32 scratch bank (the
-// private psum buffers of a tiled layer-step), so engines that share a
-// team share one set of buffers instead of allocating their own.
 #pragma once
 
 #include <atomic>
@@ -31,8 +27,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "snn/simd.hpp"
 
 namespace sia::snn {
 
@@ -74,15 +68,6 @@ public:
         run_job(tiles, job);
     }
 
-    /// Grow every participant's scratch bank to at least `elements`
-    /// int32s (zeroed when it grows). Claim holder only, outside run().
-    void reserve_scratch(std::size_t elements);
-    /// Participant `p`'s scratch bank, 64-byte aligned, at least as long
-    /// as the last reserve_scratch() asked for.
-    [[nodiscard]] std::int32_t* scratch(std::size_t participant) noexcept {
-        return scratch_[participant].data();
-    }
-
 private:
     /// A type-erased tile function, alive on the caller's stack for the
     /// duration of run_job().
@@ -121,7 +106,6 @@ private:
     std::condition_variable park_cv_;
     std::uint64_t wake_seq_ = 0;             ///< bumped to wake parked helpers (park_mutex_)
 
-    std::vector<simd::AlignedVec<std::int32_t>> scratch_;
     std::vector<std::thread> threads_;
 };
 

@@ -1,24 +1,29 @@
-// Dense-gather vs scatter kernel equivalence, the FunctionalEngine's
-// density-adaptive dispatch, and the vector-vs-scalar fire stage.
+// The event-driven conv kernel against the dense gather, the spike
+// index it reads, the engine's step counters, and the vector-vs-scalar
+// fire stage.
 //
-// The load-bearing properties: (1) conv_psum/linear_psum and their
-// *_scatter forms perform the same multiset of exact int32 additions,
-// so psums — and therefore spikes, membranes and logits — are
-// bit-identical no matter which path (or per-step mixture of paths)
-// runs; (2) the fused SoA fire kernels (compute::aggregate_fire_*)
-// execute the same util/fixed_point lane recipe as the scalar
-// aggregate()/update_neuron() loop, so the fire paths are bit-identical
-// too. The matrix here sweeps densities {0, 1 spike, 5%, 50%, 100%} x
-// stride/padding variants x identity/conv skip routing x IF/LIF
-// neurons x subtract/zero reset x every dispatch x fire-path
-// combination, on both word-aligned and odd ("tail") neuron counts.
+// The load-bearing properties: (1) the output-stationary event kernel
+// (compute::conv_psum_event over a compute::SpikeIndex) and the dense
+// gather conv_psum_chunk_oc perform the same multiset of exact int32
+// additions, so psums — and therefore spikes, membranes and logits —
+// are bit-identical whichever kernel a scheduler runs, and any split of
+// the event kernel's units composes to the same bank; (2) the fused SoA
+// fire kernels (compute::aggregate_fire_*) execute the same
+// util/fixed_point lane recipe as the scalar aggregate()/update_neuron()
+// loop, so the fire paths are bit-identical too. The kernel matrix
+// sweeps densities {0, 1 spike, 5%, 50%, 100%} x kernel/stride/padding x
+// output widths that end on every block tail; the engine matrix sweeps
+// the same densities x identity/conv skip routing x IF/LIF neurons x
+// subtract/zero reset x fire path, on both word-aligned and odd
+// ("tail") neuron counts. Bit-identity to sim::Sia, which runs the
+// dense gather, is checked by test_sia_integration and test_properties.
 //
 // Intra-inference tiling (the last section) must leave every one of
 // those observables unchanged: a TeamLoan-tiled engine is compared
 // step by step against the serial engine on full-width VGG-11 and
-// ResNet-18 shapes, across neurons, resets, dispatch modes, team sizes,
-// session windows and early exit, plus the fallbacks (a claimed team,
-// a throwing tile, a threaded server lane).
+// ResNet-18 shapes and on odd channel widths, across neurons, resets,
+// input densities, team sizes, session windows and early exit, plus the
+// fallbacks (a claimed team, a throwing tile, a threaded server lane).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +34,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch_runner.hpp"
@@ -78,43 +84,122 @@ Branch random_conv_branch(std::int64_t ic, std::int64_t oc, std::int64_t kernel,
 
 // ---- Kernel-level equivalence ----
 
-TEST(ScatterKernels, ConvPsumMatrixMatchesGather) {
+/// Output channels [first, second) of event-kernel block `b`: the
+/// blocking conv_event_blocks documents (64-lane blocks, then the
+/// remaining whole 8-lane groups, then the scalar tail).
+std::pair<std::int64_t, std::int64_t> event_block_channels(std::int64_t oc, std::int64_t b) {
+    const std::int64_t full = oc / 64;
+    if (b < full) return {b * 64, b * 64 + 64};
+    const std::int64_t grouped = oc % 64 / 8 * 8;
+    if (b == full && grouped > 0) return {full * 64, full * 64 + grouped};
+    return {oc - oc % 8, oc};
+}
+
+TEST(EventKernel, IndexListsEachSitesSpikingChannelsInOrder) {
+    util::Rng rng(100);
+    // Planes of 35, 9 and 1 sites put channel boundaries inside packed
+    // words; 64 and 130 sites start every channel on or across one.
+    struct Geometry {
+        std::int64_t c, h, w;
+    };
+    for (const Geometry g : {Geometry{5, 7, 5}, Geometry{11, 3, 3}, Geometry{130, 1, 1},
+                             Geometry{3, 8, 8}, Geometry{2, 10, 13}}) {
+        for (const double d : {0.0, 0.3, 1.0}) {
+            const SpikeMap in = random_map(g.c, g.h, g.w, d, rng);
+            compute::SpikeIndex index;
+            index.build(in);
+            ASSERT_EQ(index.sites(), g.h * g.w);
+            // The same index filled in ragged site ranges, on a buffer
+            // that indexed a larger map first.
+            compute::SpikeIndex split;
+            split.build(random_map(g.c + 3, g.h + 2, g.w + 1, 0.5, rng));
+            split.reshape(in);
+            for (std::int64_t s0 = 0; s0 < split.sites(); s0 += 3) {
+                split.fill(in, s0, std::min(s0 + 3, split.sites()));
+            }
+            std::int64_t total = 0;
+            for (std::int64_t site = 0; site < index.sites(); ++site) {
+                std::vector<std::int64_t> expected;
+                for (std::int64_t c = 0; c < g.c; ++c) {
+                    if (in.get(c, site / g.w, site % g.w)) expected.push_back(c);
+                }
+                for (const compute::SpikeIndex* idx : {&index, &split}) {
+                    ASSERT_EQ(idx->count(site), static_cast<std::int64_t>(expected.size()))
+                        << "site " << site << " density " << d;
+                    EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                           idx->channels(site)))
+                        << "site " << site << " density " << d;
+                }
+                total += index.count(site);
+            }
+            EXPECT_EQ(total, in.count());
+        }
+    }
+}
+
+TEST(EventKernel, ConvPsumMatchesGatherAcrossGeometryWidthsAndUnitSplits) {
     util::Rng rng(101);
-    const std::int64_t ic = 3;
-    const std::int64_t oc = 4;
+    const std::int64_t ic = 5;
     const std::int64_t in_h = 7;
     const std::int64_t in_w = 5;
-    for (const std::int64_t kernel : {1L, 3L}) {
-        for (const std::int64_t stride : {1L, 2L}) {
-            for (const std::int64_t padding : {0L, 1L}) {
-                const std::int64_t out_h = (in_h + 2 * padding - kernel) / stride + 1;
-                const std::int64_t out_w = (in_w + 2 * padding - kernel) / stride + 1;
-                if (out_h <= 0 || out_w <= 0) continue;
-                const Branch b = random_conv_branch(ic, oc, kernel, stride, padding, rng);
-                const auto wt = compute::transpose_conv(b);
-                std::vector<SpikeMap> cases;
-                for (const double d : {0.0, 0.05, 0.5, 1.0}) {
-                    cases.push_back(random_map(ic, in_h, in_w, d, rng));
-                }
-                cases.push_back(single_spike_map(ic, in_h, in_w, 0));
-                cases.push_back(single_spike_map(ic, in_h, in_w, ic * in_h * in_w - 1));
-                for (const SpikeMap& in : cases) {
-                    std::vector<std::int32_t> gather(
-                        static_cast<std::size_t>(out_h * out_w * oc), -1);
-                    std::vector<std::int32_t> scatter(
-                        static_cast<std::size_t>(out_h * out_w * oc), 7);
-                    compute::conv_psum(b, wt, in, out_h, out_w, gather);
-                    compute::conv_psum_scatter(b, wt, in, out_h, out_w, scatter);
-                    EXPECT_EQ(gather, scatter)
-                        << "k=" << kernel << " s=" << stride << " p=" << padding
-                        << " spikes=" << in.count();
+    constexpr std::int32_t kUntouched = 0x5A5A5A5A;
+    for (const std::int64_t oc : {1L, 7L, 8L, 13L, 64L, 72L, 130L}) {
+        const std::int64_t blocks = compute::conv_event_blocks(oc);
+        for (const std::int64_t kernel : {1L, 3L}) {
+            for (const std::int64_t stride : {1L, 2L}) {
+                for (const std::int64_t padding : {0L, 1L}) {
+                    const std::int64_t out_h = (in_h + 2 * padding - kernel) / stride + 1;
+                    const std::int64_t out_w = (in_w + 2 * padding - kernel) / stride + 1;
+                    const std::int64_t plane = out_h * out_w;
+                    const Branch b = random_conv_branch(ic, oc, kernel, stride, padding, rng);
+                    const auto wt = compute::transpose_conv(b);
+                    const auto blocked = compute::block_conv(b);
+                    std::vector<SpikeMap> cases;
+                    for (const double d : {0.0, 0.05, 0.5, 1.0}) {
+                        cases.push_back(random_map(ic, in_h, in_w, d, rng));
+                    }
+                    cases.push_back(single_spike_map(ic, in_h, in_w, 0));
+                    cases.push_back(single_spike_map(ic, in_h, in_w, ic * in_h * in_w - 1));
+                    for (const SpikeMap& in : cases) {
+                        SCOPED_TRACE("oc=" + std::to_string(oc) + " k=" +
+                                     std::to_string(kernel) + " s=" + std::to_string(stride) +
+                                     " p=" + std::to_string(padding) +
+                                     " spikes=" + std::to_string(in.count()));
+                        const auto n = static_cast<std::size_t>(plane * oc);
+                        std::vector<std::int32_t> gather(n, 0);
+                        compute::conv_psum_chunk_oc(b, wt, in, out_h, out_w, 0, ic, 0, oc,
+                                                    gather);
+                        compute::SpikeIndex index;
+                        index.build(in);
+                        // Split the units at every boundary: the first
+                        // range writes exactly its units, the second
+                        // completes the bank.
+                        const std::int64_t units = blocks * plane;
+                        for (std::int64_t split = 0; split <= units; ++split) {
+                            std::vector<std::int32_t> event(n, kUntouched);
+                            compute::conv_psum_event(b, blocked, index, out_h, out_w, 0,
+                                                     split, event);
+                            for (std::int64_t u = 0; u < units; ++u) {
+                                const auto [o0, o1] = event_block_channels(oc, u / plane);
+                                for (std::int64_t o = o0; o < o1; ++o) {
+                                    const auto i = static_cast<std::size_t>(
+                                        u % plane * oc + o);
+                                    ASSERT_EQ(event[i], u < split ? gather[i] : kUntouched)
+                                        << "split " << split << " unit " << u << " oc " << o;
+                                }
+                            }
+                            compute::conv_psum_event(b, blocked, index, out_h, out_w, split,
+                                                     units, event);
+                            ASSERT_EQ(event, gather) << "split " << split;
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-TEST(ScatterKernels, LinearPsumMatchesGather) {
+TEST(EventKernel, LinearScatterMatchesGather) {
     util::Rng rng(103);
     Branch b;
     b.in_features = 130;  // straddles two packed words + a tail
@@ -133,7 +218,7 @@ TEST(ScatterKernels, LinearPsumMatchesGather) {
     for (const SpikeMap& in : cases) {
         std::vector<std::int32_t> gather(static_cast<std::size_t>(b.out_features), -1);
         std::vector<std::int32_t> scatter(static_cast<std::size_t>(b.out_features), 7);
-        compute::linear_psum(b, wt, in, gather);
+        compute::linear_psum_range(b, wt, in, 0, b.out_features, gather);
         compute::linear_psum_scatter(b, wt, in, scatter);
         EXPECT_EQ(gather, scatter) << "spikes=" << in.count();
     }
@@ -142,7 +227,7 @@ TEST(ScatterKernels, LinearPsumMatchesGather) {
 // ---- Engine-level equivalence matrix ----
 
 /// conv stem -> residual block (identity skip) -> strided downsample
-/// (conv skip) -> spiking FC -> readout. Exercises every dispatch site:
+/// (conv skip) -> spiking FC -> readout. Exercises every psum site:
 /// main conv, skip conv, linear, and the identity-skip fast path.
 SnnModel matrix_model(NeuronKind neuron, ResetMode reset, util::Rng& rng) {
     SnnModel model;
@@ -396,54 +481,32 @@ SpikeTrain matrix_train(const SnnModel& model, double density, bool single_spike
 }
 
 void expect_same_run(const SnnModel& model, const SpikeTrain& train) {
-    // Reference: dense gather + scalar fire (the pre-vectorization
-    // engine). Every dispatch x fire-path combination must match it.
-    struct Variant {
-        const char* name;
-        EngineConfig config;
-    };
-    const std::vector<Variant> variants = {
-        {"dense/vector", {.dispatch = DispatchMode::kDense}},
-        {"scatter/scalar",
-         {.dispatch = DispatchMode::kScatter, .fire = FirePath::kScalar}},
-        {"scatter/vector", {.dispatch = DispatchMode::kScatter}},
-        {"adaptive/scalar", {.fire = FirePath::kScalar}},
-        {"adaptive/vector", {}},
-    };
-    const EngineConfig reference_config{.dispatch = DispatchMode::kDense,
-                                        .fire = FirePath::kScalar};
+    // Reference: the scalar fire loop. The fused vector kernels must
+    // match it.
+    const EngineConfig reference_config{.fire = FirePath::kScalar};
     FunctionalEngine reference(model, reference_config);
-    std::vector<std::unique_ptr<FunctionalEngine>> engines;
-    for (const Variant& v : variants) {
-        engines.push_back(std::make_unique<FunctionalEngine>(model, v.config));
-    }
+    FunctionalEngine engine(model);
 
     // Step-level comparison so a divergence pinpoints its first timestep.
     for (std::size_t t = 0; t < train.size(); ++t) {
         reference.step(train[t]);
-        for (std::size_t e = 0; e < engines.size(); ++e) {
-            FunctionalEngine& engine = *engines[e];
-            engine.step(train[t]);
-            for (std::size_t l = 0; l < model.layers.size(); ++l) {
-                ASSERT_TRUE(reference.layer_spikes(l) == engine.layer_spikes(l))
-                    << variants[e].name << " t=" << t << " layer=" << l;
-                const auto mr = reference.membrane(l);
-                const auto me = engine.membrane(l);
-                ASSERT_TRUE(std::equal(mr.begin(), mr.end(), me.begin(), me.end()))
-                    << variants[e].name << " t=" << t << " layer=" << l;
-            }
-            ASSERT_EQ(reference.readout(), engine.readout())
-                << variants[e].name << " t=" << t;
+        engine.step(train[t]);
+        for (std::size_t l = 0; l < model.layers.size(); ++l) {
+            ASSERT_TRUE(reference.layer_spikes(l) == engine.layer_spikes(l))
+                << "t=" << t << " layer=" << l;
+            const auto mr = reference.membrane(l);
+            const auto me = engine.membrane(l);
+            ASSERT_TRUE(std::equal(mr.begin(), mr.end(), me.begin(), me.end()))
+                << "t=" << t << " layer=" << l;
         }
+        ASSERT_EQ(reference.readout(), engine.readout()) << "t=" << t;
     }
 
     // Whole-run results (fresh engines through run()).
     const RunResult ref = run_snn(model, train, reference_config);
-    for (const Variant& v : variants) {
-        const RunResult got = run_snn(model, train, v.config);
-        EXPECT_EQ(ref.logits_per_step, got.logits_per_step) << v.name;
-        EXPECT_EQ(ref.spike_counts, got.spike_counts) << v.name;
-    }
+    const RunResult got = run_snn(model, train);
+    EXPECT_EQ(ref.logits_per_step, got.logits_per_step);
+    EXPECT_EQ(ref.spike_counts, got.spike_counts);
 }
 
 TEST(DispatchEquivalence, DensityNeuronSkipMatrix) {
@@ -492,22 +555,24 @@ TEST(DispatchEquivalence, UniformPlaneConvSkipMatrix) {
 
 // ---- Dispatch accounting ----
 
-TEST(DispatchCounters, AdaptiveSplitsByDensityThreshold) {
+TEST(DispatchCounters, EveryStepRunsEventDrivenAndCountsItsInput) {
     util::Rng rng(303);
     const SnnModel model = matrix_model(NeuronKind::kIf, ResetMode::kSubtract, rng);
     SpikeTrain train = matrix_train(model, 0.02, false, rng);  // sparse steps
     train.push_back(random_map(model.input_channels, model.input_h, model.input_w, 1.0,
                                rng));  // one saturated step
+    const auto steps = static_cast<std::int64_t>(train.size());
 
-    FunctionalEngine engine(model, {.scatter_density_threshold = 0.5});
+    FunctionalEngine engine(model);
     for (const auto& frame : train) engine.step(frame);
 
+    // Every psum of every layer, sparse or saturated, is event-driven.
+    for (std::size_t l = 0; l < model.layers.size(); ++l) {
+        EXPECT_EQ(engine.dispatch_stats(l).scatter_steps, steps) << l;
+        EXPECT_EQ(engine.dispatch_stats(l).dense_steps, 0) << l;
+    }
     const LayerDispatchStats& stem = engine.dispatch_stats(0);
-    EXPECT_EQ(stem.scatter_steps, 6);  // the sparse steps
-    EXPECT_EQ(stem.dense_steps, 1);    // the saturated step (density 1 >= 0.5)
-    EXPECT_EQ(stem.input_sites,
-              static_cast<std::int64_t>(train.size()) * model.input_channels *
-                  model.input_h * model.input_w);
+    EXPECT_EQ(stem.input_sites, steps * model.input_channels * model.input_h * model.input_w);
     std::int64_t spikes = 0;
     for (const auto& frame : train) spikes += frame.count();
     EXPECT_EQ(stem.input_spikes, spikes);
@@ -515,37 +580,14 @@ TEST(DispatchCounters, AdaptiveSplitsByDensityThreshold) {
                 static_cast<double>(spikes) / static_cast<double>(stem.input_sites),
                 1e-12);
 
-    // Forced modes never touch the other path, whatever the density.
-    FunctionalEngine forced_dense(model, {.dispatch = DispatchMode::kDense});
-    FunctionalEngine forced_scatter(model, {.dispatch = DispatchMode::kScatter});
-    for (const auto& frame : train) {
-        forced_dense.step(frame);
-        forced_scatter.step(frame);
-    }
-    for (std::size_t l = 0; l < model.layers.size(); ++l) {
-        EXPECT_EQ(forced_dense.dispatch_stats(l).scatter_steps, 0) << l;
-        EXPECT_EQ(forced_scatter.dispatch_stats(l).dense_steps, 0) << l;
-    }
-
     // run() surfaces the counters; reset() clears them.
     const RunResult res = engine.run(train);
     ASSERT_EQ(res.layer_dispatch.size(), model.layers.size());
-    EXPECT_EQ(res.layer_dispatch[0].scatter_steps, 6);
-    EXPECT_EQ(res.layer_dispatch[0].dense_steps, 1);
+    EXPECT_EQ(res.layer_dispatch[0].scatter_steps, steps);
+    EXPECT_EQ(res.layer_dispatch[0].input_spikes, spikes);
     engine.reset();
     EXPECT_EQ(engine.dispatch_stats(0).scatter_steps, 0);
     EXPECT_EQ(engine.dispatch_stats(0).input_sites, 0);
-}
-
-TEST(DispatchCounters, ThresholdZeroMeansAlwaysDense) {
-    util::Rng rng(404);
-    const SnnModel model = matrix_model(NeuronKind::kIf, ResetMode::kSubtract, rng);
-    FunctionalEngine engine(model, {.scatter_density_threshold = 0.0});
-    const SpikeTrain train = matrix_train(model, 0.05, false, rng);
-    for (const auto& frame : train) engine.step(frame);
-    EXPECT_EQ(engine.dispatch_stats(0).scatter_steps, 0);
-    EXPECT_EQ(engine.dispatch_stats(0).dense_steps,
-              static_cast<std::int64_t>(train.size()));
 }
 
 TEST(DispatchCounters, FirePathCountersTrackConfiguredPath) {
@@ -593,25 +635,18 @@ TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
     std::vector<core::Request> requests;
     for (const auto& train : batch) requests.push_back(core::Request::view_train(train));
 
-    core::BatchRunner dense_runner(
-        model, {.threads = 2, .engine = {.dispatch = DispatchMode::kDense}});
-    core::BatchRunner scatter_runner(
-        model, {.threads = 2, .engine = {.dispatch = DispatchMode::kScatter}});
-    core::BatchRunner adaptive_runner(model, {.threads = 2});
+    core::BatchRunner vector_runner(model, {.threads = 2});
     core::BatchRunner scalar_fire_runner(
         model, {.threads = 2, .engine = {.fire = FirePath::kScalar}});
-    const auto rd = dense_runner.run(requests);
-    const auto rs = scatter_runner.run(requests);
-    const auto ra = adaptive_runner.run(requests);
+    const auto rv = vector_runner.run(requests);
     const auto rf = scalar_fire_runner.run(requests);
-    ASSERT_EQ(rd.size(), batch.size());
+    ASSERT_EQ(rv.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(rd[i].logits_per_step, rs[i].logits_per_step) << i;
-        EXPECT_EQ(rd[i].logits_per_step, ra[i].logits_per_step) << i;
-        EXPECT_EQ(rd[i].logits_per_step, rf[i].logits_per_step) << i;
-        EXPECT_EQ(rd[i].spike_counts, rs[i].spike_counts) << i;
-        EXPECT_EQ(rd[i].spike_counts, ra[i].spike_counts) << i;
-        EXPECT_EQ(rd[i].spike_counts, rf[i].spike_counts) << i;
+        const RunResult expected = run_snn(model, batch[i]);
+        EXPECT_EQ(rv[i].logits_per_step, expected.logits_per_step) << i;
+        EXPECT_EQ(rf[i].logits_per_step, expected.logits_per_step) << i;
+        EXPECT_EQ(rv[i].spike_counts, expected.spike_counts) << i;
+        EXPECT_EQ(rf[i].spike_counts, expected.spike_counts) << i;
     }
 }
 
@@ -722,11 +757,34 @@ SnnModel resnet_tile_model(NeuronKind neuron, ResetMode reset, bool stem,
     return model;
 }
 
-SpikeTrain tile_train(const SnnModel& model, std::int64_t steps, util::Rng& rng) {
+/// Odd channel widths on a 16 px input: 72 (a 64-lane block plus one
+/// 8-lane group), 130 (two 64-lane blocks plus a scalar tail) and 13 (an
+/// 8-lane group plus a scalar tail), with planes 16x16, 8x8 and 4x4.
+SnnModel odd_width_tile_model(util::Rng& rng) {
+    SnnModel model;
+    model.input_channels = 3;
+    model.input_h = model.input_w = 16;
+    model.classes = 10;
+    const std::int64_t spec[4][2] = {{72, 1}, {130, 1}, {72, 2}, {13, 2}};
+    std::int64_t ic = 3;
+    std::int64_t hw = 16;
+    for (int i = 0; i < 4; ++i) {
+        SnnLayer l = tile_conv("conv" + std::to_string(i + 1), i - 1, ic, spec[i][0], hw,
+                               spec[i][1], rng);
+        ic = spec[i][0];
+        hw = l.out_h;
+        model.layers.push_back(std::move(l));
+    }
+    model.layers.push_back(tile_readout(3, ic * hw * hw, model.classes, rng));
+    return model;
+}
+
+SpikeTrain tile_train(const SnnModel& model, std::int64_t steps, util::Rng& rng,
+                      double density = 0.3) {
     SpikeTrain train;
     for (std::int64_t t = 0; t < steps; ++t) {
         train.push_back(
-            random_map(model.input_channels, model.input_h, model.input_w, 0.3, rng));
+            random_map(model.input_channels, model.input_h, model.input_w, density, rng));
     }
     return train;
 }
@@ -828,32 +886,25 @@ TEST(IntraInferenceTiling, TeamSizesOneToFourMatchSerial) {
     }
 }
 
-TEST(IntraInferenceTiling, DispatchModesMatchSerial) {
+TEST(IntraInferenceTiling, InputDensitiesAndOddWidthsMatchSerial) {
     util::Rng rng(709);
     const SnnModel vgg = vgg_tile_model(NeuronKind::kLif, ResetMode::kZero, rng);
     const SnnModel resnet = resnet_tile_model(NeuronKind::kIf, ResetMode::kZero, true, rng);
-    // Densities here run 20-45%: a 0.35 adaptive threshold mixes scatter
-    // and gather steps within one run, main and skip branch alike. The
-    // forced gather runs on ResNet, so its downsample branch tiles by
-    // input channel too.
-    struct Case {
-        const SnnModel* model;
-        EngineConfig config;
-    };
-    const std::vector<Case> cases = {
-        {&vgg, {.scatter_density_threshold = 0.35}},
-        {&resnet, {.scatter_density_threshold = 0.35}},
-        {&resnet, {.dispatch = DispatchMode::kDense}},
-        {&vgg, {.dispatch = DispatchMode::kScatter}},
-    };
-    for (const Case& c : cases) {
-        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(c.config.dispatch)) +
-                     " threshold=" + std::to_string(c.config.scatter_density_threshold));
-        EXPECT_GT(
-            expect_tiled_matches_serial(*c.model, tile_train(*c.model, 2, rng), c.config, 3)
-                .count,
-            0);
-        ASSERT_FALSE(HasFatalFailure());
+    const SnnModel odd = odd_width_tile_model(rng);
+    // From sparse input, where only the widest layers reach the split
+    // threshold, to saturated input, where every conv layer-step splits.
+    // The odd widths tile units that end on 8-lane groups and scalar
+    // tails, split both inside and across blocks.
+    for (const SnnModel* model : {&vgg, &resnet, &odd}) {
+        for (const double density : {0.05, 0.3, 1.0}) {
+            SCOPED_TRACE("layers=" + std::to_string(model->layers.size()) +
+                         " density=" + std::to_string(density));
+            EXPECT_GT(
+                expect_tiled_matches_serial(*model, tile_train(*model, 2, rng, density), {}, 3)
+                    .count,
+                0);
+            ASSERT_FALSE(HasFatalFailure());
+        }
     }
 }
 

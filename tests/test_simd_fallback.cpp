@@ -5,9 +5,11 @@
 // extensions (what every GCC/Clang build uses) and a portable struct
 // fallback for other compilers. This binary is compiled with
 // SIA_FORCE_SCALAR_SIMD, so its FunctionalEngine's FirePath::kVector
-// runs the fused kernels through the FALLBACK lanes — asserting them
-// bit-identical to the scalar loop gives the fallback real execution
-// coverage instead of compile-only coverage.
+// runs the fused kernels, and its event conv kernel its widening weight
+// loads, through the FALLBACK lanes — asserting them bit-identical to
+// the scalar fire loop and to the dense gather (which uses no lanes)
+// gives the fallback real execution coverage instead of compile-only
+// coverage.
 //
 // Deliberately NOT linked against the sia library: the library's
 // inline simd functions are the native spelling, and mixing the two
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "snn/compute.hpp"
 #include "snn/engine.hpp"
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
@@ -153,6 +156,29 @@ TEST(SimdFallback, VectorFireMatchesScalarFire) {
                         << "density=" << density << " t=" << t;
                 }
             }
+        }
+    }
+}
+
+TEST(SimdFallback, EventConvKernelMatchesGather) {
+    util::Rng rng(809);
+    // 72 output channels: a 64-lane block plus one 8-lane group; 13: an
+    // 8-lane group plus the scalar tail.
+    for (const std::int64_t oc : {std::int64_t{72}, std::int64_t{13}}) {
+        const Branch b = conv_branch(6, oc, 3, 1, 1, rng);
+        const auto wt = compute::transpose_conv(b);
+        const auto blocked = compute::block_conv(b);
+        const std::int64_t units = compute::conv_event_blocks(oc) * 7 * 5;
+        for (const double density : {0.05, 0.5, 1.0}) {
+            SpikeMap in(6, 7, 5);
+            for (std::int64_t j = 0; j < in.size(); ++j) in.set_flat(j, rng.bernoulli(density));
+            std::vector<std::int32_t> gather(static_cast<std::size_t>(7 * 5 * oc), 0);
+            compute::conv_psum_chunk_oc(b, wt, in, 7, 5, 0, 6, 0, oc, gather);
+            compute::SpikeIndex index;
+            index.build(in);
+            std::vector<std::int32_t> event(gather.size(), -1);
+            compute::conv_psum_event(b, blocked, index, 7, 5, 0, units, event);
+            EXPECT_EQ(event, gather) << "oc=" << oc << " density=" << density;
         }
     }
 }
