@@ -74,7 +74,8 @@ int main() {
 
     bool all_exact = true;
     for (const std::size_t threads : {1UL, 2UL, 4UL, 8UL}) {
-        core::BatchRunner runner(model, {.threads = threads});
+        core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                                 {.threads = threads});
         const auto results = runner.run(requests);
         const auto& stats = runner.last_stats();
 
@@ -104,10 +105,12 @@ int main() {
     for (const auto& img : images) {
         poisson_requests.push_back(core::Request::view_poisson(img, timesteps));
     }
-    core::BatchRunner ref_runner(model, {.threads = 1});
+    core::BatchRunner ref_runner(std::make_shared<core::FunctionalBackend>(model),
+                                 {.threads = 1});
     const auto poisson_ref = ref_runner.run(poisson_requests);
     for (const std::size_t threads : {2UL, 8UL}) {
-        core::BatchRunner runner(model, {.threads = threads});
+        core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                                 {.threads = threads});
         const auto results = runner.run(poisson_requests);
         bool exact = results.size() == poisson_ref.size();
         for (std::size_t i = 0; exact && i < results.size(); ++i) {

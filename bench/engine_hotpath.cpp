@@ -174,8 +174,8 @@ PsumReading measure_psum(const snn::SnnModel& model, const std::vector<snn::Spik
     snn::compute::SpikeIndex index;
     const auto run_gather = [&](const snn::SpikeMap& in) {
         std::fill(gather.begin(), gather.end(), 0);
-        snn::compute::conv_psum_chunk_oc(b, wt, in, layer.out_h, layer.out_w, 0, b.in_channels,
-                                         0, b.out_channels, gather);
+        snn::compute::conv_psum_chunk_oc(b, wt, in, layer.out_h, layer.out_w, 0, b.out_channels,
+                                         gather);
     };
     const auto run_event = [&](const snn::SpikeMap& in) {
         index.build(in);

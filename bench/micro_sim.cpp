@@ -1,12 +1,8 @@
-// Google-benchmark microbenchmarks of the hot paths: PE segment
-// accumulation, aggregation arithmetic, event-driven conv psum, neuron
-// update, thermometer encoding, and a full functional-engine step.
+// Google-benchmark microbenchmarks of the hot paths: aggregation and
+// neuron-update arithmetic, event-driven conv psum, thermometer
+// encoding, and a full functional-engine step.
 #include <benchmark/benchmark.h>
 
-#include <array>
-
-#include "sim/aggregation.hpp"
-#include "sim/pe.hpp"
 #include "snn/compute.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
@@ -16,26 +12,16 @@ namespace {
 
 using namespace sia;
 
-void BM_PeSegment(benchmark::State& state) {
-    sim::Pe pe;
-    const std::array<std::uint8_t, 3> spikes = {1, 0, 1};
-    const std::array<std::int8_t, 3> weights = {12, -7, 3};
-    for (auto _ : state) {
-        pe.begin_window();
-        benchmark::DoNotOptimize(pe.accumulate_segment(spikes, weights));
-        benchmark::DoNotOptimize(pe.emit());
-    }
-}
-BENCHMARK(BM_PeSegment);
-
 void BM_AggregationNeuron(benchmark::State& state) {
+    snn::SnnLayer layer;
+    layer.threshold = 256;
     std::int16_t membrane = 0;
     for (auto _ : state) {
-        const std::int16_t current = sim::AggregationCore::batch_norm(1234, 300, -12, 8);
-        const auto update = sim::AggregationCore::activate(
-            membrane, current, 256, false, 4, snn::ResetMode::kSubtract);
-        membrane = update.new_potential;
+        const std::int16_t current = snn::compute::aggregate(1234, 300, -12, 8);
+        bool spike = false;
+        membrane = snn::compute::update_neuron(membrane, current, layer, spike);
         benchmark::DoNotOptimize(membrane);
+        benchmark::DoNotOptimize(spike);
     }
 }
 BENCHMARK(BM_AggregationNeuron);

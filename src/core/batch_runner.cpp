@@ -9,13 +9,7 @@
 namespace sia::core {
 
 BatchRunner::BatchRunner(std::shared_ptr<Backend> backend, BatchOptions options)
-    : model_(backend->model()), options_(options), pool_(options.threads),
-      backend_(std::move(backend)) {}
-
-BatchRunner::BatchRunner(const snn::SnnModel& model, BatchOptions options)
-    : model_(model), options_(options), pool_(options.threads) {
-    model_.validate();
-}
+    : options_(options), pool_(options.threads), backend_(std::move(backend)) {}
 
 BatchRunner::~BatchRunner() = default;
 
@@ -23,34 +17,14 @@ util::Rng BatchRunner::item_rng(std::size_t index) const {
     return util::Rng(util::mix_seed(options_.seed, index));
 }
 
-Backend& BatchRunner::functional_backend() {
-    if (!backend_) {
-        backend_ = std::make_shared<FunctionalBackend>(model_, options_.engine);
-    }
-    return *backend_;
-}
-
-std::vector<Response> BatchRunner::run(const std::vector<Request>& requests) {
-    return run(functional_backend(), std::span<const Request>(requests));
-}
-
-std::vector<Response> BatchRunner::run(std::span<const Request> requests) {
-    return run(functional_backend(), requests);
-}
-
-std::vector<Response> BatchRunner::run(Backend& backend,
-                                       const std::vector<Request>& requests) {
-    return run(backend, std::span<const Request>(requests));
-}
-
-/// Shared batch protocol: publish the batch shape to stats up front (so
-/// a throwing batch is never misattributed to an earlier one), let the
+/// The batch protocol: publish the batch shape to stats up front (so a
+/// throwing batch is never misattributed to an earlier one), let the
 /// backend do its one-time work, fan spans out over the pool, and
 /// attribute wall/setup/run time — on success *and* on failure (the
 /// stats of a throwing batch cover the work performed before the pool
 /// drained, with completed = false).
-std::vector<Response> BatchRunner::run(Backend& backend,
-                                       std::span<const Request> requests) {
+std::vector<Response> BatchRunner::run(std::span<const Request> requests) {
+    Backend& backend = *backend_;
     sim_batch_stats_ = {};
     stats_ = BatchStats{};
     stats_.inputs = requests.size();

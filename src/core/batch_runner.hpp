@@ -42,8 +42,6 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "snn/engine.hpp"
-#include "snn/model.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -56,11 +54,6 @@ struct BatchOptions {
     /// encoding paths. Results depend on this seed but never on the
     /// thread count.
     std::uint64_t seed = util::kDefaultSeed;
-    /// Execution knobs for the internal FunctionalBackend built by the
-    /// model-anchored constructor (fire path, readout history). Ignored
-    /// when the runner is constructed over an explicit Backend —
-    /// configure that backend directly instead.
-    snn::EngineConfig engine = {};
 };
 
 /// Timing/throughput aggregates of one batch call.
@@ -92,37 +85,23 @@ struct BatchStats {
 
 class BatchRunner {
 public:
-    /// Backend-generic form (the redesigned API): `run(requests)` fans
-    /// out over `backend`, which owns every engine/simulator. The
+    /// `run(requests)` fans out over `backend`, which owns every
+    /// engine/simulator (configure it directly, e.g.
+    /// `std::make_shared<FunctionalBackend>(model, engine_config)`). The
     /// runner keeps the backend alive; one backend must not be shared
     /// by concurrently-running runners.
     BatchRunner(std::shared_ptr<Backend> backend, BatchOptions options = {});
-
-    /// Model-anchored form: anchors the runner on `model` (must outlive
-    /// the runner) and builds a FunctionalBackend internally on first
-    /// use, configured from BatchOptions::engine.
-    explicit BatchRunner(const snn::SnnModel& model, BatchOptions options = {});
     ~BatchRunner();
 
     BatchRunner(const BatchRunner&) = delete;
     BatchRunner& operator=(const BatchRunner&) = delete;
 
-    /// The unified entry point: run every request through the runner's
-    /// backend. Response order matches request order.
-    [[nodiscard]] std::vector<Response> run(const std::vector<Request>& requests);
-
-    /// Same, through an explicit backend (the runner contributes only
-    /// the pool and stats protocol). Exposed so callers can multiplex
-    /// several backends over one pool.
-    [[nodiscard]] std::vector<Response> run(Backend& backend,
-                                            const std::vector<Request>& requests);
-
-    /// Span forms of the same entry points: run a contiguous slice
-    /// without copying the requests. The serving layer's wave bisection
-    /// uses these to re-run halves of a failed wave in place.
+    /// Run every request through the runner's backend; response order
+    /// matches request order. A span views a contiguous slice without
+    /// copying (a std::vector<Request> converts implicitly), which is
+    /// how the serving layer's wave bisection re-runs halves of a
+    /// failed wave in place.
     [[nodiscard]] std::vector<Response> run(std::span<const Request> requests);
-    [[nodiscard]] std::vector<Response> run(Backend& backend,
-                                            std::span<const Request> requests);
 
     /// Stats of the most recent run call; see BatchStats::completed for
     /// the failed-batch semantics.
@@ -136,7 +115,6 @@ public:
     }
 
     [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
-    [[nodiscard]] const snn::SnnModel& model() const noexcept { return model_; }
 
     /// The RNG stream request `index` draws from by default, regardless
     /// of which worker executes it (exposed so tests can assert stream
@@ -144,14 +122,9 @@ public:
     [[nodiscard]] util::Rng item_rng(std::size_t index) const;
 
 private:
-    /// The internal FunctionalBackend (model-anchored construction),
-    /// built on first use.
-    [[nodiscard]] Backend& functional_backend();
-
-    const snn::SnnModel& model_;
     BatchOptions options_;
     util::ThreadPool pool_;
-    std::shared_ptr<Backend> backend_;     ///< primary (or lazy functional)
+    std::shared_ptr<Backend> backend_;
     BatchStats stats_;
     sim::SiaBatchStats sim_batch_stats_;
 };

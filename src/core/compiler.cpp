@@ -5,8 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/aggregation.hpp"
-#include "sim/axi.hpp"
+#include "sim/cost.hpp"
 
 namespace sia::core {
 
@@ -110,57 +109,27 @@ sim::CompiledProgram SiaCompiler::compile(const snn::SnnModel& model) const {
 
 namespace {
 
-/// Static per-inference cycle estimate of one layer — the same terms
-/// sim::Sia accounts, with spike counts replaced by the nominal
-/// `density` (no runtime profile exists at compile time). Only relative
-/// magnitudes matter: the pipeline planner balances stages on these.
+/// Static per-inference cycle estimate of one layer: sim::Sia's own
+/// cost functions, with each step's spike counts replaced by the
+/// nominal round(sites x density) (no runtime profile exists at compile
+/// time). Only relative magnitudes matter: the pipeline planner
+/// balances stages on these.
 std::int64_t estimate_layer_cycles(const snn::SnnLayer& layer,
                                    const sim::LayerPlan& plan,
                                    const sim::SiaConfig& config, double density,
                                    std::int64_t timesteps) {
-    const std::int64_t lanes = config.pe_count();
-    std::int64_t once = config.ps_layer_overhead_cycles;
-    std::int64_t per_step = 0;
-    if (layer.op == snn::LayerOp::kConv) {
-        const snn::Branch& b = layer.main;
-        const auto spikes = static_cast<std::int64_t>(
-            static_cast<double>(b.in_channels * layer.in_h * layer.in_w) * density +
-            0.5);
-        once += sim::AxiDma::cycles_for(plan.weight_stream_bytes, config);
-        per_step += sim::AxiDma::cycles_for(
-            plan.spike_in_bytes * plan.oc_tiles * plan.spatial_tiles, config);
-        per_step += spikes * sim::SiaConfig::window_cycles(b.kernel) * plan.oc_tiles;
-        if (layer.has_skip()) {
-            per_step += sim::AxiDma::cycles_for(plan.residual_in_bytes, config);
-            if (!layer.skip_is_identity) {
-                const auto skip_spikes = static_cast<std::int64_t>(
-                    static_cast<double>(layer.skip.in_channels * layer.in_h *
-                                        layer.in_w) *
-                        density +
-                    0.5);
-                per_step += skip_spikes * sim::SiaConfig::window_cycles(1) *
-                            plan.oc_tiles;
-            }
-        }
-        per_step += sim::AggregationCore::retire_cycles(
-            layer.neurons(), config.aggregation_lanes,
-            plan.oc_tiles * config.aggregation_pipeline_depth);
-        per_step += sim::AxiDma::cycles_for(plan.spike_out_bytes, config);
-    } else {
-        const snn::Branch& b = layer.main;
-        const auto spikes = static_cast<std::int64_t>(
-            static_cast<double>(b.in_features) * density + 0.5);
-        const std::int64_t oc_tiles = (b.out_features + lanes - 1) / lanes;
-        const auto words = [](std::int64_t bytes) { return (bytes + 3) / 4; };
-        per_step += (words(plan.weight_stream_bytes) +
-                     words(bits_to_bytes(b.in_features)) + words(b.out_features * 4)) *
-                    config.mmio_cycles_per_word;
-        per_step += spikes * sim::SiaConfig::window_cycles(1) * oc_tiles;
-        per_step += sim::AggregationCore::retire_cycles(
-            b.out_features, config.aggregation_lanes,
-            oc_tiles * config.aggregation_pipeline_depth);
-    }
-    return once + per_step * timesteps;
+    const auto nominal = [density](std::int64_t sites) {
+        return static_cast<std::int64_t>(static_cast<double>(sites) * density + 0.5);
+    };
+    const bool conv = layer.op == snn::LayerOp::kConv;
+    const std::int64_t span = conv ? layer.out_channels : layer.main.out_features;
+    const std::int64_t spikes =
+        nominal(conv ? layer.main.in_channels * layer.in_h * layer.in_w
+                     : layer.main.in_features);
+    const std::int64_t skip_spikes = nominal(layer.skip.in_channels * layer.in_h * layer.in_w);
+    return sim::entry_cost(layer, plan, config).total() +
+           timesteps *
+               sim::step_cost(layer, plan, config, span, spikes, skip_spikes).total();
 }
 
 /// Slice one layer's plan down to the output-channel/feature range

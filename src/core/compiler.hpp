@@ -9,8 +9,11 @@
 //     split into input-channel chunks streamed in multiple passes;
 //   * route FC layers over the PS-mediated AXI4-lite word path;
 //   * compute per-timestep transfer volumes (spikes in/out, kernels,
-//     residual partial sums) and membrane-memory residency, flagging
-//     DDR spill when a layer's potentials exceed one ping-pong bank.
+//     residual partial sums) and membrane-memory residency, splitting a
+//     layer into spatial tiles when its potentials exceed one ping-pong
+//     bank;
+//   * cut pipeline shards balanced on the sim/cost.hpp cycle model, the
+//     same functions sim::Sia charges.
 #pragma once
 
 #include <cstdint>

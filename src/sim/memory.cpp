@@ -72,10 +72,7 @@ void PingPongMembrane::check_slice(std::int64_t addr, std::int64_t len) const {
 }
 
 MemoryUnit::MemoryUnit(const SiaConfig& config)
-    : incoming_spikes("incoming-spikes", config.incoming_spike_bytes),
-      residual("residual", config.residual_bytes),
-      weights("weights", config.weight_bytes),
-      output_spikes("output-spikes", config.output_bytes),
+    : output_spikes("output-spikes", config.output_bytes),
       membrane(config.membrane_bytes) {}
 
 }  // namespace sia::sim

@@ -137,13 +137,14 @@ private:
     PingPongMembrane& membrane_;
 };
 
-/// The full §III-D memory unit.
+/// The §III-D banks the simulator stores into: output spikes and the
+/// ping-pong membranes. The incoming-spike, residual and weight
+/// memories exist only as SiaConfig capacities (the compiler sizes
+/// kernel slots and checks residual traffic against them, and the
+/// hw/ resource models count their BRAM); nothing is stored in them.
 struct MemoryUnit {
     explicit MemoryUnit(const struct SiaConfig& config);
 
-    BramBank incoming_spikes;
-    BramBank residual;
-    BramBank weights;
     BramBank output_spikes;
     PingPongMembrane membrane;
 };

@@ -33,9 +33,6 @@ struct LayerPlan {
     /// stream is re-read per slice, which is far cheaper than spilling
     /// 16-bit potentials to DDR every timestep).
     std::int64_t spatial_tiles = 1;
-    /// Legacy DDR-spill schedule (kept for the scheduling ablation).
-    bool membrane_spill = false;
-    std::int64_t membrane_spill_bytes = 0;  ///< per-timestep spill traffic
 
     /// FC layers ride the PS-mediated AXI4-lite word path.
     bool mmio = false;
@@ -47,8 +44,6 @@ struct CompiledProgram {
     std::int64_t peak_weight_bytes = 0;
     /// Peak membrane residency across layers (bytes, one bank).
     std::int64_t peak_membrane_bytes = 0;
-    /// True when every layer fits its memories without DDR spill.
-    bool fits_on_chip = true;
 
     /// Kernel bytes one full inference streams over the bulk DMA path
     /// (conv layers; per-inference loads, not per-timestep). This is the

@@ -94,7 +94,7 @@ struct ShardStats {
     std::int64_t compute_cycles = 0;
     /// Inter-shard wire traffic (boundary forwards / all-gathers).
     std::int64_t transfer_bytes = 0;
-    /// Total boundary DMA cycles (AxiDma model), hidden or not.
+    /// Total boundary DMA cycles (sim::dma_cycles), hidden or not.
     std::int64_t transfer_cycles = 0;
     /// Portion of the makespan spent waiting on transfers (the part
     /// double-buffering failed to hide).

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/aggregation.hpp"
 #include "sim/segment_ledger.hpp"
 #include "snn/compute.hpp"
 #include "snn/engine.hpp"
@@ -13,23 +12,6 @@
 namespace sia::sim {
 
 namespace {
-
-/// Per-timestep, per-channel spike counts of a train (drives the
-/// event-driven cycle accounting). Masked popcount over the packed
-/// words, O(words) per channel instead of a per-site scan.
-std::vector<std::vector<std::int64_t>> channel_spike_counts(Frames train) {
-    std::vector<std::vector<std::int64_t>> counts(train.size());
-    for (std::size_t t = 0; t < train.size(); ++t) {
-        const snn::SpikeMap& m = train[t];
-        counts[t].assign(static_cast<std::size_t>(m.channels()), 0);
-        const std::int64_t plane = m.height() * m.width();
-        for (std::int64_t c = 0; c < m.channels(); ++c) {
-            counts[t][static_cast<std::size_t>(c)] =
-                m.count_range(c * plane, (c + 1) * plane);
-        }
-    }
-    return counts;
-}
 
 std::int64_t bits_to_bytes(std::int64_t bits) noexcept { return (bits + 7) / 8; }
 
@@ -112,7 +94,7 @@ Sia::Sia(const SiaConfig& config, const snn::SnnModel& model,
          const CompiledProgram& program)
     : config_(config), model_(model), program_(program),
       main_wt_cache_(model.layers.size()), skip_wt_cache_(model.layers.size()),
-      memory_(config), dma_(config), mmio_(config) {
+      memory_(config) {
     model_.validate();
     if (program_.layers.size() != model_.layers.size()) {
         throw std::invalid_argument("Sia: program/model layer count mismatch");
@@ -221,20 +203,20 @@ std::vector<SiaRunResult> Sia::run_batch(std::span<const BatchItem> items) {
         }
         controller_.transition(CtrlState::kDone);
 
-        // Residency savings of this pass: conv kernels streamed once for
-        // all active members, the PS invoked once per layer. A narrowed
-        // pass shares across fewer members — that shrinkage is exactly
-        // what back-filling recovers.
+        // Residency savings of this pass: every member but one skips
+        // each layer's entry cost (conv kernels stream once, the PS is
+        // invoked once per layer). A narrowed pass shares across fewer
+        // members — that shrinkage is exactly what back-filling recovers.
         const auto extra = static_cast<std::int64_t>(active.size()) - 1;
-        for (const LayerPlan& plan : program_.layers) {
-            if (!plan.mmio) {
+        for (std::size_t li = 0; li < model_.layers.size(); ++li) {
+            const snn::SnnLayer& layer = model_.layers[li];
+            const LayerPlan& plan = program_.layers[li];
+            saved_cycles += extra * entry_cost(layer, plan, config_).total();
+            if (layer.op == snn::LayerOp::kConv) {
                 batch_stats_.weight_bytes_streamed += plan.weight_stream_bytes;
                 batch_stats_.weight_bytes_sequential +=
                     (extra + 1) * plan.weight_stream_bytes;
-                saved_cycles += extra * AxiDma::cycles_for(plan.weight_stream_bytes,
-                                                           config_);
             }
-            saved_cycles += extra * config_.ps_layer_overhead_cycles;
         }
 
         // Retire completed items, releasing their context for back-fill.
@@ -263,9 +245,10 @@ void Sia::run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain
                     SiaRunResult& res, snn::SessionState* session) {
     const snn::SnnLayer& layer = model_.layers[index];
     const auto timesteps = static_cast<std::int64_t>(input.size());
+    const LayerPlan& plan = program_.layers[index];
     LayerCycleStats& stats = res.layer_stats[index];
     stats.label = layer.label;
-    stats.overhead += config_.ps_layer_overhead_cycles;
+    stats += entry_cost(layer, plan, config_);
     controller_.transition(CtrlState::kLoadConfig);
 
     const Frames in_train =
@@ -281,7 +264,6 @@ void Sia::run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain
     out_train.assign(static_cast<std::size_t>(timesteps),
                      snn::SpikeMap(layer.out_channels, layer.out_h, layer.out_w));
 
-    const LayerPlan& plan = program_.layers[index];
     if (layer.op == snn::LayerOp::kConv) {
         run_conv_layer(index, plan, in_train, skip_train, out_train, stats,
                        res.logits_per_step, session, 0, layer.out_channels);
@@ -325,7 +307,7 @@ void Sia::run_layer_slice(std::size_t index, const LayerPlan& plan, Frames in_tr
     if (c0 >= c1) return;  // zero-width slice: this shard idles the layer
 
     stats.label = layer.label;
-    stats.overhead += config_.ps_layer_overhead_cycles;
+    stats += entry_cost(layer, plan, config_);
     controller_.transition(CtrlState::kLoadConfig);
     if (layer.op == snn::LayerOp::kConv) {
         run_conv_layer(index, plan, in_train, skip_train, out_train, stats, readout,
@@ -348,7 +330,6 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
     const std::int64_t oc = layer.out_channels;
     const std::int64_t oh = layer.out_h;
     const std::int64_t ow = layer.out_w;
-    const std::int64_t lanes = config_.pe_count();
     // Output-channel slice this instance owns (the full layer for
     // unsharded runs). CHW flat indices make a channel slice the
     // contiguous bit range [c0 * plane, c1 * plane).
@@ -362,15 +343,10 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
     const std::vector<std::int8_t>& skip_weights =
         has_down_skip ? skip_wt(index) : kNoWeights;
 
-    const auto counts = channel_spike_counts(in_train);
-    const auto skip_counts =
-        has_down_skip ? channel_spike_counts(skip_train)
-                      : std::vector<std::vector<std::int64_t>>{};
-
     // Membrane storage: the first spatial slice lives in the ping-pong
     // bank model; further slices (spatial tiling) are host-mirrored --
     // numerically identical, with the re-streaming traffic accounted in
-    // the DMA term above.
+    // step_cost's DMA term.
     const std::int64_t fit_neurons =
         std::min<std::int64_t>(slice_neurons, memory_.membrane.bank_capacity() / 2);
     const std::int64_t spill_neurons = slice_neurons - fit_neurons;
@@ -398,82 +374,27 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
     std::vector<std::int32_t> skip_psum;
     if (has_down_skip) skip_psum.assign(static_cast<std::size_t>(neurons), 0);
 
-    const std::int64_t wc = SiaConfig::window_cycles(b.kernel);
-    const std::int64_t wc_skip = SiaConfig::window_cycles(1);
-    // Layer-major schedule: every (tile, chunk) kernel set is streamed
-    // exactly once per inference; partial sums across chunks stage in
-    // the 128 kB residual memory while the timestep loop runs.
-    stats.dma += dma_.transfer(plan.weight_stream_bytes);
-
-    const std::uint64_t dense_per_step =
-        static_cast<std::uint64_t>(span * oh * ow * b.in_channels * b.kernel *
-                                   b.kernel) *
-        2ULL;
-    const std::uint64_t skip_dense_per_step =
-        has_down_skip ? static_cast<std::uint64_t>(span * oh * ow *
-                                                   layer.skip.in_channels) *
-                            2ULL
-                      : 0ULL;
-
     for (std::int64_t t = 0; t < timesteps; ++t) {
         controller_.transition(CtrlState::kReadInput);
-        stats.dma += dma_.transfer(plan.spike_in_bytes * plan.oc_tiles *
-                                   plan.spatial_tiles);
         const snn::SpikeMap& in = in_train[static_cast<std::size_t>(t)];
+        const snn::SpikeMap* skip_spike_map =
+            layer.has_skip() ? &skip_train[static_cast<std::size_t>(t)] : nullptr;
+        stats += step_cost(layer, plan, config_, span, in.count(),
+                           has_down_skip ? skip_spike_map->count() : 0);
+
+        // The weight-memory chunking over input channels is cycle
+        // accounting only: one gather per branch covers every channel.
+        controller_.transition(CtrlState::kPeCompute);
         std::fill(psum.begin(), psum.end(), 0);
-
-        for (std::int64_t pass = 0; pass < plan.ic_passes; ++pass) {
-            const std::int64_t ic0 = pass * plan.ic_chunk;
-            const std::int64_t ic1 = std::min(b.in_channels, ic0 + plan.ic_chunk);
-            std::int64_t chunk_spikes = 0;
-            for (std::int64_t ic = ic0; ic < ic1; ++ic) {
-                chunk_spikes += counts[static_cast<std::size_t>(t)]
-                                      [static_cast<std::size_t>(ic)];
-            }
-            for (std::int64_t tile = 0; tile < plan.oc_tiles; ++tile) {
-                controller_.transition(CtrlState::kPeCompute);
-                const std::int64_t tile_lanes = std::min(lanes, span - tile * lanes);
-                stats.compute += chunk_spikes * wc;
-                stats.input_spike_events += chunk_spikes;
-                stats.event_additions +=
-                    chunk_spikes * b.kernel * b.kernel * tile_lanes;
-            }
-            snn::compute::conv_psum_chunk_oc(b, wt, in, oh, ow, ic0, ic1, c0, c1, psum);
-        }
-        stats.dense_ops += dense_per_step;
-
-        // Residual path.
-        if (layer.has_skip()) {
-            const snn::SpikeMap& skip_in = skip_train[static_cast<std::size_t>(t)];
-            stats.dma += dma_.transfer(plan.residual_in_bytes);
-            if (has_down_skip) {
-                std::fill(skip_psum.begin(), skip_psum.end(), 0);
-                std::int64_t skip_spikes = 0;
-                for (const auto n : skip_counts[static_cast<std::size_t>(t)]) {
-                    skip_spikes += n;
-                }
-                for (std::int64_t tile = 0; tile < plan.oc_tiles; ++tile) {
-                    controller_.transition(CtrlState::kPeCompute);
-                    stats.compute += skip_spikes * wc_skip;
-                    stats.input_spike_events += skip_spikes;
-                    stats.event_additions +=
-                        skip_spikes * std::min(lanes, span - tile * lanes);
-                }
-                snn::compute::conv_psum_chunk_oc(layer.skip, skip_weights, skip_in, oh,
-                                                 ow, 0, layer.skip.in_channels, c0, c1,
-                                                 skip_psum);
-                stats.dense_ops += skip_dense_per_step;
-            }
+        snn::compute::conv_psum_chunk_oc(b, wt, in, oh, ow, c0, c1, psum);
+        if (has_down_skip) {
+            std::fill(skip_psum.begin(), skip_psum.end(), 0);
+            snn::compute::conv_psum_chunk_oc(layer.skip, skip_weights, *skip_spike_map, oh,
+                                             ow, c0, c1, skip_psum);
         }
 
         controller_.transition(CtrlState::kAggregate);
-        stats.aggregate += AggregationCore::retire_cycles(
-            slice_neurons, config_.aggregation_lanes,
-            plan.oc_tiles * config_.aggregation_pipeline_depth);
-
         snn::SpikeMap& out = out_train[static_cast<std::size_t>(t)];
-        const snn::SpikeMap* skip_spike_map =
-            layer.has_skip() ? &skip_train[static_cast<std::size_t>(t)] : nullptr;
         for (std::int64_t y = 0; y < oh; ++y) {
             for (std::int64_t x = 0; x < ow; ++x) {
                 for (std::int64_t o = c0; o < c1; ++o) {
@@ -531,11 +452,6 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
             }
             memory_.output_spikes.write8(byte, packed);
         }
-        stats.dma += dma_.transfer(plan.spike_out_bytes);
-        if (plan.membrane_spill) {
-            // Legacy DDR-spill schedule (scheduling ablation only).
-            stats.dma += dma_.transfer(plan.membrane_spill_bytes);
-        }
         memory_.membrane.toggle();
     }
 
@@ -564,7 +480,6 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan, Frames in_t
     const snn::SnnLayer& layer = model_.layers[index];
     const snn::Branch& b = layer.main;
     const auto timesteps = static_cast<std::int64_t>(in_train.size());
-    const std::int64_t lanes = config_.pe_count();
     const std::int64_t features = b.out_features;
     // Output-feature slice this instance owns (the full layer for
     // unsharded runs). Vectors keep the full-F layout; only [c0, c1) is
@@ -593,41 +508,15 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan, Frames in_t
         }
     }
 
-    const std::int64_t oc_tiles = (span + lanes - 1) / lanes;
-    const std::int64_t wc = SiaConfig::window_cycles(1);
-    const std::uint64_t dense_per_step =
-        static_cast<std::uint64_t>(b.in_features * span) * 2ULL;
-
     for (std::int64_t t = 0; t < timesteps; ++t) {
         controller_.transition(CtrlState::kReadInput);
         const snn::SpikeMap& in = in_train[static_cast<std::size_t>(t)];
-        const std::int64_t in_spikes = in.count();
+        stats += step_cost(layer, plan, config_, span, in.count(), 0);
 
-        if (plan.mmio) {
-            // PS-mediated word path: weights re-streamed per timestep plus
-            // spike vector in and result readback (Table I FC calibration).
-            stats.mmio += mmio_.transfer(plan.weight_stream_bytes);
-            stats.mmio += mmio_.transfer(bits_to_bytes(b.in_features));
-            stats.mmio += mmio_.transfer(span * 4);
-        } else {
-            stats.dma += dma_.transfer(plan.weight_stream_bytes +
-                                       bits_to_bytes(b.in_features));
-        }
-
-        for (std::int64_t tile = 0; tile < oc_tiles; ++tile) {
-            controller_.transition(CtrlState::kPeCompute);
-            const std::int64_t tile_lanes = std::min(lanes, span - tile * lanes);
-            stats.compute += in_spikes * wc;
-            stats.input_spike_events += in_spikes;
-            stats.event_additions += in_spikes * tile_lanes;
-        }
+        controller_.transition(CtrlState::kPeCompute);
         snn::compute::linear_psum_range(b, wt, in, c0, c1, psum);
-        stats.dense_ops += dense_per_step;
 
         controller_.transition(CtrlState::kAggregate);
-        stats.aggregate += AggregationCore::retire_cycles(
-            span, config_.aggregation_lanes,
-            oc_tiles * config_.aggregation_pipeline_depth);
 
         snn::SpikeMap& out = out_train[static_cast<std::size_t>(t)];
         for (std::int64_t f = c0; f < c1; ++f) {

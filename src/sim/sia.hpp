@@ -9,8 +9,9 @@
 //
 // Numerics go through snn::compute (shared with the functional engine),
 // so the simulated spikes/logits are bit-identical to the reference by
-// construction; what this class adds is the cycle, transfer and
-// occupancy accounting of the hardware.
+// construction; what this class adds is the hardware's occupancy (the
+// controller FSM, the ping-pong membrane and output BRAM banks) and its
+// cycles, charged per layer entry and per timestep through sim/cost.hpp.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/axi.hpp"
 #include "sim/config.hpp"
+#include "sim/cost.hpp"
 #include "sim/controller.hpp"
 #include "sim/memory.hpp"
 #include "sim/program.hpp"
@@ -34,41 +35,6 @@ namespace sia::sim {
 /// A read-only view of consecutive timestep frames (a whole train or a
 /// segment of one).
 using Frames = std::span<const snn::SpikeMap>;
-
-/// Cycle breakdown for one layer, totalled over a whole inference.
-struct LayerCycleStats {
-    std::string label;
-    std::int64_t compute = 0;    ///< PE-array event-driven accumulation
-    std::int64_t aggregate = 0;  ///< BN + activation pipeline retirement
-    std::int64_t dma = 0;        ///< bulk spike/weight/residual streaming
-    std::int64_t mmio = 0;       ///< PS-mediated AXI4-lite word transfers
-    std::int64_t overhead = 0;   ///< per-layer PS invocation overhead
-
-    std::int64_t input_spike_events = 0;  ///< spikes processed (x tiles x passes)
-    std::int64_t output_spikes = 0;
-    std::int64_t event_additions = 0;     ///< actual weight accumulations
-    std::uint64_t dense_ops = 0;          ///< dense CNN-equivalent ops (2/MAC)
-
-    [[nodiscard]] std::int64_t total() const noexcept {
-        return compute + aggregate + dma + mmio + overhead;
-    }
-
-    /// Accumulate another pass over the same layer (the chunked
-    /// early-exit schedule totals per-chunk stats into one run).
-    LayerCycleStats& operator+=(const LayerCycleStats& o) noexcept {
-        if (label.empty()) label = o.label;
-        compute += o.compute;
-        aggregate += o.aggregate;
-        dma += o.dma;
-        mmio += o.mmio;
-        overhead += o.overhead;
-        input_spike_events += o.input_spike_events;
-        output_spikes += o.output_spikes;
-        event_additions += o.event_additions;
-        dense_ops += o.dense_ops;
-        return *this;
-    }
-};
 
 struct SiaRunResult {
     std::vector<std::vector<std::int64_t>> logits_per_step;  ///< [T][classes]
@@ -143,8 +109,10 @@ struct SiaBatchStats {
     std::int64_t weight_bytes_streamed = 0;
     std::int64_t weight_bytes_sequential = 0;
 
-    /// Modeled accelerator cycles: resident = sequential minus the
-    /// per-pass-shared weight streaming and PS layer-invocation overhead.
+    /// Modeled accelerator cycles: resident = sequential minus, per pass
+    /// and layer, (active members - 1) x the layer's entry_cost (the
+    /// conv kernel stream and the PS layer invocation, shared by the
+    /// pass).
     std::int64_t resident_cycles = 0;
     std::int64_t sequential_cycles = 0;
 
@@ -291,8 +259,6 @@ private:
     std::vector<std::vector<std::int8_t>> skip_wt_cache_;
     Controller controller_;
     MemoryUnit memory_;
-    AxiDma dma_;
-    AxiLiteMmio mmio_;
     SiaBatchStats batch_stats_;
 };
 

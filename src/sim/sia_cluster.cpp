@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/axi.hpp"
+#include "sim/cost.hpp"
 
 namespace sia::sim {
 
@@ -169,7 +169,7 @@ void SiaCluster::run_pipeline(std::span<const Segment> segments,
             if (s > 0) {
                 const std::int64_t bytes = plan_.stages[s - 1].boundary_bytes;
                 const std::int64_t tx =
-                    steps * AxiDma::cycles_for(bytes, config_);
+                    steps * dma_cycles(bytes, config_);
                 stats_.transfer_cycles += tx;
                 stats_.transfer_bytes += steps * bytes;
                 upstream = finish[s - 1][i];
@@ -321,7 +321,7 @@ void SiaCluster::run_channel(std::span<const Segment> segments,
             if (l + 1 < layer_count && active_count > 1) {
                 const std::int64_t full_bytes =
                     plan_.program.layers[l].spike_out_bytes;
-                const std::int64_t g = AxiDma::cycles_for(full_bytes, config_);
+                const std::int64_t g = dma_cycles(full_bytes, config_);
                 const std::int64_t total_tx = steps * g;
                 const std::int64_t exposed =
                     options_.double_buffer

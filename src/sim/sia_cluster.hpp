@@ -9,7 +9,7 @@
 // task touches only its own shard's simulator state and its own item's
 // result, which is what makes per-item results bit-identical to
 // single-Sia run() at any thread count. Boundary spike trains are
-// modeled as AxiDma transfers on a per-boundary link; with
+// modeled as DMA transfers (sim::dma_cycles) on a per-boundary link; with
 // double-buffering a transfer overlaps the downstream shard's work on
 // the previous item, and only the exposed remainder stalls
 // (ShardStats::transfer_stall_cycles). Pipeline fill/drain ramps are

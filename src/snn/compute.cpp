@@ -238,7 +238,6 @@ void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
 
 void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
                         const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                        std::int64_t ic_begin, std::int64_t ic_end,
                         std::int64_t oc_begin, std::int64_t oc_end,
                         std::span<std::int32_t> psum) {
     const std::int64_t oc = b.out_channels;
@@ -247,7 +246,7 @@ void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
     for (std::int64_t y = 0; y < out_h; ++y) {
         for (std::int64_t x = 0; x < out_w; ++x) {
             std::int32_t* prow = psum.data() + (y * out_w + x) * oc;
-            for (std::int64_t ic = ic_begin; ic < ic_end; ++ic) {
+            for (std::int64_t ic = 0; ic < b.in_channels; ++ic) {
                 for (std::int64_t ky = 0; ky < b.kernel; ++ky) {
                     const std::int64_t iy = y * b.stride + ky - b.padding;
                     if (iy < 0 || iy >= in_h) continue;

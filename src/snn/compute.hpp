@@ -100,19 +100,17 @@ void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
                      std::int64_t unit_begin, std::int64_t unit_end,
                      std::span<std::int32_t> psum);
 
-/// Dense-gather convolution partial sums restricted to input channels
-/// [ic_begin, ic_end) and output channels [oc_begin, oc_end),
-/// accumulating into `psum` without clearing: scans every output pixel
-/// x input tap and accumulates where the input bit is set. This is the
-/// weight-memory-chunked, channel-parallel schedule sim::Sia runs, and
-/// the dense reference the event kernel is tested against. `psum` keeps
-/// the full-OC HWC stride; only the slice's entries are touched, and
-/// each receives exactly the additions the unsliced kernel performs
-/// (int32, order-independent), so disjoint slices compose bit-identically
-/// to one full pass.
+/// Dense-gather convolution partial sums over every input channel,
+/// restricted to output channels [oc_begin, oc_end), accumulating into
+/// `psum` without clearing: scans every output pixel x input tap and
+/// accumulates where the input bit is set. This is the channel-slice
+/// schedule sim::Sia runs, and the dense reference the event kernel is
+/// tested against. `psum` keeps the full-OC HWC stride; only the
+/// slice's entries are touched, and each receives exactly the additions
+/// the unsliced kernel performs (int32, order-independent), so disjoint
+/// slices compose bit-identically to one full pass.
 void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
                         const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
-                        std::int64_t ic_begin, std::int64_t ic_end,
                         std::int64_t oc_begin, std::int64_t oc_end,
                         std::span<std::int32_t> psum);
 

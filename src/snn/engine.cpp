@@ -466,6 +466,9 @@ RunResult FunctionalEngine::run_window(const SpikeTrain& input,
 
 RunResult FunctionalEngine::run_window_impl(const SpikeTrain& input,
                                             const ExitCriterion* exit) {
+    // A zero-frame train has no prediction to report (sim::Sia's
+    // admission rejects it the same way); no session state is written.
+    if (input.empty()) throw std::invalid_argument("FunctionalEngine: empty input train");
     RunResult res;
     res.steps_offered = static_cast<std::int64_t>(input.size());
     if (config_.record_readout_history) res.logits_per_step.reserve(input.size());

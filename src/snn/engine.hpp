@@ -150,7 +150,9 @@ public:
     /// Advance one timestep with the given input spikes.
     void step(const SpikeMap& input);
 
-    /// reset() + step() over the train; collects statistics.
+    /// reset() + step() over the train; collects statistics. Every run
+    /// and run_window form throws std::invalid_argument on a zero-frame
+    /// train, before it writes any session state.
     [[nodiscard]] RunResult run(const SpikeTrain& input);
     /// Early-exit form: evaluate `exit` after each eligible timestep
     /// and stop integrating once it fires (the item "drops out of the

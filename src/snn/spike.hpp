@@ -65,28 +65,6 @@ public:
     /// Number of set bits (spike count this timestep). O(1).
     [[nodiscard]] std::int64_t count() const noexcept { return count_; }
 
-    /// Set bits in flat range [begin, end): masked popcount over the
-    /// packed words, O(words in range). Used for per-channel counts
-    /// (`count_range(c * plane, (c + 1) * plane)`).
-    [[nodiscard]] std::int64_t count_range(std::int64_t begin,
-                                           std::int64_t end) const noexcept {
-        if (begin >= end) return 0;
-        const std::int64_t first = begin >> 6;
-        const std::int64_t last = (end - 1) >> 6;
-        const std::uint64_t head =
-            ~std::uint64_t{0} << (static_cast<std::uint64_t>(begin) & 63U);
-        const std::uint64_t tail =
-            ~std::uint64_t{0} >> (63U - (static_cast<std::uint64_t>(end - 1) & 63U));
-        if (first == last) {
-            return std::popcount(words_[static_cast<std::size_t>(first)] & head & tail);
-        }
-        std::int64_t n = std::popcount(words_[static_cast<std::size_t>(first)] & head);
-        for (std::int64_t w = first + 1; w < last; ++w) {
-            n += std::popcount(words_[static_cast<std::size_t>(w)]);
-        }
-        return n + std::popcount(words_[static_cast<std::size_t>(last)] & tail);
-    }
-
     /// Visit every set bit in ascending flat-CHW order: word-skip over
     /// zero words, ctz + clear-lowest-bit within a word.
     template <typename Visit>

@@ -315,7 +315,7 @@ TEST(BackendApi, RngStreamPinningDecouplesResultsFromBatchPosition) {
     // Pin image 2's stream to 2, then submit it alone: identical result.
     auto pinned = core::Request::view_poisson(images[2], timesteps);
     pinned.rng_stream = 2;
-    const auto alone = runner.run({std::move(pinned)});
+    const auto alone = runner.run(std::vector<core::Request>{std::move(pinned)});
     ASSERT_EQ(alone.size(), 1U);
     EXPECT_EQ(alone[0].logits_per_step, reference[2].logits_per_step);
     EXPECT_EQ(alone[0].spike_counts, reference[2].spike_counts);
@@ -347,7 +347,8 @@ TEST(BackendApi, MalformedImageRequestThrows) {
     core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
                              {.threads = 1});
     EXPECT_THROW(
-        (void)runner.run({core::Request::view_thermometer(images[0], 0)}),
+        (void)runner.run(
+            std::vector<core::Request>{core::Request::view_thermometer(images[0], 0)}),
         std::invalid_argument);
     EXPECT_FALSE(runner.last_stats().completed);
 }

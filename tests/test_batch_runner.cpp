@@ -215,7 +215,8 @@ TEST(BatchRunner, BitExactAcrossThreadCounts) {
     for (const auto& train : batch) reference.push_back(engine.run(train));
 
     for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-        core::BatchRunner runner(model, {.threads = threads});
+        core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                                 {.threads = threads});
         EXPECT_EQ(runner.threads(), threads);
         const auto results = runner.run(view_requests(batch));
         ASSERT_EQ(results.size(), reference.size());
@@ -231,7 +232,8 @@ TEST(BatchRunner, BitExactAcrossThreadCounts) {
 
 TEST(BatchRunner, EmptyBatch) {
     const auto model = small_model(7);
-    core::BatchRunner runner(model, {.threads = 2});
+    core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                             {.threads = 2});
     EXPECT_TRUE(runner.run(std::vector<core::Request>{}).empty());
     EXPECT_EQ(runner.last_stats().inputs, 0U);
 }
@@ -241,7 +243,8 @@ TEST(BatchRunner, OversizedBatchManyMoreItemsThanThreads) {
     const auto batch = random_batch(model, 33, 3, 23);
 
     snn::FunctionalEngine engine(model);
-    core::BatchRunner runner(model, {.threads = 4});
+    core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                             {.threads = 4});
     const auto results = runner.run(view_requests(batch));
     ASSERT_EQ(results.size(), 33U);
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -263,7 +266,8 @@ TEST(BatchRunner, RunImagesMatchesManualEncode) {
         images.push_back(std::move(img));
     }
 
-    core::BatchRunner runner(model, {.threads = 3});
+    core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                             {.threads = 3});
     std::vector<core::Request> requests;
     for (const auto& img : images) {
         requests.push_back(core::Request::view_thermometer(img, timesteps));
@@ -284,7 +288,8 @@ TEST(BatchRunner, SimBatchMatchesFunctionalLogits) {
     const auto batch = random_batch(model, 3, 4, 31);
     const auto requests = view_requests(batch);
 
-    core::BatchRunner functional_runner(model, {.threads = 2});
+    core::BatchRunner functional_runner(std::make_shared<core::FunctionalBackend>(model),
+                                        {.threads = 2});
     const auto functional = functional_runner.run(requests);
     core::BatchRunner sim_runner(
         std::make_shared<core::SiaBackend>(model, sim::SiaConfig{}), {.threads = 2});
@@ -311,7 +316,8 @@ TEST(BatchRunner, StatsSeparateSetupFromRunTime) {
     // One worker: engine/Sia construction then deterministically happens
     // in the first batch (with more workers a worker that received no
     // items builds its engine in a later batch).
-    core::BatchRunner runner(model, {.threads = 1});
+    core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
+                             {.threads = 1});
 
     // First batch pays engine construction; it must be attributed to
     // setup_ms, not folded into the per-item run time.
@@ -356,8 +362,10 @@ TEST(BatchRunner, PoissonEncodingIsThreadCountInvariant) {
     for (const auto& img : images) {
         requests.push_back(core::Request::view_poisson(img, timesteps));
     }
-    core::BatchRunner one(model, {.threads = 1, .seed = 77});
-    core::BatchRunner eight(model, {.threads = 8, .seed = 77});
+    core::BatchRunner one(std::make_shared<core::FunctionalBackend>(model),
+                          {.threads = 1, .seed = 77});
+    core::BatchRunner eight(std::make_shared<core::FunctionalBackend>(model),
+                            {.threads = 8, .seed = 77});
     const auto a = one.run(requests);
     const auto b = eight.run(requests);
     ASSERT_EQ(a.size(), b.size());
@@ -367,7 +375,8 @@ TEST(BatchRunner, PoissonEncodingIsThreadCountInvariant) {
     }
 
     // A different batch seed changes the stochastic encoding.
-    core::BatchRunner other(model, {.threads = 2, .seed = 78});
+    core::BatchRunner other(std::make_shared<core::FunctionalBackend>(model),
+                            {.threads = 2, .seed = 78});
     const auto c = other.run(requests);
     bool any_diff = false;
     for (std::size_t i = 0; i < c.size(); ++i) {
@@ -378,8 +387,10 @@ TEST(BatchRunner, PoissonEncodingIsThreadCountInvariant) {
 
 TEST(BatchRunner, ItemRngStreamsAreThreadCountInvariant) {
     const auto model = small_model(7);
-    core::BatchRunner one(model, {.threads = 1, .seed = 99});
-    core::BatchRunner eight(model, {.threads = 8, .seed = 99});
+    core::BatchRunner one(std::make_shared<core::FunctionalBackend>(model),
+                          {.threads = 1, .seed = 99});
+    core::BatchRunner eight(std::make_shared<core::FunctionalBackend>(model),
+                            {.threads = 8, .seed = 99});
     for (std::size_t item = 0; item < 16; ++item) {
         auto a = one.item_rng(item);
         auto b = eight.item_rng(item);

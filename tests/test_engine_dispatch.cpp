@@ -167,8 +167,7 @@ TEST(EventKernel, ConvPsumMatchesGatherAcrossGeometryWidthsAndUnitSplits) {
                                      " spikes=" + std::to_string(in.count()));
                         const auto n = static_cast<std::size_t>(plane * oc);
                         std::vector<std::int32_t> gather(n, 0);
-                        compute::conv_psum_chunk_oc(b, wt, in, out_h, out_w, 0, ic, 0, oc,
-                                                    gather);
+                        compute::conv_psum_chunk_oc(b, wt, in, out_h, out_w, 0, oc, gather);
                         compute::SpikeIndex index;
                         index.build(in);
                         // Split the units at every boundary: the first
@@ -635,9 +634,11 @@ TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
     std::vector<core::Request> requests;
     for (const auto& train : batch) requests.push_back(core::Request::view_train(train));
 
-    core::BatchRunner vector_runner(model, {.threads = 2});
+    core::BatchRunner vector_runner(std::make_shared<core::FunctionalBackend>(model),
+                                    {.threads = 2});
     core::BatchRunner scalar_fire_runner(
-        model, {.threads = 2, .engine = {.fire = FirePath::kScalar}});
+        std::make_shared<core::FunctionalBackend>(model, EngineConfig{.fire = FirePath::kScalar}),
+        {.threads = 2});
     const auto rv = vector_runner.run(requests);
     const auto rf = scalar_fire_runner.run(requests);
     ASSERT_EQ(rv.size(), batch.size());

@@ -15,7 +15,7 @@
 #include "core/backend.hpp"
 #include "core/batch_runner.hpp"
 #include "core/compiler.hpp"
-#include "sim/axi.hpp"
+#include "sim/cost.hpp"
 #include "sim/memory.hpp"
 #include "sim/sia.hpp"
 #include "sim/sia_cluster.hpp"
@@ -423,7 +423,7 @@ TEST(ShardPipeline, FillDrainAndStallAccountingHandChecked) {
     for (std::size_t l = 0; l < 6; ++l) b0 += ref.layer_stats[l].total();
     const std::int64_t b1 = ref.layer_stats[6].total();
     const std::int64_t tx =
-        timesteps * sim::AxiDma::cycles_for(plan.stages[0].boundary_bytes, config);
+        timesteps * sim::dma_cycles(plan.stages[0].boundary_bytes, config);
     ASSERT_GT(tx, 0);
     ASSERT_GT(b0, b1 + tx);  // precondition of the closed forms below
 

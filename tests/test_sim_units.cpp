@@ -1,16 +1,15 @@
-// Hardware-block unit tests: PE datapath & cycle semantics, aggregation
-// core, BRAM banks, ping-pong membrane organisation, AXI cost models,
-// controller FSM legality.
+// Hardware-block unit tests: PE window cycles, aggregation arithmetic
+// and retirement, BRAM banks, ping-pong membrane organisation, DMA and
+// AXI-lite transfer costs, controller FSM legality.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <stdexcept>
 
-#include "sim/aggregation.hpp"
-#include "sim/axi.hpp"
 #include "sim/config.hpp"
 #include "sim/controller.hpp"
+#include "sim/cost.hpp"
 #include "sim/memory.hpp"
-#include "sim/pe.hpp"
+#include "snn/compute.hpp"
 
 namespace sia::sim {
 namespace {
@@ -24,66 +23,17 @@ TEST(PeDatapath, WindowCycleCounts) {
     EXPECT_EQ(SiaConfig::window_cycles(11), 133); // 11 x 4 x 3 + 1
 }
 
-TEST(PeDatapath, EventDrivenSegmentSkip) {
-    Pe pe;
-    pe.begin_window();
-    const std::array<std::uint8_t, 3> none = {0, 0, 0};
-    const std::array<std::int8_t, 3> w = {10, -5, 3};
-    EXPECT_EQ(pe.accumulate_segment(none, w), 0);  // silent row: free
-    const std::array<std::uint8_t, 3> some = {1, 0, 1};
-    EXPECT_EQ(pe.accumulate_segment(some, w), 3);  // active row: 3 cycles
-    EXPECT_EQ(pe.raw_partial(), 13);               // 10 + 3, mux zeroes -5
-    EXPECT_EQ(pe.emit(), 13);
-    EXPECT_TRUE(pe.emitted());
-    EXPECT_EQ(pe.busy_cycles(), 3);
-    EXPECT_EQ(pe.additions(), 2);
-}
-
-TEST(PeDatapath, EmitSaturates16) {
-    Pe pe;
-    pe.begin_window();
-    const std::array<std::uint8_t, 3> all = {1, 1, 1};
-    const std::array<std::int8_t, 3> w = {127, 127, 127};
-    for (int i = 0; i < 200; ++i) (void)pe.accumulate_segment(all, w);
-    EXPECT_EQ(pe.emit(), 32767);
-}
-
-TEST(PeArray, ScatterTapAccumulatesLanes) {
-    const SiaConfig cfg;
-    PeArray array(cfg);
-    EXPECT_EQ(array.lanes(), 64);
-    std::vector<std::int8_t> w(64, 2);
-    std::vector<std::int32_t> partials(64, 5);
-    array.scatter_tap(w, partials);
-    for (const auto p : partials) EXPECT_EQ(p, 7);
-}
-
 TEST(Aggregation, BatchNormAffine) {
     // (psum * G) >> 8 + H with saturation.
-    EXPECT_EQ(AggregationCore::batch_norm(100, 256, 10, 8), 110);
-    EXPECT_EQ(AggregationCore::batch_norm(100, -256, 0, 8), -100);
-    EXPECT_EQ(AggregationCore::batch_norm(40000, 256, 0, 8), 32767);  // psum sat first
-}
-
-TEST(Aggregation, ActivationModesMatchPaper) {
-    // IF mode (mode bit 0): no leak.
-    auto r = AggregationCore::activate(200, 100, 256, false, 4, snn::ResetMode::kSubtract);
-    EXPECT_TRUE(r.spike);
-    EXPECT_EQ(r.new_potential, 44);
-    // LIF mode (mode bit 1): leak 1/16 applied before integration.
-    r = AggregationCore::activate(160, 0, 256, true, 4, snn::ResetMode::kSubtract);
-    EXPECT_FALSE(r.spike);
-    EXPECT_EQ(r.new_potential, 150);
-    // Reset to zero.
-    r = AggregationCore::activate(200, 200, 256, false, 4, snn::ResetMode::kZero);
-    EXPECT_TRUE(r.spike);
-    EXPECT_EQ(r.new_potential, 0);
+    EXPECT_EQ(snn::compute::aggregate(100, 256, 10, 8), 110);
+    EXPECT_EQ(snn::compute::aggregate(100, -256, 0, 8), -100);
+    EXPECT_EQ(snn::compute::aggregate(40000, 256, 0, 8), 32767);  // psum sat first
 }
 
 TEST(Aggregation, RetireCyclesPipelined) {
-    EXPECT_EQ(AggregationCore::retire_cycles(160, 16, 4), 14);  // 10 + fill
-    EXPECT_EQ(AggregationCore::retire_cycles(100, 16, 4), 11);  // ceil + fill
-    EXPECT_EQ(AggregationCore::retire_cycles(0, 16, 4), 0);
+    EXPECT_EQ(retire_cycles(160, 16, 4), 14);  // 10 + fill
+    EXPECT_EQ(retire_cycles(100, 16, 4), 11);  // ceil + fill
+    EXPECT_EQ(retire_cycles(0, 16, 4), 0);
 }
 
 TEST(Bram, ReadWriteAndCounters) {
@@ -179,81 +129,66 @@ TEST(Controller, DoneMayReInitForNextWave) {
 TEST(MemoryUnit, PaperProvisioning) {
     const SiaConfig cfg;
     const MemoryUnit mem(cfg);
-    EXPECT_EQ(mem.incoming_spikes.capacity(), 128);
-    EXPECT_EQ(mem.residual.capacity(), 128 * 1024);
-    EXPECT_EQ(mem.weights.capacity(), 8 * 1024);
     EXPECT_EQ(mem.output_spikes.capacity(), 56 * 1024);
     EXPECT_EQ(mem.membrane.bank_capacity(), 32 * 1024);  // 64 kB split in two
 }
 
 TEST(Axi, DmaCyclesProportionalToBytes) {
     const SiaConfig cfg;  // 4 bytes/cycle
-    AxiDma dma(cfg);
-    EXPECT_EQ(dma.transfer(400), 100);
-    EXPECT_EQ(dma.transfer(402), 101);  // rounds up
-    EXPECT_EQ(dma.bytes_moved(), 802);
+    EXPECT_EQ(dma_cycles(400, cfg), 100);
+    EXPECT_EQ(dma_cycles(402, cfg), 101);  // rounds up
 }
 
 TEST(Axi, MmioWordCost) {
     SiaConfig cfg;
     cfg.mmio_cycles_per_word = 100;
-    AxiLiteMmio mmio(cfg);
-    EXPECT_EQ(mmio.transfer(8), 200);   // 2 words
-    EXPECT_EQ(mmio.transfer(9), 300);   // 3 words (partial rounds up)
-    EXPECT_EQ(mmio.words(), 5);
+    EXPECT_EQ(mmio_cycles(8, cfg), 200);   // 2 words
+    EXPECT_EQ(mmio_cycles(9, cfg), 300);   // 3 words (partial rounds up)
 }
 
 TEST(Axi, DmaRoundingAtNonMultipleByteCounts) {
     const SiaConfig cfg;  // 4 bytes/cycle
     for (std::int64_t bytes = 1; bytes <= 4; ++bytes) {
-        EXPECT_EQ(AxiDma::cycles_for(bytes, cfg), 1) << bytes;
+        EXPECT_EQ(dma_cycles(bytes, cfg), 1) << bytes;
     }
-    EXPECT_EQ(AxiDma::cycles_for(5, cfg), 2);
-    EXPECT_EQ(AxiDma::cycles_for(7, cfg), 2);
-    EXPECT_EQ(AxiDma::cycles_for(8, cfg), 2);
-    EXPECT_EQ(AxiDma::cycles_for(9, cfg), 3);
+    EXPECT_EQ(dma_cycles(5, cfg), 2);
+    EXPECT_EQ(dma_cycles(7, cfg), 2);
+    EXPECT_EQ(dma_cycles(8, cfg), 2);
+    EXPECT_EQ(dma_cycles(9, cfg), 3);
 }
 
 TEST(Axi, ZeroAndNegativeByteTransfersAreFree) {
     const SiaConfig cfg;
-    EXPECT_EQ(AxiDma::cycles_for(0, cfg), 0);
-    EXPECT_EQ(AxiDma::cycles_for(-8, cfg), 0);
-    AxiDma dma(cfg);
-    EXPECT_EQ(dma.transfer(0), 0);
-    EXPECT_EQ(dma.cycles(), 0);
-    AxiLiteMmio mmio(cfg);
-    EXPECT_EQ(mmio.transfer(0), 0);
-    EXPECT_EQ(mmio.words(), 0);
+    EXPECT_EQ(dma_cycles(0, cfg), 0);
+    EXPECT_EQ(dma_cycles(-8, cfg), 0);
+    EXPECT_EQ(mmio_cycles(0, cfg), 0);
 }
 
 TEST(Axi, DmaBytesPerCycleEdgeValues) {
     // A huge link never rounds a nonzero transfer down to zero cycles...
     SiaConfig wide;
     wide.dma_bytes_per_cycle = 1e12;
-    EXPECT_EQ(AxiDma::cycles_for(1, wide), 1);
-    EXPECT_EQ(AxiDma::cycles_for(64 * 1024, wide), 1);
+    EXPECT_EQ(dma_cycles(1, wide), 1);
+    EXPECT_EQ(dma_cycles(64 * 1024, wide), 1);
     // ...a narrow one charges bytes/rate rounded up...
     SiaConfig narrow;
     narrow.dma_bytes_per_cycle = 0.5;
-    EXPECT_EQ(AxiDma::cycles_for(1, narrow), 2);
-    EXPECT_EQ(AxiDma::cycles_for(3, narrow), 6);
+    EXPECT_EQ(dma_cycles(1, narrow), 2);
+    EXPECT_EQ(dma_cycles(3, narrow), 6);
     // ...and a fractional rate rounds per-transfer, not per-byte.
     SiaConfig frac;
     frac.dma_bytes_per_cycle = 3.0;
-    EXPECT_EQ(AxiDma::cycles_for(3, frac), 1);
-    EXPECT_EQ(AxiDma::cycles_for(4, frac), 2);
-    EXPECT_EQ(AxiDma::cycles_for(9, frac), 3);
-    EXPECT_EQ(AxiDma::cycles_for(10, frac), 4);
+    EXPECT_EQ(dma_cycles(3, frac), 1);
+    EXPECT_EQ(dma_cycles(4, frac), 2);
+    EXPECT_EQ(dma_cycles(9, frac), 3);
+    EXPECT_EQ(dma_cycles(10, frac), 4);
 }
 
 TEST(Axi, MmioWordRounding) {
     const SiaConfig cfg;  // 564 cycles/word (Fig. 4 measurement)
-    AxiLiteMmio mmio(cfg);
-    EXPECT_EQ(mmio.transfer(1), cfg.mmio_cycles_per_word);
-    EXPECT_EQ(mmio.transfer(4), cfg.mmio_cycles_per_word);
-    EXPECT_EQ(mmio.transfer(5), 2 * cfg.mmio_cycles_per_word);
-    EXPECT_EQ(mmio.words(), 4);
-    EXPECT_EQ(mmio.cycles(), 4 * cfg.mmio_cycles_per_word);
+    EXPECT_EQ(mmio_cycles(1, cfg), cfg.mmio_cycles_per_word);
+    EXPECT_EQ(mmio_cycles(4, cfg), cfg.mmio_cycles_per_word);
+    EXPECT_EQ(mmio_cycles(5, cfg), 2 * cfg.mmio_cycles_per_word);
 }
 
 TEST(Controller, LegalLayerLoop) {

@@ -173,7 +173,7 @@ TEST(SimdFallback, EventConvKernelMatchesGather) {
             SpikeMap in(6, 7, 5);
             for (std::int64_t j = 0; j < in.size(); ++j) in.set_flat(j, rng.bernoulli(density));
             std::vector<std::int32_t> gather(static_cast<std::size_t>(7 * 5 * oc), 0);
-            compute::conv_psum_chunk_oc(b, wt, in, 7, 5, 0, 6, 0, oc, gather);
+            compute::conv_psum_chunk_oc(b, wt, in, 7, 5, 0, oc, gather);
             compute::SpikeIndex index;
             index.build(in);
             std::vector<std::int32_t> event(gather.size(), -1);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "snn/compute.hpp"
@@ -65,30 +64,6 @@ TEST(SpikeMap, IteratorMatchesGetFlatOnRandomMap) {
     m.for_each_spike([&](std::int64_t i) { got.push_back(i); });
     EXPECT_EQ(got, want);
     EXPECT_EQ(m.count(), static_cast<std::int64_t>(want.size()));
-}
-
-TEST(SpikeMap, CountRangeMatchesScan) {
-    util::Rng rng(43);
-    SpikeMap m(4, 6, 7);  // 168 sites
-    for (std::int64_t i = 0; i < m.size(); ++i) m.set_flat(i, rng.bernoulli(0.4));
-    const auto scan = [&](std::int64_t b, std::int64_t e) {
-        std::int64_t n = 0;
-        for (std::int64_t i = b; i < e; ++i) n += m.get_flat(i) ? 1 : 0;
-        return n;
-    };
-    // Within-word, word-crossing, word-aligned, full, and empty ranges.
-    for (const auto& [b, e] : std::vector<std::pair<std::int64_t, std::int64_t>>{
-             {0, 168}, {3, 9}, {60, 70}, {0, 64}, {64, 128}, {127, 129},
-             {167, 168}, {42, 42}, {100, 42}}) {
-        EXPECT_EQ(m.count_range(b, e), scan(b, e)) << "[" << b << ", " << e << ")";
-    }
-    // Per-channel split covers the whole map.
-    const std::int64_t plane = m.height() * m.width();
-    std::int64_t per_channel = 0;
-    for (std::int64_t c = 0; c < m.channels(); ++c) {
-        per_channel += m.count_range(c * plane, (c + 1) * plane);
-    }
-    EXPECT_EQ(per_channel, m.count());
 }
 
 TEST(SpikeMap, RawWordsRoundTripAndTailMasking) {

@@ -197,6 +197,56 @@ TEST(StreamSession, RestoreRejectsMismatchedGeometry) {
     EXPECT_THROW(engine.restore_session(session), std::invalid_argument);
 }
 
+TEST(StreamSession, EmptyTrainIsInvalidOnBothBackends) {
+    // A zero-frame train has no prediction. Every engine entry point
+    // rejects it before touching the session, a server lane answers
+    // kInvalidRequest on either backend, and a rejected session window
+    // leaves its session as it was.
+    const auto model = small_model(31);
+    const snn::SpikeTrain empty;
+    const snn::ExitCriterion exit{.margin = 1};
+
+    snn::FunctionalEngine engine(model);
+    snn::SessionState session;
+    EXPECT_THROW((void)engine.run(empty), std::invalid_argument);
+    EXPECT_THROW((void)engine.run(empty, exit), std::invalid_argument);
+    EXPECT_THROW((void)engine.run_window(empty), std::invalid_argument);
+    EXPECT_THROW((void)engine.run_window(empty, exit), std::invalid_argument);
+    EXPECT_THROW((void)engine.run_window(empty, session), std::invalid_argument);
+    EXPECT_THROW((void)engine.run_window(empty, session, exit), std::invalid_argument);
+    const sim::SiaConfig config;
+    const auto program = core::SiaCompiler(config).compile(model);
+    sim::Sia sia(config, model, program);
+    EXPECT_THROW((void)sia.run(empty), std::invalid_argument);
+    EXPECT_THROW((void)sia.run(empty, session, exit), std::invalid_argument);
+    EXPECT_FALSE(session.initialized);
+    EXPECT_EQ(session.windows, 0U);
+
+    const auto train = random_train(model, 3, 9);
+    const auto want = engine.run(train);
+    for (const bool use_sia : {false, true}) {
+        SCOPED_TRACE(use_sia ? "sia" : "functional");
+        std::shared_ptr<core::Backend> backend;
+        if (use_sia) {
+            backend = std::make_shared<core::SiaBackend>(model);
+        } else {
+            backend = std::make_shared<core::FunctionalBackend>(model);
+        }
+        core::Server server(std::move(backend), {.threads = 2});
+        const auto stateless = server.submit(core::Request::from_train(empty)).get();
+        EXPECT_EQ(stateless.error_code, core::ErrorCode::kInvalidRequest);
+        const auto window =
+            server.submit(core::Request::from_train(empty).with_session("cam")).get();
+        EXPECT_EQ(window.error_code, core::ErrorCode::kInvalidRequest);
+        const auto next =
+            server.submit(core::Request::from_train(train).with_session("cam")).get();
+        ASSERT_TRUE(next.ok()) << next.error;
+        EXPECT_EQ(next.logits_per_step, want.logits_per_step);
+        server.shutdown();
+        EXPECT_EQ(server.stats().failed, 2U);
+    }
+}
+
 // ---- server-level chunking identity (the tentpole property) ----
 
 void expect_server_chunk_identity(std::shared_ptr<core::Backend> backend,
