@@ -139,16 +139,8 @@ Response Response::from(snn::RunResult r) {
 }
 
 Response Response::from(sim::SiaRunResult r) {
-    Response resp;
-    resp.logits_per_step = std::move(r.logits_per_step);
-    resp.logits = std::move(r.readout);
-    resp.spike_counts = std::move(r.spike_counts);
-    resp.neuron_counts = std::move(r.neuron_counts);
+    Response resp = from(static_cast<snn::RunResult&&>(r));
     resp.layer_stats = std::move(r.layer_stats);
-    resp.timesteps = r.timesteps;
-    resp.steps_used = r.timesteps;
-    resp.steps_offered = r.steps_offered;
-    resp.exit_reason = r.exit_reason;
     return resp;
 }
 
@@ -267,14 +259,13 @@ void FunctionalBackend::run_span(std::size_t worker,
         // workers are busy and there are no idle cores to lend.
         const snn::TeamLoan loan(
             eng, spans_in_flight_.load(std::memory_order_relaxed) == 1 ? team_.get() : nullptr);
-        const std::optional<snn::ExitCriterion>& exit = r.early_exit;
+        const snn::ExitCriterion exit = r.early_exit.value_or(snn::ExitCriterion{});
         if (r.session_state) {
             snn::SessionState next = *r.session_state;
-            responses[i] = Response::from(exit ? eng.run_window(train, next, *exit)
-                                               : eng.run_window(train, next));
+            responses[i] = Response::from(eng.run_window(train, next, exit));
             responses[i].staged_session = std::move(next);
         } else {
-            responses[i] = Response::from(exit ? eng.run(train, *exit) : eng.run(train));
+            responses[i] = Response::from(eng.run(train, exit));
         }
         echo(r, responses[i]);
     }

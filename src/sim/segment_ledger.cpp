@@ -27,18 +27,7 @@ void prepare_session(const snn::SnnModel& model, snn::SessionState& session,
         session.readout.assign(static_cast<std::size_t>(model.classes), 0);
         return;
     }
-    if (session.membranes.size() != model.layers.size() ||
-        session.readout.size() != static_cast<std::size_t>(model.classes)) {
-        throw std::invalid_argument(who + ": session state/model geometry mismatch");
-    }
-    for (std::size_t i = 0; i < model.layers.size(); ++i) {
-        const snn::SnnLayer& layer = model.layers[i];
-        const std::size_t want =
-            layer.spiking ? static_cast<std::size_t>(layer.neurons()) : 0;
-        if (session.membranes[i].size() != want) {
-            throw std::invalid_argument(who + ": session membrane size mismatch");
-        }
-    }
+    snn::check_session(model, session, who);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "sim/segment_ledger.hpp"
 #include "snn/compute.hpp"
-#include "snn/engine.hpp"
 
 namespace sia::sim {
 
@@ -21,16 +20,6 @@ std::int64_t SiaRunResult::total_cycles() const noexcept {
     std::int64_t c = 0;
     for (const auto& s : layer_stats) c += s.total();
     return c;
-}
-
-std::int64_t SiaRunResult::predicted_class(std::int64_t t) const {
-    // One comparator convention across engines: first-index-wins.
-    return static_cast<std::int64_t>(
-        snn::argmax_first(logits_per_step.at(static_cast<std::size_t>(t))));
-}
-
-std::int64_t SiaRunResult::predicted() const {
-    return static_cast<std::int64_t>(snn::argmax_first(readout));
 }
 
 void SiaRunResult::reset(std::int64_t steps, std::int64_t classes,

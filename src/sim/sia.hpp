@@ -25,6 +25,7 @@
 #include "sim/controller.hpp"
 #include "sim/memory.hpp"
 #include "sim/program.hpp"
+#include "snn/engine.hpp"
 #include "snn/exit.hpp"
 #include "snn/model.hpp"
 #include "snn/session.hpp"
@@ -36,25 +37,14 @@ namespace sia::sim {
 /// segment of one).
 using Frames = std::span<const snn::SpikeMap>;
 
-struct SiaRunResult {
-    std::vector<std::vector<std::int64_t>> logits_per_step;  ///< [T][classes]
-    /// Final accumulated readout after the last integrated timestep.
-    std::vector<std::int64_t> readout;
-    std::vector<std::int64_t> spike_counts;                  ///< per layer
-    std::vector<std::int64_t> neuron_counts;
+/// A Sia run's result: the engine's RunResult (logits, readout, spike
+/// counts, timesteps, exit reason) plus the modeled per-layer cycle
+/// stats. `layer_dispatch`, FunctionalEngine's kernel counters, stays
+/// empty.
+struct SiaRunResult : snn::RunResult {
     std::vector<LayerCycleStats> layer_stats;
-    /// Timesteps actually integrated (== steps_offered unless an
-    /// ExitCriterion retired the item first).
-    std::int64_t timesteps = 0;
-    /// Timesteps the input train offered.
-    std::int64_t steps_offered = 0;
-    /// Why the run stopped (kNone = ran the full offered train).
-    snn::ExitReason exit_reason = snn::ExitReason::kNone;
 
     [[nodiscard]] std::int64_t total_cycles() const noexcept;
-    [[nodiscard]] std::int64_t predicted_class(std::int64_t t) const;
-    /// Prediction from the final accumulated readout.
-    [[nodiscard]] std::int64_t predicted() const;
     /// Clear to a `timesteps`-long run with zeroed logit rows and
     /// `layer_count` empty per-layer slots (a pass's starting point).
     void reset(std::int64_t timesteps, std::int64_t classes, std::size_t layer_count);

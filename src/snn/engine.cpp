@@ -12,15 +12,15 @@ namespace sia::snn {
 
 namespace {
 
-/// Tiles per participant in each phase of a tiled layer-step. More tiles
-/// than participants: the shared cursor then balances uneven tiles, and
-/// a helper that falls behind (preempted mid-tile) holds up only a small
-/// share of the step.
-constexpr std::int64_t kTilesPerParticipant = 4;
+/// Ranges per participant in each phase of a split layer-step. More
+/// ranges than participants: the team's shared cursor then balances
+/// uneven ranges, and a helper that falls behind (preempted mid-range)
+/// holds up only a small share of the step.
+constexpr std::int64_t kRangesPerParticipant = 4;
 
-/// Fewest input sites one index-building tile takes: every tile visits
-/// each channel's packed words over its site range, so thinner ranges
-/// repeat that per-channel cost without dividing much spike work.
+/// Fewest input sites one index-filling range takes: every range visits
+/// each channel's packed words over its sites, so thinner ranges repeat
+/// that per-channel cost without dividing much spike work.
 constexpr std::int64_t kMinIndexSites = 16;
 
 /// The fused kernels' arguments for layer `layer`'s whole fire stage:
@@ -119,22 +119,14 @@ FunctionalEngine::FunctionalEngine(const SnnModel& model, EngineConfig config)
 }
 
 void FunctionalEngine::reset() {
-    reset_membranes();
-    reset_readout();
-    reset_stats();
-}
-
-void FunctionalEngine::reset_membranes() {
     for (std::size_t i = 0; i < model_.layers.size(); ++i) {
         const SnnLayer& layer = model_.layers[i];
         state_[i].reset_membrane(layer.spiking ? layer.initial_potential
                                                : std::int16_t{0});
         spikes_[i].clear();
     }
-}
-
-void FunctionalEngine::reset_readout() {
     std::fill(readout_.begin(), readout_.end(), std::int64_t{0});
+    reset_stats();
 }
 
 void FunctionalEngine::reset_stats() {
@@ -162,20 +154,11 @@ void FunctionalEngine::restore_session(const SessionState& session) {
         reset();
         return;
     }
-    if (session.membranes.size() != model_.layers.size() ||
-        session.readout.size() != readout_.size()) {
-        throw std::invalid_argument(
-            "FunctionalEngine::restore_session: state/model geometry mismatch");
-    }
+    check_session(model_, session, "FunctionalEngine::run_window");
     for (std::size_t i = 0; i < model_.layers.size(); ++i) {
         if (!model_.layers[i].spiking) continue;
-        LayerState& st = state_[i];
         const auto& mem = session.membranes[i];
-        if (mem.size() != static_cast<std::size_t>(st.neurons)) {
-            throw std::invalid_argument(
-                "FunctionalEngine::restore_session: membrane size mismatch");
-        }
-        std::copy(mem.begin(), mem.end(), st.membrane.data());
+        std::copy(mem.begin(), mem.end(), state_[i].membrane.data());
         // Spike maps never carry across a step boundary; clear so the
         // restored engine starts the window from a clean slate.
         spikes_[i].clear();
@@ -184,12 +167,8 @@ void FunctionalEngine::restore_session(const SessionState& session) {
     reset_stats();
 }
 
-const SpikeMap& FunctionalEngine::source_spikes(int src, const SpikeMap& input) const {
-    return src == -1 ? input : spikes_.at(static_cast<std::size_t>(src));
-}
-
-const SpikeMap* FunctionalEngine::skip_source(const SnnLayer& layer) const {
-    return layer.has_skip() ? &source_spikes(layer.skip_src, *current_input_) : nullptr;
+const SpikeMap& FunctionalEngine::source_spikes(int src, const SpikeMap& net_input) const {
+    return src == -1 ? net_input : spikes_.at(static_cast<std::size_t>(src));
 }
 
 void FunctionalEngine::step(const SpikeMap& input) {
@@ -197,23 +176,9 @@ void FunctionalEngine::step(const SpikeMap& input) {
         input.width() != model_.input_w) {
         throw std::invalid_argument("FunctionalEngine::step: input geometry mismatch");
     }
-    current_input_ = &input;
-    for (std::size_t i = 0; i < model_.layers.size(); ++i) {
-        const SnnLayer& layer = model_.layers[i];
-        const SpikeMap& in = source_spikes(layer.input, input);
-        if (splits(layer, in)) {
-            step_tiled(i, in);
-            continue;
-        }
-        if (layer.op == LayerOp::kConv) {
-            run_conv_layer(i, in);
-        } else {
-            run_linear_layer(i, in);
-        }
-        integrate_and_fire(i);
-        // integrate_and_fire needs the skip source; it reads it lazily via
-        // the spikes_ array, which is valid because skip_src < i.
-    }
+    // Layers read only earlier layers' spikes of this step (input and
+    // skip_src < index), so index order is a valid schedule.
+    for (std::size_t i = 0; i < model_.layers.size(); ++i) step_layer(i, input);
 }
 
 bool FunctionalEngine::splits(const SnnLayer& layer, const SpikeMap& input) const noexcept {
@@ -224,137 +189,86 @@ bool FunctionalEngine::splits(const SnnLayer& layer, const SpikeMap& input) cons
                kTileMinWork;
 }
 
-void FunctionalEngine::step_tiled(std::size_t index, const SpikeMap& input) {
+void FunctionalEngine::step_layer(std::size_t index, const SpikeMap& net_input) {
     const SnnLayer& layer = model_.layers[index];
     LayerState& st = state_[index];
-    TileTeam& team = *team_;
-    const auto parts = static_cast<std::int64_t>(team.participants());
-    const std::int64_t max_tiles = kTilesPerParticipant * parts;
-    const SpikeMap* skip_spikes = skip_source(layer);
+    const SpikeMap& input = source_spikes(layer.input, net_input);
+    // skip_src may be -1 (network input) when the stem runs on the
+    // processor-side front end and the first block skips from it.
+    const SpikeMap* skip_spikes =
+        layer.has_skip() ? &source_spikes(layer.skip_src, net_input) : nullptr;
     const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
 
-    // Phase A1, index the input: each tile fills a range of input sites
-    // (main input, then the conv skip's), so rows never overlap. A range
-    // of fewer than kMinIndexSites sites would cost more in per-channel
-    // word visits than it saves.
-    const auto site_tiles = [&](const compute::SpikeIndex& idx) {
-        return std::clamp<std::int64_t>(idx.sites() / kMinIndexSites, 1, max_tiles);
-    };
-    index_.reshape(input);
-    const std::int64_t main_index_tiles = site_tiles(index_);
-    std::int64_t skip_index_tiles = 0;
-    if (conv_skip) {
-        skip_index_.reshape(*skip_spikes);
-        skip_index_tiles = site_tiles(skip_index_);
-    }
-    team.run(static_cast<std::size_t>(main_index_tiles + skip_index_tiles),
-             [&](std::size_t tile, std::size_t) {
-                 auto t = static_cast<std::int64_t>(tile);
-                 const bool skip = t >= main_index_tiles;
-                 if (skip) t -= main_index_tiles;
-                 compute::SpikeIndex& idx = skip ? skip_index_ : index_;
-                 const std::int64_t n = skip ? skip_index_tiles : main_index_tiles;
-                 idx.fill(skip ? *skip_spikes : input, idx.sites() * t / n,
-                          idx.sites() * (t + 1) / n);
-             });
-
-    // Phase A2, split the output: event-kernel unit ranges, block-major,
-    // written straight into the layer's HWC banks (a unit is stored by
-    // exactly one tile). With at least two channel blocks per
-    // participant, tiles take whole blocks, so each block's weight
-    // slice streams through one core; otherwise they split the units
-    // evenly.
-    const std::int64_t blocks = compute::conv_event_blocks(layer.out_channels);
-    const std::int64_t grain = blocks >= 2 * parts ? st.plane : 1;
-    const std::int64_t grains = blocks * st.plane / grain;
-    const std::int64_t psum_tiles = std::min(grains, max_tiles);
-    team.run(static_cast<std::size_t>(conv_skip ? 2 * psum_tiles : psum_tiles),
-             [&](std::size_t tile, std::size_t) {
-                 auto t = static_cast<std::int64_t>(tile);
-                 const bool skip = t >= psum_tiles;
-                 if (skip) t -= psum_tiles;
-                 const std::int64_t u0 = grains * t / psum_tiles * grain;
-                 const std::int64_t u1 = grains * (t + 1) / psum_tiles * grain;
-                 if (skip) {
-                     compute::conv_psum_event(layer.skip, skip_wt_[index], skip_index_,
-                                              layer.out_h, layer.out_w, u0, u1,
-                                              st.skip_accum());
-                 } else {
-                     compute::conv_psum_event(layer.main, main_wt_[index], index_, layer.out_h,
-                                              layer.out_w, u0, u1, st.accum());
-                 }
-             });
-
-    // Phase B, split the output again: channel ranges that start both on
-    // a packed spike word and on one of the transpose's 8-channel blocks
-    // (multiples of 8 channels for planes of 64 or more, of 16 for 2x2,
-    // of 64 for 1x1). Each range transposes its channels from HWC to CHW
-    // (when the orders differ), then fires; fire tiles write raw words
-    // and return their spike counts, and the map's count is set once
-    // here.
-    const compute::FireArgs args = fire_args(layer, st, skip_spikes);
-    const std::int64_t step =
-        std::max<std::int64_t>(8, simd::kBlock / std::gcd(st.plane, simd::kBlock));
-    const std::int64_t groups = (st.channels + step - 1) / step;
-    const std::int64_t ranges = std::min(groups, max_tiles);
-    SpikeMap& out = spikes_[index];
-    std::uint64_t* words = out.words();
-    std::atomic<std::int64_t> fired{0};
-    team.run(static_cast<std::size_t>(ranges), [&](std::size_t t, std::size_t) {
-        const auto r = static_cast<std::int64_t>(t);
-        const std::int64_t c0 = std::min(st.channels, groups * r / ranges * step);
-        const std::int64_t c1 = std::min(st.channels, groups * (r + 1) / ranges * step);
-        if (st.interleaved) {
-            compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels,
-                                          st.plane, c0, c1);
-            if (conv_skip) {
-                compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
-                                              st.channels, st.plane, c0, c1);
-            }
+    // Every phase below is a set of ranges that write disjoint memory. A
+    // split step hands them to the lent team, several per participant;
+    // otherwise max_ranges is 1 and each phase runs inline as one range
+    // per branch, i.e. one kernel call over the whole layer.
+    const bool split = splits(layer, input);
+    const auto parts = split ? static_cast<std::int64_t>(team_->participants()) : 1;
+    const std::int64_t max_ranges = split ? kRangesPerParticipant * parts : 1;
+    const auto phase = [&](std::int64_t ranges, const auto& fn) {
+        if (split) {
+            team_->run(static_cast<std::size_t>(ranges), [&](std::size_t r, std::size_t) {
+                fn(static_cast<std::int64_t>(r));
+            });
+        } else {
+            for (std::int64_t r = 0; r < ranges; ++r) fn(r);
         }
-        fired.fetch_add(fire(layer, args.channel_slice(c0, c1),
-                             words + c0 * st.plane / simd::kBlock),
-                        std::memory_order_relaxed);
-    });
-    out.set_count(fired.load(std::memory_order_relaxed));
+    };
 
-    count_step(index, input);
-    ++dispatch_[index].vector_fire_steps;
-    spike_counts_[index] += out.count();
-}
+    // Psum stage.
+    if (layer.op == LayerOp::kConv) {
+        // Index the input: each range fills a run of input sites (main
+        // input, then the conv skip's), so rows never overlap. A range
+        // of fewer than kMinIndexSites sites would cost more in
+        // per-channel word visits than it saves.
+        const auto site_ranges = [&](compute::SpikeIndex& idx, const SpikeMap& map) {
+            idx.reshape(map);
+            return std::clamp<std::int64_t>(idx.sites() / kMinIndexSites, 1, max_ranges);
+        };
+        const std::int64_t main_sites = site_ranges(index_, input);
+        const std::int64_t skip_sites =
+            conv_skip ? site_ranges(skip_index_, *skip_spikes) : 0;
+        phase(main_sites + skip_sites, [&](std::int64_t r) {
+            const bool skip = r >= main_sites;
+            const std::int64_t n = skip ? skip_sites : main_sites;
+            if (skip) r -= main_sites;
+            compute::SpikeIndex& idx = skip ? skip_index_ : index_;
+            idx.fill(skip ? *skip_spikes : input, idx.sites() * r / n,
+                     idx.sites() * (r + 1) / n);
+        });
 
-void FunctionalEngine::count_step(std::size_t index, const SpikeMap& input) {
+        // Event-kernel unit ranges, block-major, written straight into
+        // the layer's HWC banks (a unit is stored by exactly one range).
+        // With at least two channel blocks per participant, ranges take
+        // whole blocks, so each block's weight slice streams through one
+        // core; otherwise they split the units evenly.
+        const std::int64_t blocks = compute::conv_event_blocks(layer.out_channels);
+        const std::int64_t grain = blocks >= 2 * parts ? st.plane : 1;
+        const std::int64_t grains = blocks * st.plane / grain;
+        const std::int64_t unit_ranges = std::min(grains, max_ranges);
+        phase(conv_skip ? 2 * unit_ranges : unit_ranges, [&](std::int64_t r) {
+            const bool skip = r >= unit_ranges;
+            if (skip) r -= unit_ranges;
+            const std::int64_t u0 = grains * r / unit_ranges * grain;
+            const std::int64_t u1 = grains * (r + 1) / unit_ranges * grain;
+            if (skip) {
+                compute::conv_psum_event(layer.skip, skip_wt_[index], skip_index_, layer.out_h,
+                                         layer.out_w, u0, u1, st.skip_accum());
+            } else {
+                compute::conv_psum_event(layer.main, main_wt_[index], index_, layer.out_h,
+                                         layer.out_w, u0, u1, st.accum());
+            }
+        });
+    } else {
+        compute::linear_psum_scatter(layer.main, main_wt_[index], input, st.accum());
+    }
     LayerDispatchStats& d = dispatch_[index];
     ++d.scatter_steps;
     d.input_spikes += input.count();
     d.input_sites += input.size();
-}
 
-void FunctionalEngine::run_conv_layer(std::size_t index, const SpikeMap& input) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerState& st = state_[index];
-    const std::int64_t units = compute::conv_event_blocks(layer.out_channels) * st.plane;
-    index_.build(input);
-    compute::conv_psum_event(layer.main, main_wt_[index], index_, layer.out_h, layer.out_w, 0,
-                             units, st.accum());
-    if (layer.has_skip() && !layer.skip_is_identity) {
-        skip_index_.build(*skip_source(layer));
-        compute::conv_psum_event(layer.skip, skip_wt_[index], skip_index_, layer.out_h,
-                                 layer.out_w, 0, units, st.skip_accum());
-    }
-    count_step(index, input);
-}
-
-void FunctionalEngine::run_linear_layer(std::size_t index, const SpikeMap& input) {
-    const SnnLayer& layer = model_.layers[index];
-    compute::linear_psum_scatter(layer.main, main_wt_[index], input, state_[index].accum());
-    count_step(index, input);
-}
-
-void FunctionalEngine::integrate_and_fire(std::size_t index) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerState& st = state_[index];
-
+    // Fire stage.
     if (!layer.spiking) {
         // Readout layer: accumulate aggregated current into wide logits
         // (O(classes); never worth vectorizing).
@@ -368,38 +282,45 @@ void FunctionalEngine::integrate_and_fire(std::size_t index) {
         }
         return;
     }
-
-    const SpikeMap* skip_spikes = skip_source(layer);
-
+    SpikeMap& out = spikes_[index];
     if (config_.fire == FirePath::kScalar) {
         fire_scalar(index, skip_spikes);
-        ++dispatch_[index].scalar_fire_steps;
+        ++d.scalar_fire_steps;
     } else {
-        fire_vector(index, skip_spikes);
-        ++dispatch_[index].vector_fire_steps;
+        // Output-channel ranges that start both on a packed spike word
+        // and on one of the transpose's 8-channel blocks (multiples of 8
+        // channels for planes of 64 or more, of 16 for 2x2, of 64 for
+        // 1x1). Each range reorders its channels of the HWC accumulation
+        // banks into the CHW fire banks (when the orders differ; else the
+        // kernels accumulated in place), then fires, overwriting its
+        // packed words; the ranges return their spike counts and the
+        // map's count is set once here.
+        const compute::FireArgs args = fire_args(layer, st, skip_spikes);
+        const std::int64_t step =
+            std::max<std::int64_t>(8, simd::kBlock / std::gcd(st.plane, simd::kBlock));
+        const std::int64_t groups = (st.channels + step - 1) / step;
+        const std::int64_t ranges = std::min(groups, max_ranges);
+        std::uint64_t* words = out.words();
+        std::atomic<std::int64_t> fired{0};
+        phase(ranges, [&](std::int64_t r) {
+            const std::int64_t c0 = std::min(st.channels, groups * r / ranges * step);
+            const std::int64_t c1 = std::min(st.channels, groups * (r + 1) / ranges * step);
+            if (st.interleaved) {
+                compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels,
+                                              st.plane, c0, c1);
+                if (conv_skip) {
+                    compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
+                                                  st.channels, st.plane, c0, c1);
+                }
+            }
+            fired.fetch_add(fire(layer, args.channel_slice(c0, c1),
+                                 words + c0 * st.plane / simd::kBlock),
+                            std::memory_order_relaxed);
+        });
+        out.set_count(fired.load(std::memory_order_relaxed));
+        ++d.vector_fire_steps;
     }
-    spike_counts_[index] += spikes_[index].count();
-}
-
-void FunctionalEngine::fire_vector(std::size_t index, const SpikeMap* skip_spikes) {
-    const SnnLayer& layer = model_.layers[index];
-    LayerState& st = state_[index];
-    const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
-
-    // Reorder the HWC accumulation banks into the CHW fire banks; when
-    // the orders coincide the kernels already accumulated in place.
-    if (st.interleaved) {
-        compute::transpose_hwc_to_chw(st.psum_hwc.data(), st.psum.data(), st.channels, st.plane,
-                                      0, st.channels);
-        if (conv_skip) {
-            compute::transpose_hwc_to_chw(st.skip_psum_hwc.data(), st.skip_psum.data(),
-                                          st.channels, st.plane, 0, st.channels);
-        }
-    }
-
-    // Every packed word of the map is overwritten.
-    SpikeMap& out = spikes_[index];
-    out.set_count(fire(layer, fire_args(layer, st, skip_spikes), out.words()));
+    spike_counts_[index] += out.count();
 }
 
 void FunctionalEngine::fire_scalar(std::size_t index, const SpikeMap* skip_spikes) {
@@ -445,27 +366,25 @@ void FunctionalEngine::fire_scalar(std::size_t index, const SpikeMap* skip_spike
     }
 }
 
-RunResult FunctionalEngine::run(const SpikeTrain& input) {
-    reset();
-    return run_window_impl(input, nullptr);
-}
-
 RunResult FunctionalEngine::run(const SpikeTrain& input, const ExitCriterion& exit) {
     reset();
-    return run_window_impl(input, &exit);
+    return integrate(input, exit);
 }
 
-RunResult FunctionalEngine::run_window(const SpikeTrain& input) {
-    return run_window_impl(input, nullptr);
-}
-
-RunResult FunctionalEngine::run_window(const SpikeTrain& input,
+RunResult FunctionalEngine::run_window(const SpikeTrain& input, SessionState& session,
                                        const ExitCriterion& exit) {
-    return run_window_impl(input, &exit);
+    restore_session(session);  // zeroes per-run counters: stats are per-window
+    RunResult res = integrate(input, exit);
+    // Saving at the exit step keeps the session exactly consistent:
+    // the state is what a stream offering only res.timesteps frames
+    // would have produced.
+    save_session(session);
+    session.steps += res.timesteps;
+    ++session.windows;
+    return res;
 }
 
-RunResult FunctionalEngine::run_window_impl(const SpikeTrain& input,
-                                            const ExitCriterion* exit) {
+RunResult FunctionalEngine::integrate(const SpikeTrain& input, const ExitCriterion& exit) {
     // A zero-frame train has no prediction to report (sim::Sia's
     // admission rejects it the same way); no session state is written.
     if (input.empty()) throw std::invalid_argument("FunctionalEngine: empty input train");
@@ -476,8 +395,11 @@ RunResult FunctionalEngine::run_window_impl(const SpikeTrain& input,
     // entry, so session windows exit on their own delta (zeros after a
     // reset(), which makes the stateless case the absolute readout).
     std::optional<ExitEvaluator> eval;
-    if (exit != nullptr && exit->enabled()) eval.emplace(*exit, readout_);
-    if (exit != nullptr && !exit->enabled()) exit->validate();
+    if (exit.enabled()) {
+        eval.emplace(exit, readout_);
+    } else {
+        exit.validate();
+    }
     std::int64_t steps = 0;
     for (const SpikeMap& frame : input) {
         step(frame);
@@ -497,28 +419,6 @@ RunResult FunctionalEngine::run_window_impl(const SpikeTrain& input,
     res.layer_dispatch = dispatch_;
     res.neuron_counts.reserve(model_.layers.size());
     for (const SnnLayer& layer : model_.layers) res.neuron_counts.push_back(layer.neurons());
-    return res;
-}
-
-RunResult FunctionalEngine::run_window(const SpikeTrain& input, SessionState& session) {
-    restore_session(session);  // zeroes per-run counters: stats are per-window
-    RunResult res = run_window_impl(input, nullptr);
-    save_session(session);
-    session.steps += res.timesteps;
-    ++session.windows;
-    return res;
-}
-
-RunResult FunctionalEngine::run_window(const SpikeTrain& input, SessionState& session,
-                                       const ExitCriterion& exit) {
-    restore_session(session);
-    RunResult res = run_window_impl(input, &exit);
-    // Saving at the exit step keeps the session exactly consistent:
-    // the state is what a stream offering only res.timesteps frames
-    // would have produced.
-    save_session(session);
-    session.steps += res.timesteps;
-    ++session.windows;
     return res;
 }
 

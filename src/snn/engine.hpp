@@ -133,67 +133,39 @@ public:
     /// it and precomputes the weight layouts the psum kernels read.
     explicit FunctionalEngine(const SnnModel& model, EngineConfig config = {});
 
-    /// Full reset: membranes to their initial potential, readout
-    /// cleared, per-run counters zeroed. Equivalent to reset_membranes()
-    /// + reset_readout() + reset_stats().
+    /// Full reset: membranes to their initial potential, last-step spike
+    /// maps and readout cleared, per-run counters zeroed.
     void reset();
-    /// Reset only the neuron state: membranes back to the initial
-    /// potential, last-step spike maps cleared. Leaves the accumulated
-    /// readout and counters alone.
-    void reset_membranes();
-    /// Clear only the accumulated readout logits.
-    void reset_readout();
-    /// Zero the per-run spike/dispatch counters (windowed runs report
-    /// per-window statistics while membranes and readout carry).
-    void reset_stats();
 
     /// Advance one timestep with the given input spikes.
     void step(const SpikeMap& input);
 
-    /// reset() + step() over the train; collects statistics. Every run
-    /// and run_window form throws std::invalid_argument on a zero-frame
-    /// train, before it writes any session state.
-    [[nodiscard]] RunResult run(const SpikeTrain& input);
-    /// Early-exit form: evaluate `exit` after each eligible timestep
-    /// and stop integrating once it fires (the item "drops out of the
-    /// hot loop" — no psum/fire kernel touches it past the exit step).
-    /// A disabled criterion is bit-identical to run(input); steps that
-    /// do run are bit-identical to the full-T run's prefix. Throws
-    /// std::invalid_argument on an out-of-range criterion.
-    [[nodiscard]] RunResult run(const SpikeTrain& input, const ExitCriterion& exit);
+    /// reset() + step() over the train; collects statistics. An armed
+    /// `exit` is evaluated after each eligible timestep and stops the
+    /// integration once it fires (the item "drops out of the hot loop"
+    /// — no psum/fire kernel touches it past the exit step); the steps
+    /// that do run are bit-identical to the full-T run's prefix. Both
+    /// run forms throw std::invalid_argument on a zero-frame train or an
+    /// out-of-range criterion, before they write any session state.
+    [[nodiscard]] RunResult run(const SpikeTrain& input, const ExitCriterion& exit = {});
 
-    /// Run one window of a stream WITHOUT resetting membranes or
-    /// readout: statistics are per-window, logits_per_step continues
-    /// the accumulation carried in by earlier windows. Splitting a
-    /// train into consecutive run_window calls after a reset() is
-    /// bit-identical to one run() over the whole train.
-    [[nodiscard]] RunResult run_window(const SpikeTrain& input);
-    /// Early-exit window: `exit` is evaluated on the readout delta
-    /// accumulated THIS window (absolute readout minus the carried
-    /// baseline at window entry), so a mid-stream window exits on its
-    /// own evidence rather than the history's.
-    [[nodiscard]] RunResult run_window(const SpikeTrain& input,
-                                       const ExitCriterion& exit);
-
-    /// Stateful-session form: restore `session` (a fresh reset when it
-    /// is uninitialized), run the window, save the state back and
-    /// advance the session's step/window counters. Sessions are
-    /// engine-agnostic (sim::Sia resumes the same representation).
-    [[nodiscard]] RunResult run_window(const SpikeTrain& input, SessionState& session);
-    /// Session window with early exit: the saved state reflects the
-    /// exit point exactly — as if the stream had offered only the
-    /// integrated steps — so the carried SessionState is never
-    /// corrupted and the next window resumes bit-identically.
+    /// One window of a stream against a stateful session: restore
+    /// `session` (a fresh reset when it is uninitialized), run the window
+    /// without resetting, save the state back and advance the session's
+    /// step/window counters. Statistics are per-window; logits_per_step
+    /// continues the accumulation carried in by earlier windows, so
+    /// consecutive windows of one session are bit-identical to one run()
+    /// over the whole train. An armed `exit` is evaluated on the readout
+    /// delta accumulated THIS window (absolute readout minus the carried
+    /// baseline), so a mid-stream window exits on its own evidence; the
+    /// saved state reflects the exit point exactly — as if the stream had
+    /// offered only the integrated steps — so the next window resumes
+    /// bit-identically. Sessions are engine-agnostic (sim::Sia resumes the
+    /// same representation). Throws std::invalid_argument, leaving
+    /// `session` untouched, when an initialized session does not fit the
+    /// model (snn::check_session).
     [[nodiscard]] RunResult run_window(const SpikeTrain& input, SessionState& session,
-                                       const ExitCriterion& exit);
-
-    /// Copy the carried state (membranes + readout) out of the engine.
-    void save_session(SessionState& session) const;
-    /// Load carried state into the engine and zero the per-run
-    /// counters. An uninitialized session restores as a full reset().
-    /// Throws std::invalid_argument when the state's geometry does not
-    /// match the model.
-    void restore_session(const SessionState& session);
+                                       const ExitCriterion& exit = {});
 
     /// Output spikes of layer `i` at the most recent timestep.
     [[nodiscard]] const SpikeMap& layer_spikes(std::size_t i) const {
@@ -221,31 +193,30 @@ public:
     [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
 private:
-    /// Shared window loop: null `exit` (or a disabled criterion) runs
-    /// the whole train.
-    [[nodiscard]] RunResult run_window_impl(const SpikeTrain& input,
-                                            const ExitCriterion* exit);
-    void run_conv_layer(std::size_t index, const SpikeMap& input);
-    void run_linear_layer(std::size_t index, const SpikeMap& input);
-    void integrate_and_fire(std::size_t index);
-    /// Count one psum step of layer `index` over `input`.
-    void count_step(std::size_t index, const SpikeMap& input);
+    /// The window loop both run forms share: step() over the train from
+    /// the current state, evaluating `exit` when it is armed.
+    [[nodiscard]] RunResult integrate(const SpikeTrain& input, const ExitCriterion& exit);
+    /// Zero the per-run spike/dispatch counters.
+    void reset_stats();
+    /// Copy the carried state (membranes + readout) out of the engine.
+    void save_session(SessionState& session) const;
+    /// Load carried state into the engine and zero the per-run counters;
+    /// an uninitialized session restores as a full reset().
+    void restore_session(const SessionState& session);
+
+    /// One timestep of layer `index`, the only layer body: a psum stage
+    /// and a fire stage, each made of phases of disjoint ranges. A split
+    /// step hands every phase's ranges to the lent team; otherwise each
+    /// phase runs inline as one range per branch.
+    void step_layer(std::size_t index, const SpikeMap& net_input);
     /// Whether this layer-step splits across the lent team.
     [[nodiscard]] bool splits(const SnnLayer& layer, const SpikeMap& input) const noexcept;
-    /// One conv layer-step split across team_: psum and fire, with the
-    /// same spikes, membranes and counters as the serial path.
-    void step_tiled(std::size_t index, const SpikeMap& input);
-    /// Fire-stage implementations over the layer's SoA banks; both
-    /// update membranes + spikes_[index] identically (spike emission
-    /// included), differing only in throughput. `skip_spikes` is the
-    /// resolved residual source (null when the layer has no skip).
-    void fire_vector(std::size_t index, const SpikeMap* skip_spikes);
+    /// The per-neuron reference fire loop (FirePath::kScalar) over the
+    /// whole layer; `skip_spikes` is the resolved residual source (null
+    /// when the layer has no skip).
     void fire_scalar(std::size_t index, const SpikeMap* skip_spikes);
-    [[nodiscard]] const SpikeMap& source_spikes(int src, const SpikeMap& input) const;
-    /// The layer's resolved residual source (null when it has no skip).
-    /// skip_src may be -1 (network input) when the stem runs on the
-    /// processor-side front end and the first block skips from it.
-    [[nodiscard]] const SpikeMap* skip_source(const SnnLayer& layer) const;
+    /// Layer `src`'s spikes this step, or `net_input` for -1.
+    [[nodiscard]] const SpikeMap& source_spikes(int src, const SpikeMap& net_input) const;
 
     const SnnModel& model_;
     EngineConfig config_;
@@ -259,7 +230,6 @@ private:
     std::vector<std::int64_t> readout_;                  // accumulated logits
     std::vector<std::int64_t> spike_counts_;             // per layer since reset
     std::vector<LayerDispatchStats> dispatch_;           // per layer since reset
-    const SpikeMap* current_input_ = nullptr;            // valid during step()
     /// Spiking-channel indexes of the current conv step's input and of
     /// its conv skip's input, rebuilt every conv layer-step.
     compute::SpikeIndex index_;

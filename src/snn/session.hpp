@@ -17,9 +17,12 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace sia::snn {
+
+struct SnnModel;
 
 /// State of one streaming session between windows.
 struct SessionState {
@@ -39,5 +42,13 @@ struct SessionState {
 
     bool operator==(const SessionState&) const = default;
 };
+
+/// The one session geometry rule both engines enforce before resuming
+/// an initialized session: a membrane bank per layer holding
+/// layer.neurons() potentials for a spiking layer and none for a readout
+/// layer, and model.classes readout logits. Throws std::invalid_argument,
+/// prefixed by `who`, on any mismatch.
+void check_session(const SnnModel& model, const SessionState& session,
+                   const std::string& who);
 
 }  // namespace sia::snn

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -187,14 +188,43 @@ TEST(StreamSession, SessionsMigrateBetweenEngines) {
     EXPECT_EQ(logits, mono.logits_per_step);
 }
 
-TEST(StreamSession, RestoreRejectsMismatchedGeometry) {
+TEST(StreamSession, MalformedSessionIsInvalidOnBothBackends) {
+    // One geometry rule (snn::check_session): a membrane bank per layer,
+    // holding layer.neurons() potentials for a spiking layer and none for
+    // a readout layer. Both engines reject a session that breaks it,
+    // before running, and leave the session as it was.
     const auto model = small_model(11);
+    const auto train = random_train(model, 3, 5);
     snn::FunctionalEngine engine(model);
-    snn::SessionState session;
-    session.initialized = true;
-    session.membranes = {{1, 2, 3}};  // wrong layer count / sizes
-    session.readout = {0, 0, 0, 0};
-    EXPECT_THROW(engine.restore_session(session), std::invalid_argument);
+    const sim::SiaConfig config;
+    const auto program = core::SiaCompiler(config).compile(model);
+    sim::Sia sia(config, model, program);
+    snn::SessionState valid;
+    (void)engine.run_window(train, valid);
+
+    snn::SessionState wrong_layers = valid;
+    wrong_layers.membranes.pop_back();
+    snn::SessionState wrong_size = valid;
+    wrong_size.membranes[0].push_back(0);
+    snn::SessionState readout_bank = valid;
+    readout_bank.membranes[1].assign(4, 7);  // layer 1 is the readout
+    for (const auto& [name, bad] : {std::pair{"layer count", wrong_layers},
+                                    std::pair{"spiking-layer size", wrong_size},
+                                    std::pair{"readout bank", readout_bank}}) {
+        SCOPED_TRACE(name);
+        snn::SessionState session = bad;
+        EXPECT_THROW((void)engine.run_window(train, session), std::invalid_argument);
+        EXPECT_EQ(session, bad);
+        session = bad;
+        EXPECT_THROW((void)sia.run(train, session, {}), std::invalid_argument);
+        EXPECT_EQ(session, bad);
+    }
+
+    snn::SessionState engine_session = valid;
+    snn::SessionState sia_session = valid;
+    EXPECT_EQ(engine.run_window(train, engine_session).readout,
+              sia.run(train, sia_session, {}).readout);
+    EXPECT_EQ(engine_session, sia_session);
 }
 
 TEST(StreamSession, EmptyTrainIsInvalidOnBothBackends) {
@@ -210,8 +240,6 @@ TEST(StreamSession, EmptyTrainIsInvalidOnBothBackends) {
     snn::SessionState session;
     EXPECT_THROW((void)engine.run(empty), std::invalid_argument);
     EXPECT_THROW((void)engine.run(empty, exit), std::invalid_argument);
-    EXPECT_THROW((void)engine.run_window(empty), std::invalid_argument);
-    EXPECT_THROW((void)engine.run_window(empty, exit), std::invalid_argument);
     EXPECT_THROW((void)engine.run_window(empty, session), std::invalid_argument);
     EXPECT_THROW((void)engine.run_window(empty, session, exit), std::invalid_argument);
     const sim::SiaConfig config;
