@@ -1,6 +1,7 @@
 #include "snn/compute.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -135,29 +136,66 @@ inline void for_each_site(const EventConv& e, std::int64_t y, std::int64_t x,
     }
 }
 
+/// Weight rows one int16 lane can sum without wrapping: 256 rows of
+/// [-128, 127] span [-32768, 32512].
+constexpr std::int64_t kFlushRows = 256;
+
 /// G 8-lane groups of output channels from `o0`, at output positions
-/// [pos_begin, pos_end): the psums live in G vector registers for the
-/// whole receptive field and are stored once.
+/// [pos_begin, pos_end): the psums live in G int32 vector registers for
+/// the whole receptive field and are stored once. The weight rows are
+/// summed into G / 2 int16 registers of 16 lanes each, which are widened
+/// into the int32 pairs whenever another row would take them past
+/// kFlushRows rows, and before the store, so every psum is the exact
+/// int32 sum. An odd last group adds its rows into int32 directly.
 template <int G>
 void event_block(const EventConv& e, std::int64_t o0, std::int64_t pos_begin,
                  std::int64_t pos_end) {
     constexpr std::int64_t kWidth = G * simd::kLanes;
+    constexpr int kPairs = G / 2;
     const std::int8_t* block = e.wt + o0 * e.patch;
     const std::int64_t ic_stride = e.kernel * e.kernel * kWidth;
     for (std::int64_t pos = pos_begin; pos < pos_end; ++pos) {
         const std::int64_t y = pos / e.out_w;
         simd::i32x8 acc[G];
         for (int g = 0; g < G; ++g) acc[g] = simd::broadcast(0);
-        for_each_site(e, y, pos - y * e.out_w,
-                      [&](const std::uint16_t* channels, std::int64_t n, std::int64_t tap) {
-                          const std::int8_t* rows = block + tap * kWidth;
-                          for (std::int64_t j = 0; j < n; ++j) {
-                              const std::int8_t* w = rows + channels[j] * ic_stride;
-                              for (int g = 0; g < G; ++g) {
-                                  acc[g] = acc[g] + simd::load_i8(w + g * simd::kLanes);
-                              }
-                          }
-                      });
+        std::array<simd::i16x16, kPairs> part{};
+        std::int64_t pending = 0;  // rows summed into `part` since its last flush
+        const auto flush = [&] {
+            for (int p = 0; p < kPairs; ++p) {
+                simd::add_widened(acc[2 * p], acc[2 * p + 1], part[p]);
+                part[p] = simd::i16x16{};
+            }
+            pending = 0;
+        };
+        const auto add_rows = [&](const std::int8_t* rows, const std::uint16_t* channels,
+                                  std::int64_t n) {
+            for (std::int64_t j = 0; j < n; ++j) {
+                const std::int8_t* w = rows + channels[j] * ic_stride;
+                for (int p = 0; p < kPairs; ++p) {
+                    part[p] = part[p] + simd::load_i8x16(w + p * 2 * simd::kLanes);
+                }
+                if constexpr (G % 2 != 0) {
+                    acc[G - 1] = acc[G - 1] + simd::load_i8(w + (G - 1) * simd::kLanes);
+                }
+            }
+        };
+        for_each_site(
+            e, y, pos - y * e.out_w,
+            [&](const std::uint16_t* channels, std::int64_t n, std::int64_t tap) {
+                const std::int8_t* rows = block + tap * kWidth;
+                if constexpr (kPairs > 0) {
+                    while (pending + n > kFlushRows) {
+                        const std::int64_t head = kFlushRows - pending;
+                        add_rows(rows, channels, head);
+                        flush();
+                        channels += head;
+                        n -= head;
+                    }
+                    pending += n;
+                }
+                add_rows(rows, channels, n);
+            });
+        flush();
         std::int32_t* out = e.psum + pos * e.oc + o0;
         for (int g = 0; g < G; ++g) simd::store(out + g * simd::kLanes, acc[g]);
     }

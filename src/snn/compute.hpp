@@ -4,11 +4,13 @@
 // cycle-accurate hardware simulator (sim::Sia) perform their numerics
 // through these functions. They call different psum kernels — the
 // engine the output-stationary event kernel, Sia the dense gather in
-// its chunked, channel-sliced schedule — but every kernel performs the
-// same multiset of exact int32 additions, and both engines share the
-// aggregate and neuron-update arithmetic below. That is what makes the
-// bit-exact software/hardware co-verification a structural property
-// rather than a testing aspiration.
+// its chunked, channel-sliced schedule — but every kernel computes the
+// same exact int32 sums of the same multiset of int8 weights (the event
+// kernel in int16 lanes that are flushed into int32 before they can
+// wrap), and both engines share the aggregate and neuron-update
+// arithmetic below. That is what makes the bit-exact software/hardware
+// co-verification a structural property rather than a testing
+// aspiration.
 #pragma once
 
 #include <cstdint>
@@ -85,16 +87,20 @@ private:
 
 /// Output-stationary event-driven convolution partial sums over units
 /// [unit_begin, unit_end) (see conv_event_blocks). Each unit keeps its
-/// block's psums in registers, visits only the spiking input channels
-/// of each in-bounds receptive-field site (`in` indexes the input map),
-/// adds each one's int8 weight row (`wt` in the block_conv layout)
-/// widened to int32, and stores the block once into `psum` (HWC,
-/// [out_h][out_w][OC], full-OC stride): no zero-fill, no read-back.
-/// Every psum entry of a unit is written by that unit alone, so
-/// disjoint unit ranges can run concurrently, and the sums are the
-/// exact int32 additions every other conv kernel here performs
-/// (bit-identical to conv_psum_chunk_oc over the full ranges on a
-/// zeroed bank).
+/// block's int32 psums in registers, visits only the spiking input
+/// channels of each in-bounds receptive-field site (`in` indexes the
+/// input map), adds each one's int8 weight row (`wt` in the block_conv
+/// layout), and stores the block once into `psum` (HWC,
+/// [out_h][out_w][OC], full-OC stride): no zero-fill, no read-back. The
+/// rows are summed in int16 lanes, 16 per widening load (an odd last
+/// 8-lane group and the scalar tail add in int32), and the unit widens
+/// them into its int32 psums before a lane would sum a 257th row, and
+/// before the store.
+/// 256 rows of [-128, 127] span [-32768, 32512], so no lane wraps and
+/// every psum is the exact int32 sum. Every psum entry of a unit is
+/// written by that unit alone, so disjoint unit ranges can run
+/// concurrently, and the sums are bit-identical to conv_psum_chunk_oc's
+/// over the full ranges on a zeroed bank.
 void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
                      const SpikeIndex& in, std::int64_t out_h, std::int64_t out_w,
                      std::int64_t unit_begin, std::int64_t unit_end,

@@ -1,5 +1,6 @@
 #include "snn/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -55,10 +56,18 @@ template <typename T>
 std::vector<T> read_vec(std::istream& in) {
     const auto n = read_pod<std::uint64_t>(in);
     if (n > (1ULL << 31)) throw std::runtime_error("load_model: absurd vector length");
-    std::vector<T> v(static_cast<std::size_t>(n));
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-    if (!in) throw std::runtime_error("load_model: truncated vector");
+    // Read in bounded chunks, so the allocation grows only with the
+    // bytes actually present: a forged length in a short stream fails
+    // at its first missing chunk instead of reserving gigabytes.
+    constexpr std::size_t kChunk = (std::size_t{1} << 20) / sizeof(T);
+    std::vector<T> v;
+    while (v.size() < n) {
+        const std::size_t done = v.size();
+        v.resize(done + std::min<std::size_t>(kChunk, static_cast<std::size_t>(n) - done));
+        in.read(reinterpret_cast<char*>(v.data() + done),
+                static_cast<std::streamsize>((v.size() - done) * sizeof(T)));
+        if (!in) throw std::runtime_error("load_model: truncated vector");
+    }
     return v;
 }
 

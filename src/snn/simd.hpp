@@ -3,11 +3,13 @@
 //
 // The fused aggregate+fire pass (snn::compute::aggregate_fire_*) walks
 // flat CHW neuron banks 64 neurons at a time — one packed SpikeMap word
-// per iteration — as eight groups of eight int32 lanes; the event conv
+// per iteration — as eight groups of eight int32 lanes. The event conv
 // kernel (snn::compute::conv_psum_event) holds up to eight such groups
-// of psums in registers and adds widened int8 weight rows. On GCC/Clang
-// the lane type compiles to the native vector extensions (SSE2/AVX2
-// depending on -march), everywhere else to a plain struct whose
+// of psums in registers; it sums int8 weight rows into 16-lane int16
+// vectors (i16x16, one widening load per 16 lanes) and widens those
+// into pairs of int32 groups before they can wrap. On GCC/Clang the
+// lane types compile to the native vector extensions (SSE2/AVX2
+// depending on -march), everywhere else to plain structs whose
 // elementwise loops the optimizer can still auto-vectorize; both
 // spellings execute the identical lane arithmetic, so results never
 // depend on which one was compiled in.
@@ -48,6 +50,7 @@ inline constexpr std::int64_t kBlock = 64;
 #pragma GCC diagnostic ignored "-Wpsabi"
 using i32x8 = std::int32_t __attribute__((vector_size(32)));
 using i16x8 = std::int16_t __attribute__((vector_size(16)));
+using i16x16 = std::int16_t __attribute__((vector_size(32)));
 
 [[nodiscard]] inline i32x8 broadcast(std::int32_t v) noexcept {
     return i32x8{v, v, v, v, v, v, v, v};
@@ -81,6 +84,40 @@ using i16x8 = std::int16_t __attribute__((vector_size(16)));
     std::memcpy(&s, p, sizeof s);
     return __builtin_convertvector(s, i32x8);
 #endif
+}
+/// Load 16 int8 values sign-extended to int16 lanes: the weight-row
+/// read of the event conv kernel. GCC 12 lowers the generic convertvector
+/// to two 8-lane widenings and a lane insert, which made that kernel
+/// about 2x slower than the one-instruction widening load AVX2 builds
+/// take.
+[[nodiscard]] inline i16x16 load_i8x16(const std::int8_t* p) noexcept {
+#if defined(__AVX2__)
+    const __m256i v =
+        _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+    i16x16 out;
+    std::memcpy(&out, &v, sizeof out);
+    return out;
+#else
+    using i8x16 = std::int8_t __attribute__((vector_size(16)));
+    i8x16 s;
+    std::memcpy(&s, p, sizeof s);
+    return __builtin_convertvector(s, i16x16);
+#endif
+}
+/// Add int16 lanes 0-7 of `v`, widened to int32, into `lo` and lanes
+/// 8-15 into `hi`.
+inline void add_widened(i32x8& lo, i32x8& hi, i16x16 v) noexcept {
+    // One vector per memcpy: GCC moves a two-vector array through a
+    // 64-byte stack slot, which stalls store forwarding.
+    i16x8 narrow_lo;
+    i16x8 narrow_hi;
+    std::memcpy(&narrow_lo, &v, sizeof narrow_lo);
+    std::memcpy(&narrow_hi, reinterpret_cast<const char*>(&v) + sizeof narrow_lo,
+                sizeof narrow_hi);
+    const i32x8 l = __builtin_convertvector(narrow_lo, i32x8);
+    const i32x8 h = __builtin_convertvector(narrow_hi, i32x8);
+    lo = lo + l;
+    hi = hi + h;
 }
 /// Store int32 lanes narrowed to int16 (values must already be in
 /// int16 range — the kernels clamp before storing).
@@ -165,6 +202,15 @@ struct i32x8 {
     std::int32_t operator[](int i) const noexcept { return l[i]; }
 };
 
+struct i16x16 {
+    std::int16_t l[16];
+
+    friend i16x16 operator+(i16x16 a, i16x16 b) noexcept {
+        for (int i = 0; i < 16; ++i) a.l[i] = static_cast<std::int16_t>(a.l[i] + b.l[i]);
+        return a;
+    }
+};
+
 [[nodiscard]] inline i32x8 broadcast(std::int32_t v) noexcept {
     return i32x8{{v, v, v, v, v, v, v, v}};
 }
@@ -182,6 +228,17 @@ struct i32x8 {
     i32x8 v;
     for (int i = 0; i < 8; ++i) v.l[i] = p[i];
     return v;
+}
+[[nodiscard]] inline i16x16 load_i8x16(const std::int8_t* p) noexcept {
+    i16x16 v;
+    for (int i = 0; i < 16; ++i) v.l[i] = p[i];
+    return v;
+}
+inline void add_widened(i32x8& lo, i32x8& hi, i16x16 v) noexcept {
+    for (int i = 0; i < 8; ++i) {
+        lo.l[i] += v.l[i];
+        hi.l[i] += v.l[i + 8];
+    }
 }
 inline void store_i16(std::int16_t* p, i32x8 v) noexcept {
     for (int i = 0; i < 8; ++i) p[i] = static_cast<std::int16_t>(v.l[i]);

@@ -12,10 +12,12 @@
 // util/fixed_point lane recipe as the scalar aggregate()/update_neuron()
 // loop, so the fire paths are bit-identical too. The kernel matrix
 // sweeps densities {0, 1 spike, 5%, 50%, 100%} x kernel/stride/padding x
-// output widths that end on every block tail; the engine matrix sweeps
-// the same densities x identity/conv skip routing x IF/LIF neurons x
-// subtract/zero reset x fire path, on both word-aligned and odd
-// ("tail") neuron counts. Bit-identity to sim::Sia, which runs the
+// output widths that give every group count and block tail x random and
+// extreme weights, including full maps whose units add 256, 257 and 576
+// weight rows across the event kernel's int16 flush; the engine matrix
+// sweeps the same densities x identity/conv skip routing x IF/LIF
+// neurons x subtract/zero reset x fire path, on both word-aligned and
+// odd ("tail") neuron counts. Bit-identity to sim::Sia, which runs the
 // dense gather, is checked by test_sia_integration and test_properties.
 //
 // Intra-inference tiling (the last section) must leave every one of
@@ -137,59 +139,104 @@ TEST(EventKernel, IndexListsEachSitesSpikingChannelsInOrder) {
     }
 }
 
+/// Weight fills for the event-kernel tests: random, and the two
+/// extremes, at which a missed int16 flush wraps a lane soonest.
+enum class WeightFill { kRandom, kAllMin, kAllMax };
+
+Branch filled_conv_branch(std::int64_t ic, std::int64_t oc, std::int64_t kernel,
+                          std::int64_t stride, std::int64_t padding, WeightFill fill,
+                          util::Rng& rng) {
+    Branch b = random_conv_branch(ic, oc, kernel, stride, padding, rng);
+    if (fill == WeightFill::kAllMin) std::fill(b.weights.begin(), b.weights.end(), -128);
+    if (fill == WeightFill::kAllMax) std::fill(b.weights.begin(), b.weights.end(), 127);
+    return b;
+}
+
 TEST(EventKernel, ConvPsumMatchesGatherAcrossGeometryWidthsAndUnitSplits) {
     util::Rng rng(101);
-    const std::int64_t ic = 5;
-    const std::int64_t in_h = 7;
-    const std::int64_t in_w = 5;
     constexpr std::int32_t kUntouched = 0x5A5A5A5A;
-    for (const std::int64_t oc : {1L, 7L, 8L, 13L, 64L, 72L, 130L}) {
+    // Input maps. On the 5-channel 7x5 map a unit adds at most 45 weight
+    // rows; the full maps make units add exactly 256 rows (256 channels
+    // under a 1x1 kernel), 257 rows, and a whole 64-channel 3x3 field
+    // (576 rows), so a unit's int16 lanes reach the 256-row flush limit
+    // exactly, pass it by one row, and flush twice before the store.
+    struct Input {
+        std::int64_t c, h, w;
+        bool full;  ///< every neuron spikes; otherwise densities + single spikes
+    };
+    // Every block shape: 1-8 groups of 8 lanes alone (8 ... 64), a 64-lane
+    // block followed by 1 or 5 groups (72, 104) or by another 64-lane
+    // block (130), and the scalar tail (1, 7, 13, 130).
+    for (const std::int64_t oc : {1L, 7L, 8L, 13L, 16L, 24L, 32L, 40L, 48L, 56L, 64L, 72L, 104L,
+                                  130L}) {
         const std::int64_t blocks = compute::conv_event_blocks(oc);
-        for (const std::int64_t kernel : {1L, 3L}) {
-            for (const std::int64_t stride : {1L, 2L}) {
-                for (const std::int64_t padding : {0L, 1L}) {
-                    const std::int64_t out_h = (in_h + 2 * padding - kernel) / stride + 1;
-                    const std::int64_t out_w = (in_w + 2 * padding - kernel) / stride + 1;
-                    const std::int64_t plane = out_h * out_w;
-                    const Branch b = random_conv_branch(ic, oc, kernel, stride, padding, rng);
-                    const auto wt = compute::transpose_conv(b);
-                    const auto blocked = compute::block_conv(b);
-                    std::vector<SpikeMap> cases;
-                    for (const double d : {0.0, 0.05, 0.5, 1.0}) {
-                        cases.push_back(random_map(ic, in_h, in_w, d, rng));
-                    }
-                    cases.push_back(single_spike_map(ic, in_h, in_w, 0));
-                    cases.push_back(single_spike_map(ic, in_h, in_w, ic * in_h * in_w - 1));
-                    for (const SpikeMap& in : cases) {
-                        SCOPED_TRACE("oc=" + std::to_string(oc) + " k=" +
-                                     std::to_string(kernel) + " s=" + std::to_string(stride) +
-                                     " p=" + std::to_string(padding) +
-                                     " spikes=" + std::to_string(in.count()));
-                        const auto n = static_cast<std::size_t>(plane * oc);
-                        std::vector<std::int32_t> gather(n, 0);
-                        compute::conv_psum_chunk_oc(b, wt, in, out_h, out_w, 0, oc, gather);
-                        compute::SpikeIndex index;
-                        index.build(in);
-                        // Split the units at every boundary: the first
-                        // range writes exactly its units, the second
-                        // completes the bank.
-                        const std::int64_t units = blocks * plane;
-                        for (std::int64_t split = 0; split <= units; ++split) {
-                            std::vector<std::int32_t> event(n, kUntouched);
-                            compute::conv_psum_event(b, blocked, index, out_h, out_w, 0,
-                                                     split, event);
-                            for (std::int64_t u = 0; u < units; ++u) {
-                                const auto [o0, o1] = event_block_channels(oc, u / plane);
-                                for (std::int64_t o = o0; o < o1; ++o) {
-                                    const auto i = static_cast<std::size_t>(
-                                        u % plane * oc + o);
-                                    ASSERT_EQ(event[i], u < split ? gather[i] : kUntouched)
-                                        << "split " << split << " unit " << u << " oc " << o;
+        for (const Input& input : {Input{5, 7, 5, false}, Input{256, 3, 3, true},
+                                   Input{257, 3, 3, true}, Input{64, 3, 3, true}}) {
+            const std::int64_t ic = input.c;
+            std::vector<SpikeMap> cases;
+            if (input.full) {
+                cases.push_back(random_map(ic, input.h, input.w, 1.0, rng));
+            } else {
+                for (const double d : {0.0, 0.05, 0.5, 1.0}) {
+                    cases.push_back(random_map(ic, input.h, input.w, d, rng));
+                }
+                cases.push_back(single_spike_map(ic, input.h, input.w, 0));
+                cases.push_back(
+                    single_spike_map(ic, input.h, input.w, ic * input.h * input.w - 1));
+            }
+            for (const std::int64_t kernel : {1L, 3L}) {
+                for (const std::int64_t stride : {1L, 2L}) {
+                    for (const std::int64_t padding : {0L, 1L}) {
+                        const std::int64_t out_h =
+                            (input.h + 2 * padding - kernel) / stride + 1;
+                        const std::int64_t out_w =
+                            (input.w + 2 * padding - kernel) / stride + 1;
+                        const std::int64_t plane = out_h * out_w;
+                        for (const WeightFill fill : {WeightFill::kRandom, WeightFill::kAllMin,
+                                                      WeightFill::kAllMax}) {
+                            const Branch b =
+                                filled_conv_branch(ic, oc, kernel, stride, padding, fill, rng);
+                            const auto wt = compute::transpose_conv(b);
+                            const auto blocked = compute::block_conv(b);
+                            for (const SpikeMap& in : cases) {
+                                SCOPED_TRACE("oc=" + std::to_string(oc) + " ic=" +
+                                             std::to_string(ic) + " k=" +
+                                             std::to_string(kernel) + " s=" +
+                                             std::to_string(stride) + " p=" +
+                                             std::to_string(padding) + " fill=" +
+                                             std::to_string(static_cast<int>(fill)) +
+                                             " spikes=" + std::to_string(in.count()));
+                                const auto n = static_cast<std::size_t>(plane * oc);
+                                std::vector<std::int32_t> gather(n, 0);
+                                compute::conv_psum_chunk_oc(b, wt, in, out_h, out_w, 0, oc,
+                                                            gather);
+                                compute::SpikeIndex index;
+                                index.build(in);
+                                // Split the units at every boundary: the
+                                // first range writes exactly its units,
+                                // the second completes the bank.
+                                const std::int64_t units = blocks * plane;
+                                for (std::int64_t split = 0; split <= units; ++split) {
+                                    std::vector<std::int32_t> event(n, kUntouched);
+                                    compute::conv_psum_event(b, blocked, index, out_h, out_w,
+                                                             0, split, event);
+                                    for (std::int64_t u = 0; u < units; ++u) {
+                                        const auto [o0, o1] =
+                                            event_block_channels(oc, u / plane);
+                                        for (std::int64_t o = o0; o < o1; ++o) {
+                                            const auto i = static_cast<std::size_t>(
+                                                u % plane * oc + o);
+                                            ASSERT_EQ(event[i],
+                                                      u < split ? gather[i] : kUntouched)
+                                                << "split " << split << " unit " << u
+                                                << " oc " << o;
+                                        }
+                                    }
+                                    compute::conv_psum_event(b, blocked, index, out_h, out_w,
+                                                             split, units, event);
+                                    ASSERT_EQ(event, gather) << "split " << split;
                                 }
                             }
-                            compute::conv_psum_event(b, blocked, index, out_h, out_w, split,
-                                                     units, event);
-                            ASSERT_EQ(event, gather) << "split " << split;
                         }
                     }
                 }

@@ -2,6 +2,7 @@
 // the deployment property: a loaded model is bit-identical in execution
 // to the original (functional engine outputs match exactly).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -117,6 +118,50 @@ TEST(Serialize, RejectsTruncation) {
         std::stringstream truncated(bytes.substr(0, cut));
         EXPECT_THROW(load_model(truncated), std::runtime_error) << "cut=" << cut;
     }
+}
+
+/// An 85-byte model stream that ends 16 bytes into a vector whose
+/// stored length claims 2^31 elements: the first layer's int8 weights
+/// (2 GiB), or, after an empty weight vector, its int16 gain bank
+/// (4 GiB).
+std::string forged_length_stream(bool gain_bank) {
+    std::ostringstream out;
+    const auto put = [&](const auto& v) {
+        out.write(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    out.write("SIASNN0\n", 8);
+    put(kSnnFormatVersion);
+    put(std::uint32_t{0});  // name
+    for (const std::int64_t v : {3, 8, 8, 4}) put(v);  // input c, h, w; classes
+    put(std::uint32_t{1});  // layer count
+    put(std::uint8_t{0});   // op
+    put(std::uint32_t{0});  // label
+    put(std::int32_t{-1});  // input
+    if (gain_bank) {
+        put(std::uint64_t{0});  // weights
+        put(1.0F);              // weight_scale
+        put(std::int64_t{0});   // stream_weight_bytes
+    }
+    put(std::uint64_t{1} << 31);
+    out << std::string(16, '\x01');
+    return out.str();
+}
+
+long peak_rss_kb() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(Serialize, ForgedVectorLengthFailsWithoutAllocatingIt) {
+    for (const bool gain_bank : {false, true}) {
+        const std::string bytes = forged_length_stream(gain_bank);
+        const long before = peak_rss_kb();
+        std::istringstream in(bytes);
+        EXPECT_THROW(load_model(in), std::runtime_error) << "gain_bank=" << gain_bank;
+        EXPECT_LT(peak_rss_kb() - before, 64 * 1024) << "gain_bank=" << gain_bank;
+    }
+    EXPECT_EQ(forged_length_stream(false).size(), 85U);
 }
 
 TEST(Serialize, MissingFileThrows) {

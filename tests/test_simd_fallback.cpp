@@ -1,15 +1,15 @@
 // Equivalence of the portable (plain-struct) SIMD fallback with the
 // scalar reference fire path.
 //
-// snn/simd.hpp has two spellings of the 8-lane helpers: GNU vector
+// snn/simd.hpp has two spellings of its lane helpers: GNU vector
 // extensions (what every GCC/Clang build uses) and a portable struct
 // fallback for other compilers. This binary is compiled with
 // SIA_FORCE_SCALAR_SIMD, so its FunctionalEngine's FirePath::kVector
-// runs the fused kernels, and its event conv kernel its widening weight
-// loads, through the FALLBACK lanes — asserting them bit-identical to
-// the scalar fire loop and to the dense gather (which uses no lanes)
-// gives the fallback real execution coverage instead of compile-only
-// coverage.
+// runs the fused kernels, and its event conv kernel its int16 weight-row
+// sums and their flushes into int32, through the FALLBACK lanes —
+// asserting them bit-identical to the scalar fire loop and to the dense
+// gather (which uses no lanes) gives the fallback real execution
+// coverage instead of compile-only coverage.
 //
 // Deliberately NOT linked against the sia library: the library's
 // inline simd functions are the native spelling, and mixing the two
@@ -162,23 +162,50 @@ TEST(SimdFallback, VectorFireMatchesScalarFire) {
 
 TEST(SimdFallback, EventConvKernelMatchesGather) {
     util::Rng rng(809);
-    // 72 output channels: a 64-lane block plus one 8-lane group; 13: an
-    // 8-lane group plus the scalar tail.
-    for (const std::int64_t oc : {std::int64_t{72}, std::int64_t{13}}) {
-        const Branch b = conv_branch(6, oc, 3, 1, 1, rng);
-        const auto wt = compute::transpose_conv(b);
-        const auto blocked = compute::block_conv(b);
-        const std::int64_t units = compute::conv_event_blocks(oc) * 7 * 5;
-        for (const double density : {0.05, 0.5, 1.0}) {
-            SpikeMap in(6, 7, 5);
-            for (std::int64_t j = 0; j < in.size(); ++j) in.set_flat(j, rng.bernoulli(density));
-            std::vector<std::int32_t> gather(static_cast<std::size_t>(7 * 5 * oc), 0);
-            compute::conv_psum_chunk_oc(b, wt, in, 7, 5, 0, oc, gather);
-            compute::SpikeIndex index;
-            index.build(in);
-            std::vector<std::int32_t> event(gather.size(), -1);
-            compute::conv_psum_event(b, blocked, index, 7, 5, 0, units, event);
-            EXPECT_EQ(event, gather) << "oc=" << oc << " density=" << density;
+    // Input maps: a sparse-to-full 6-channel 7x5 map, and full maps whose
+    // units add exactly 256 weight rows (256 channels under a 1x1
+    // kernel), 257 rows, and a whole 64-channel 3x3 field (576 rows),
+    // crossing the int16 lanes' flush into int32.
+    struct Input {
+        std::int64_t c, h, w, kernel;
+        std::vector<double> densities;
+    };
+    const Input inputs[] = {{6, 7, 5, 3, {0.05, 0.5, 1.0}},
+                            {256, 3, 3, 1, {1.0}},
+                            {257, 3, 3, 1, {1.0}},
+                            {64, 3, 3, 3, {1.0}}};
+    // 1-8 groups of 8 lanes (8 ... 64), 64-lane blocks followed by 1 or
+    // 5 groups (72, 104), and an 8-lane group plus the scalar tail (13).
+    for (const std::int64_t oc : {8L, 13L, 16L, 24L, 32L, 40L, 48L, 56L, 64L, 72L, 104L}) {
+        for (const Input& input : inputs) {
+            // Random weights, then all -128 and all 127: the extremes
+            // wrap an int16 lane soonest if a flush is missed.
+            for (const int fill : {0, -128, 127}) {
+                Branch b = conv_branch(input.c, oc, input.kernel, 1, input.kernel / 2, rng);
+                if (fill != 0) {
+                    std::fill(b.weights.begin(), b.weights.end(),
+                              static_cast<std::int8_t>(fill));
+                }
+                const auto wt = compute::transpose_conv(b);
+                const auto blocked = compute::block_conv(b);
+                const std::int64_t plane = input.h * input.w;
+                const std::int64_t units = compute::conv_event_blocks(oc) * plane;
+                for (const double density : input.densities) {
+                    SpikeMap in(input.c, input.h, input.w);
+                    for (std::int64_t j = 0; j < in.size(); ++j) {
+                        in.set_flat(j, density >= 1.0 || rng.bernoulli(density));
+                    }
+                    std::vector<std::int32_t> gather(static_cast<std::size_t>(plane * oc), 0);
+                    compute::conv_psum_chunk_oc(b, wt, in, input.h, input.w, 0, oc, gather);
+                    compute::SpikeIndex index;
+                    index.build(in);
+                    std::vector<std::int32_t> event(gather.size(), -1);
+                    compute::conv_psum_event(b, blocked, index, input.h, input.w, 0, units,
+                                             event);
+                    EXPECT_EQ(event, gather) << "oc=" << oc << " ic=" << input.c
+                                             << " fill=" << fill << " density=" << density;
+                }
+            }
         }
     }
 }

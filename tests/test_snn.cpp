@@ -2,11 +2,17 @@
 // and IF/LIF neuron dynamics via the shared compute primitives.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/compiler.hpp"
+#include "sim/sia.hpp"
 #include "snn/compute.hpp"
 #include "snn/encoding.hpp"
+#include "snn/engine.hpp"
 #include "snn/exit.hpp"
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
@@ -344,6 +350,110 @@ TEST(ModelValidate, RejectsIdentitySkipSpatialMismatch) {
     spatial.layers[2].main.in_features = 2 * 2 * 2;
     spatial.layers[2].main.weights.assign(static_cast<std::size_t>(2 * 2 * 2 * 2), 1);
     EXPECT_THROW(spatial.validate(), std::invalid_argument);
+}
+
+/// 3x8x8 input -> 3x3 conv (8 channels) -> stride-2 3x3 conv (16
+/// channels, 4x4) with a stride-2 1x1 conv skip from the first conv ->
+/// linear readout of 4 classes.
+SnnModel strided_skip_model() {
+    util::Rng rng(31);
+    const auto conv = [&](std::int64_t ic, std::int64_t oc, std::int64_t kernel,
+                          std::int64_t stride, std::int64_t padding) {
+        Branch b;
+        b.in_channels = ic;
+        b.out_channels = oc;
+        b.kernel = kernel;
+        b.stride = stride;
+        b.padding = padding;
+        b.weights.resize(static_cast<std::size_t>(oc * ic * kernel * kernel));
+        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-128, 127));
+        b.gain.assign(static_cast<std::size_t>(oc), 256);
+        b.bias.assign(static_cast<std::size_t>(oc), 0);
+        return b;
+    };
+    SnnModel model;
+    model.input_channels = 3;
+    model.input_h = 8;
+    model.input_w = 8;
+    model.classes = 4;
+    SnnLayer stem;
+    stem.label = "stem";
+    stem.main = conv(3, 8, 3, 1, 1);
+    stem.out_channels = 8;
+    stem.out_h = stem.out_w = stem.in_h = stem.in_w = 8;
+    model.layers.push_back(stem);
+    SnnLayer down;
+    down.label = "down";
+    down.input = 0;
+    down.main = conv(8, 16, 3, 2, 1);
+    down.skip_src = 0;
+    down.skip = conv(8, 16, 1, 2, 0);
+    down.out_channels = 16;
+    down.out_h = down.out_w = 4;
+    down.in_h = down.in_w = 8;
+    model.layers.push_back(down);
+    SnnLayer fc;
+    fc.op = LayerOp::kLinear;
+    fc.label = "fc";
+    fc.input = 1;
+    fc.spiking = false;
+    fc.main.in_features = 16 * 4 * 4;
+    fc.main.out_features = 4;
+    fc.main.weights.assign(static_cast<std::size_t>(16 * 4 * 4 * 4), 1);
+    fc.main.gain.assign(4, 256);
+    fc.main.bias.assign(4, 0);
+    fc.out_channels = 4;
+    model.layers.push_back(fc);
+    return model;
+}
+
+TEST(ModelValidate, EnginesRejectGeometryTheirKernelsWouldTrust) {
+    const SnnModel good = strided_skip_model();
+    const sim::SiaConfig sia_cfg;
+    const auto program = core::SiaCompiler(sia_cfg).compile(good);
+    EXPECT_NO_THROW(FunctionalEngine(good, {}));
+    EXPECT_NO_THROW(sim::Sia(sia_cfg, good, program));
+
+    struct Mutation {
+        std::string what;
+        std::function<void(SnnModel&)> apply;
+    };
+    const std::vector<Mutation> mutations = {
+        // The event kernel would read past the skip's 4-channel weights
+        // for the source's 8 channels.
+        {"conv skip in_channels below its source's",
+         [](SnnModel& m) {
+             Branch& skip = m.layers[1].skip;
+             skip.in_channels = 4;
+             skip.weights.resize(static_cast<std::size_t>(16 * 4));
+         }},
+        // The readout loop would index past an empty readout.
+        {"classes = 0", [](SnnModel& m) { m.classes = 0; }},
+        {"classes unlike the readout width", [](SnnModel& m) { m.classes = 3; }},
+        {"conv in_h unlike its source's out_h", [](SnnModel& m) { m.layers[1].in_h = 7; }},
+        {"padding 7 on a 3x3 kernel", [](SnnModel& m) { m.layers[0].main.padding = 7; }},
+        {"stride-1 skip on a stride-2 layer", [](SnnModel& m) { m.layers[1].skip.stride = 1; }},
+        {"kernel larger than the padded input",
+         [](SnnModel& m) {
+             Branch& skip = m.layers[1].skip;
+             skip.kernel = 11;
+             skip.weights.resize(static_cast<std::size_t>(16 * 8 * 11 * 11));
+         }},
+        // Bounded before any product: no signed overflow on the way to
+        // the weight-size check.
+        {"hostile channel count",
+         [](SnnModel& m) { m.layers[0].main.out_channels = std::int64_t{1} << 62; }},
+        {"hostile kernel", [](SnnModel& m) { m.layers[1].skip.kernel = std::int64_t{1} << 40; }},
+        {"hostile output size", [](SnnModel& m) { m.layers[1].out_h = std::int64_t{1} << 62; }},
+    };
+    for (const Mutation& mutation : mutations) {
+        SCOPED_TRACE(mutation.what);
+        SnnModel bad = good;
+        mutation.apply(bad);
+        EXPECT_THROW(bad.validate(), std::invalid_argument);
+        EXPECT_THROW(FunctionalEngine(bad, {}), std::invalid_argument);
+        EXPECT_THROW(sim::Sia(sia_cfg, bad, program), std::invalid_argument);
+    }
 }
 
 TEST(ModelOps, CountsSynapticOps) {
