@@ -1,6 +1,5 @@
 #include "core/backend.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -223,6 +222,11 @@ FunctionalBackend::FunctionalBackend(const snn::SnnModel& model,
 
 void FunctionalBackend::prepare(std::size_t workers) {
     if (engines_.size() < workers) engines_.resize(workers);
+    if (!weights_) {
+        const util::WallTimer timer;
+        weights_ = snn::compute::event_weights(model());
+        add_setup_nanos(static_cast<std::int64_t>(timer.millis() * 1e6));
+    }
     const std::size_t helpers =
         workers > 1 && snn::tiling_possible(model()) ? workers - 1 : 0;
     if ((team_ ? team_->helpers() : 0) != helpers) {
@@ -234,7 +238,7 @@ snn::FunctionalEngine& FunctionalBackend::engine(std::size_t worker) {
     auto& slot = engines_[worker];
     if (!slot) {
         const util::WallTimer timer;
-        slot = std::make_unique<snn::FunctionalEngine>(model(), config_);
+        slot = std::make_unique<snn::FunctionalEngine>(model(), config_, weights_);
         add_setup_nanos(static_cast<std::int64_t>(timer.millis() * 1e6));
     }
     return *slot;
@@ -281,6 +285,7 @@ void SiaBackend::prepare(std::size_t workers) {
     if (!program_) {
         const util::WallTimer timer;
         program_ = SiaCompiler(config_).compile(model());
+        weights_ = snn::compute::gather_weights(model());
         add_setup_nanos(static_cast<std::int64_t>(timer.millis() * 1e6));
     }
 }
@@ -295,7 +300,7 @@ sim::Sia& SiaBackend::resident(std::size_t worker) {
     auto& slot = sias_[worker];
     if (!slot) {
         const util::WallTimer timer;
-        slot = std::make_unique<sim::Sia>(config_, model(), *program_);
+        slot = std::make_unique<sim::Sia>(config_, model(), *program_, weights_);
         add_setup_nanos(static_cast<std::int64_t>(timer.millis() * 1e6));
     }
     return *slot;
@@ -308,23 +313,8 @@ void SiaBackend::run_span(std::size_t worker, std::span<const Request> requests,
     const auto items = materialize_batch(requests, responses, base, seed, scratch);
     sim::Sia& sia = resident(worker);
     respond(sia.run_batch(items), requests, responses);
-    const sim::SiaBatchStats& s = sia.last_batch_stats();
     const std::lock_guard<std::mutex> lock(stats_mutex_);
-    batch_stats_.batch += s.batch;
-    batch_stats_.banks = std::max(batch_stats_.banks, s.banks);
-    batch_stats_.membrane_slice_bytes = s.membrane_slice_bytes;
-    batch_stats_.membrane_resident = batch_stats_.membrane_resident && s.membrane_resident;
-    batch_stats_.weight_bytes_streamed += s.weight_bytes_streamed;
-    batch_stats_.weight_bytes_sequential += s.weight_bytes_sequential;
-    batch_stats_.resident_cycles += s.resident_cycles;
-    batch_stats_.sequential_cycles += s.sequential_cycles;
-    batch_stats_.retired_early += s.retired_early;
-    batch_stats_.backfills += s.backfills;
-    batch_stats_.chunk_passes += s.chunk_passes;
-    batch_stats_.steps_executed += s.steps_executed;
-    batch_stats_.steps_offered += s.steps_offered;
-    batch_stats_.retired_at.insert(batch_stats_.retired_at.end(),
-                                   s.retired_at.begin(), s.retired_at.end());
+    batch_stats_ += sia.last_batch_stats();
 }
 
 sim::SiaBatchStats SiaBackend::take_sim_batch_stats() noexcept {
@@ -369,23 +359,8 @@ void ShardedSiaBackend::run_span(std::size_t worker,
     std::vector<snn::SpikeTrain> scratch;
     const auto items = materialize_batch(requests, responses, base, seed, scratch);
     respond(cluster_->run_batch(items), requests, responses);
-    const sim::ShardStats& s = cluster_->last_stats();
     const std::lock_guard<std::mutex> lock(stats_mutex_);
-    shard_stats_.partition = s.partition;
-    shard_stats_.shards = s.shards;
-    shard_stats_.double_buffered = s.double_buffered;
-    shard_stats_.batch += s.batch;
-    shard_stats_.compute_cycles += s.compute_cycles;
-    shard_stats_.transfer_bytes += s.transfer_bytes;
-    shard_stats_.transfer_cycles += s.transfer_cycles;
-    shard_stats_.transfer_stall_cycles += s.transfer_stall_cycles;
-    shard_stats_.fill_cycles += s.fill_cycles;
-    shard_stats_.drain_cycles += s.drain_cycles;
-    shard_stats_.makespan_cycles += s.makespan_cycles;
-    shard_stats_.item_cycles += s.item_cycles;
-    shard_stats_.retired_early += s.retired_early;
-    shard_stats_.steps_executed += s.steps_executed;
-    shard_stats_.steps_offered += s.steps_offered;
+    shard_stats_ += cluster_->last_stats();
 }
 
 sim::ShardStats ShardedSiaBackend::take_shard_stats() noexcept {

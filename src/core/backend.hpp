@@ -38,6 +38,7 @@
 #include "sim/program.hpp"
 #include "sim/sia.hpp"
 #include "sim/sia_cluster.hpp"
+#include "snn/compute.hpp"
 #include "snn/engine.hpp"
 #include "snn/exit.hpp"
 #include "snn/model.hpp"
@@ -365,10 +366,12 @@ private:
     std::atomic<std::int64_t> setup_nanos_{0};
 };
 
-/// Functional (bit-accurate, cycle-agnostic) backend: one private
+/// Functional (bit-accurate, cycle-agnostic) backend: one
 /// snn::FunctionalEngine per worker, built lazily on the worker's first
 /// request and reused across batches, configured by EngineConfig;
-/// responses carry the per-layer step counters.
+/// responses carry the per-layer step counters. The first prepare()
+/// builds the model's weight image (snn::compute::event_weights) once;
+/// every engine reads it, and keeps only its own mutable state.
 ///
 /// Intra-inference parallelism: prepare(workers) builds one
 /// snn::TileTeam of workers - 1 helper threads, shared by the backend's
@@ -400,18 +403,19 @@ private:
     [[nodiscard]] snn::FunctionalEngine& engine(std::size_t worker);
 
     snn::EngineConfig config_;
+    std::shared_ptr<const snn::compute::WeightImage> weights_;  ///< built by prepare()
     std::vector<std::unique_ptr<snn::FunctionalEngine>> engines_;
     std::unique_ptr<snn::TileTeam> team_;  ///< null with one worker or no heavy layer
     std::atomic<std::size_t> spans_in_flight_{0};
 };
 
-/// Cycle-accurate backend: the compiled program is cached inside the
-/// backend (compiled once in prepare()), and each worker keeps a
-/// resident sim::Sia whose BRAM weights and program survive across spans
-/// and batches; a whole request span goes through one Sia::run_batch, so
-/// weight residency amortizes across it. Responses carry per-layer cycle
-/// stats; spikes/logits are bit-identical to FunctionalBackend by the
-/// engines' shared-numerics construction.
+/// Cycle-accurate backend: the compiled program and the model's weight
+/// image (snn::compute::gather_weights) are built once, in the first
+/// prepare(), and every worker's resident sim::Sia reads both across
+/// spans and batches; a whole request span goes through one
+/// Sia::run_batch, so weight residency amortizes across it. Responses
+/// carry per-layer cycle stats; spikes/logits are bit-identical to
+/// FunctionalBackend by the engines' shared-numerics construction.
 class SiaBackend final : public Backend {
 public:
     explicit SiaBackend(const snn::SnnModel& model, sim::SiaConfig config = {});
@@ -432,6 +436,7 @@ private:
 
     sim::SiaConfig config_;
     std::optional<sim::CompiledProgram> program_;
+    std::shared_ptr<const snn::compute::WeightImage> weights_;  ///< built with program_
     /// One resident simulator slot per worker, filled lazily, reused
     /// across batches.
     std::vector<std::unique_ptr<sim::Sia>> sias_;
@@ -442,13 +447,13 @@ private:
 };
 
 /// Sharded cycle-accurate backend: one sim::SiaCluster — N resident Sia
-/// shards partitioned by SiaCompiler::compile_sharded — serves every
-/// span. The cluster drives its own worker pool, so the backend claims
-/// the whole batch as a single span (preferred_span = n) and runs it on
-/// one runner worker. Logits/spikes/sessions are bit-identical to
-/// SiaBackend by the sharding equivalence contract (sim/shard.hpp), so
-/// a cluster lane composes with batching, sessions, retries, and
-/// failover unchanged.
+/// shards partitioned by SiaCompiler::compile_sharded, reading one
+/// weight image — serves every span. The cluster drives its own worker
+/// pool, so the backend claims the whole batch as a single span
+/// (preferred_span = n) and runs it on one runner worker.
+/// Logits/spikes/sessions are bit-identical to SiaBackend by the
+/// sharding equivalence contract (sim/shard.hpp), so a cluster lane
+/// composes with batching, sessions, retries, and failover unchanged.
 class ShardedSiaBackend final : public Backend {
 public:
     ShardedSiaBackend(const snn::SnnModel& model, sim::SiaConfig config,

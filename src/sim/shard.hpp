@@ -119,6 +119,27 @@ struct ShardStats {
     std::int64_t steps_executed = 0;
     std::int64_t steps_offered = 0;
 
+    /// Fold a later batch in: `partition`, `shards` and
+    /// `double_buffered` take the later value; every other field adds.
+    ShardStats& operator+=(const ShardStats& other) noexcept {
+        partition = other.partition;
+        shards = other.shards;
+        double_buffered = other.double_buffered;
+        batch += other.batch;
+        compute_cycles += other.compute_cycles;
+        transfer_bytes += other.transfer_bytes;
+        transfer_cycles += other.transfer_cycles;
+        transfer_stall_cycles += other.transfer_stall_cycles;
+        fill_cycles += other.fill_cycles;
+        drain_cycles += other.drain_cycles;
+        makespan_cycles += other.makespan_cycles;
+        item_cycles += other.item_cycles;
+        retired_early += other.retired_early;
+        steps_executed += other.steps_executed;
+        steps_offered += other.steps_offered;
+        return *this;
+    }
+
     /// Serial-to-cluster cycle ratio (0 when no exact baseline).
     [[nodiscard]] double speedup() const noexcept {
         return makespan_cycles > 0 && item_cycles > 0

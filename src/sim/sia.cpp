@@ -16,6 +16,24 @@ std::int64_t bits_to_bytes(std::int64_t bits) noexcept { return (bits + 7) / 8; 
 
 }  // namespace
 
+SiaBatchStats& SiaBatchStats::operator+=(const SiaBatchStats& other) {
+    batch += other.batch;
+    banks = std::max(banks, other.banks);
+    membrane_slice_bytes = other.membrane_slice_bytes;
+    membrane_resident = membrane_resident && other.membrane_resident;
+    weight_bytes_streamed += other.weight_bytes_streamed;
+    weight_bytes_sequential += other.weight_bytes_sequential;
+    resident_cycles += other.resident_cycles;
+    sequential_cycles += other.sequential_cycles;
+    retired_early += other.retired_early;
+    backfills += other.backfills;
+    chunk_passes += other.chunk_passes;
+    steps_executed += other.steps_executed;
+    steps_offered += other.steps_offered;
+    retired_at.insert(retired_at.end(), other.retired_at.begin(), other.retired_at.end());
+    return *this;
+}
+
 std::int64_t SiaRunResult::total_cycles() const noexcept {
     std::int64_t c = 0;
     for (const auto& s : layer_stats) c += s.total();
@@ -81,32 +99,19 @@ double SiaRunResult::pe_utilization(const SiaConfig& config) const noexcept {
 
 Sia::Sia(const SiaConfig& config, const snn::SnnModel& model,
          const CompiledProgram& program)
-    : config_(config), model_(model), program_(program),
-      main_wt_cache_(model.layers.size()), skip_wt_cache_(model.layers.size()),
+    : Sia(config, model, program, snn::compute::gather_weights(model)) {}
+
+Sia::Sia(const SiaConfig& config, const snn::SnnModel& model, const CompiledProgram& program,
+         std::shared_ptr<const snn::compute::WeightImage> weights)
+    : config_(config), model_(model), program_(program), weights_(std::move(weights)),
       memory_(config) {
     model_.validate();
     if (program_.layers.size() != model_.layers.size()) {
         throw std::invalid_argument("Sia: program/model layer count mismatch");
     }
-}
-
-const std::vector<std::int8_t>& Sia::main_wt(std::size_t index) {
-    auto& slot = main_wt_cache_[index];
-    if (slot.empty()) {
-        const snn::SnnLayer& layer = model_.layers[index];
-        slot = layer.op == snn::LayerOp::kConv
-                   ? snn::compute::transpose_conv(layer.main)
-                   : snn::compute::transpose_linear(layer.main);
+    if (!weights_ || !weights_->fits(model_, snn::compute::WeightLayout::kGather)) {
+        throw std::invalid_argument("Sia: weight image does not fit the model");
     }
-    return slot;
-}
-
-const std::vector<std::int8_t>& Sia::skip_wt(std::size_t index) {
-    auto& slot = skip_wt_cache_[index];
-    if (slot.empty()) {
-        slot = snn::compute::transpose_conv(model_.layers[index].skip);
-    }
-    return slot;
 }
 
 std::vector<BatchItem> as_batch(std::span<const snn::SpikeTrain> trains) {
@@ -326,11 +331,9 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
     const std::int64_t plane = oh * ow;
     const std::int64_t slice_neurons = span * plane;
 
-    const std::vector<std::int8_t>& wt = main_wt(index);
+    const std::vector<std::int8_t>& wt = weights_->main[index];
+    const std::vector<std::int8_t>& skip_weights = weights_->skip[index];
     const bool has_down_skip = layer.has_skip() && !layer.skip_is_identity;
-    static const std::vector<std::int8_t> kNoWeights;
-    const std::vector<std::int8_t>& skip_weights =
-        has_down_skip ? skip_wt(index) : kNoWeights;
 
     // Membrane storage: the first spatial slice lives in the ping-pong
     // bank model; further slices (spatial tiling) are host-mirrored --
@@ -475,7 +478,7 @@ void Sia::run_linear_layer(std::size_t index, const LayerPlan& plan, Frames in_t
     // touched, so disjoint slices compose bit-identically.
     const std::int64_t span = c1 - c0;
 
-    const std::vector<std::int8_t>& wt = main_wt(index);
+    const std::vector<std::int8_t>& wt = weights_->main[index];
     std::vector<std::int32_t> psum(static_cast<std::size_t>(features), 0);
     std::vector<std::int16_t> mem(static_cast<std::size_t>(features),
                                   layer.initial_potential);

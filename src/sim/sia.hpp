@@ -12,10 +12,16 @@
 // construction; what this class adds is the hardware's occupancy (the
 // controller FSM, the ping-pong membrane and output BRAM banks) and its
 // cycles, charged per layer entry and per timestep through sim/cost.hpp.
+// The kernels read the model's weights from one read-only
+// snn::compute::WeightImage in the gather layouts, built once per model
+// and shared by every Sia that runs it (a backend's workers, a
+// cluster's shards), as the weight BRAM keeps a layer's kernels for
+// every timestep and inference; an instance owns only mutable state.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +31,7 @@
 #include "sim/controller.hpp"
 #include "sim/memory.hpp"
 #include "sim/program.hpp"
+#include "snn/compute.hpp"
 #include "snn/engine.hpp"
 #include "snn/exit.hpp"
 #include "snn/model.hpp"
@@ -132,13 +139,25 @@ struct SiaBatchStats {
     /// Per-item timesteps integrated, in batch order (retired-at-step
     /// accounting; equals the offered length for items that never exit).
     std::vector<std::int64_t> retired_at;
+
+    /// Fold a later batch in: counters add, `banks` takes the max,
+    /// `membrane_slice_bytes` the later value, `membrane_resident` holds
+    /// only if both did, and `retired_at` appends.
+    SiaBatchStats& operator+=(const SiaBatchStats& other);
 };
 
 class Sia {
 public:
-    /// `model` and `program` must outlive the Sia instance.
+    /// `model` and `program` must outlive the Sia instance. Builds the
+    /// model's own image (snn::compute::gather_weights).
     Sia(const SiaConfig& config, const snn::SnnModel& model,
         const CompiledProgram& program);
+    /// As above, reading `weights`, which other executors (a backend's
+    /// workers, a cluster's shards) may share. Throws
+    /// std::invalid_argument when the image does not fit `model`
+    /// (WeightImage::fits with WeightLayout::kGather).
+    Sia(const SiaConfig& config, const snn::SnnModel& model, const CompiledProgram& program,
+        std::shared_ptr<const snn::compute::WeightImage> weights);
 
     /// One stateless inference over the whole train (a one-item batch).
     [[nodiscard]] SiaRunResult run(const snn::SpikeTrain& input);
@@ -236,17 +255,12 @@ private:
                           std::vector<std::vector<std::int64_t>>& readout,
                           snn::SessionState* session, std::int64_t c0, std::int64_t c1);
 
-    /// Per-layer transposed weight layouts, built lazily on first use and
-    /// then shared by every inference this instance runs — the host-side
-    /// analogue of the weights staying resident in BRAM.
-    [[nodiscard]] const std::vector<std::int8_t>& main_wt(std::size_t index);
-    [[nodiscard]] const std::vector<std::int8_t>& skip_wt(std::size_t index);
-
     SiaConfig config_;
     const snn::SnnModel& model_;
     const CompiledProgram& program_;
-    std::vector<std::vector<std::int8_t>> main_wt_cache_;
-    std::vector<std::vector<std::int8_t>> skip_wt_cache_;
+    /// The model's weights in the gather layouts, read-only and possibly
+    /// shared with other instances.
+    std::shared_ptr<const snn::compute::WeightImage> weights_;
     Controller controller_;
     MemoryUnit memory_;
     SiaBatchStats batch_stats_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "sim/cost.hpp"
+#include "snn/compute.hpp"
 
 namespace sia::sim {
 
@@ -49,9 +50,11 @@ SiaCluster::SiaCluster(const SiaConfig& config, const snn::SnnModel& model,
             }
         }
     }
+    // Every shard reads the one image; each keeps only its own banks.
+    const auto weights = snn::compute::gather_weights(model_);
     shards_.reserve(static_cast<std::size_t>(n));
     for (std::int64_t s = 0; s < n; ++s) {
-        shards_.push_back(std::make_unique<Sia>(config_, model_, plan_.program));
+        shards_.push_back(std::make_unique<Sia>(config_, model_, plan_.program, weights));
     }
 }
 

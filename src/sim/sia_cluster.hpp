@@ -53,7 +53,8 @@ struct SiaClusterOptions {
 class SiaCluster {
 public:
     /// `model` must outlive the cluster; `plan` is taken by value (the
-    /// resident Sia instances reference plan().program).
+    /// resident Sia instances reference plan().program). The shards share
+    /// one weight image of `model`, built here.
     SiaCluster(const SiaConfig& config, const snn::SnnModel& model, ShardPlan plan,
                SiaClusterOptions options = {});
 

@@ -240,6 +240,54 @@ std::vector<std::int8_t> block_conv(const Branch& b) {
     return wt;
 }
 
+bool WeightImage::fits(const SnnModel& model, WeightLayout want) const noexcept {
+    if (layout != want || main.size() != model.layers.size() ||
+        skip.size() != model.layers.size()) {
+        return false;
+    }
+    for (std::size_t i = 0; i < model.layers.size(); ++i) {
+        const SnnLayer& layer = model.layers[i];
+        const bool conv_skip = layer.has_skip() && !layer.skip_is_identity;
+        if (main[i].size() != layer.main.weights.size() ||
+            skip[i].size() != (conv_skip ? layer.skip.weights.size() : 0)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+namespace {
+
+std::shared_ptr<const WeightImage> weight_image(const SnnModel& model, WeightLayout layout) {
+    // Validation bounds every extent before a layout allocates from it.
+    model.validate();
+    const auto conv = layout == WeightLayout::kEvent ? block_conv : transpose_conv;
+    auto image = std::make_shared<WeightImage>();
+    image->layout = layout;
+    image->main.resize(model.layers.size());
+    image->skip.resize(model.layers.size());
+    for (std::size_t i = 0; i < model.layers.size(); ++i) {
+        const SnnLayer& layer = model.layers[i];
+        if (layer.op != LayerOp::kConv) {
+            image->main[i] = transpose_linear(layer.main);
+            continue;
+        }
+        image->main[i] = conv(layer.main);
+        if (layer.has_skip() && !layer.skip_is_identity) image->skip[i] = conv(layer.skip);
+    }
+    return image;
+}
+
+}  // namespace
+
+std::shared_ptr<const WeightImage> event_weights(const SnnModel& model) {
+    return weight_image(model, WeightLayout::kEvent);
+}
+
+std::shared_ptr<const WeightImage> gather_weights(const SnnModel& model) {
+    return weight_image(model, WeightLayout::kGather);
+}
+
 void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
                      const SpikeIndex& in, std::int64_t out_h, std::int64_t out_w,
                      std::int64_t unit_begin, std::int64_t unit_end,

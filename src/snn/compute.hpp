@@ -10,10 +10,12 @@
 // wrap), and both engines share the aggregate and neuron-update
 // arithmetic below. That is what makes the bit-exact software/hardware
 // co-verification a structural property rather than a testing
-// aspiration.
+// aspiration. This is also the one module that knows the kernels'
+// weight layouts: WeightImage holds a model's weights in them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,6 +38,35 @@ namespace sia::snn::compute {
 
 /// Transpose linear weights [F][D] -> [D][F].
 [[nodiscard]] std::vector<std::int8_t> transpose_linear(const Branch& b);
+
+/// Which psum kernels a WeightImage feeds.
+enum class WeightLayout : std::uint8_t {
+    kEvent,   ///< conv block_conv (FunctionalEngine's event kernel)
+    kGather,  ///< conv transpose_conv (sim::Sia's dense gather)
+};
+
+/// One model's int8 weights in one family of psum-kernel layouts: per
+/// layer, the main branch and the conv skip (empty for layers without
+/// one); linear layers are [D][F] in both layouts. A model's weights are
+/// read-only once converted, so one image is built per model and shared
+/// by every executor that runs it, across threads (the host-side analogue
+/// of the kernels staying resident in weight BRAM).
+struct WeightImage {
+    WeightLayout layout = WeightLayout::kEvent;
+    std::vector<std::vector<std::int8_t>> main;
+    std::vector<std::vector<std::int8_t>> skip;
+
+    /// True when this image's layout is `want` and it holds one branch of
+    /// the right size for every branch of `model`: the bound the kernels
+    /// rely on. Sizes cannot tell two models of equal shapes apart.
+    [[nodiscard]] bool fits(const SnnModel& model, WeightLayout want) const noexcept;
+};
+
+/// `model`'s image for FunctionalEngine. Both builders validate the model
+/// (std::invalid_argument) before they allocate anything.
+[[nodiscard]] std::shared_ptr<const WeightImage> event_weights(const SnnModel& model);
+/// `model`'s image for sim::Sia.
+[[nodiscard]] std::shared_ptr<const WeightImage> gather_weights(const SnnModel& model);
 
 /// Per-input-site index of a spike map's spiking channels: for every
 /// site (y, x) of the map's plane, how many channels spike there and

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "snn/compute.hpp"
 
@@ -91,11 +92,16 @@ std::int64_t RunResult::predicted_class(std::int64_t t) const {
 }
 
 FunctionalEngine::FunctionalEngine(const SnnModel& model, EngineConfig config)
-    : model_(model), config_(config) {
+    : FunctionalEngine(model, config, compute::event_weights(model)) {}
+
+FunctionalEngine::FunctionalEngine(const SnnModel& model, EngineConfig config,
+                                   std::shared_ptr<const compute::WeightImage> weights)
+    : model_(model), config_(config), weights_(std::move(weights)) {
     model_.validate();
+    if (!weights_ || !weights_->fits(model_, compute::WeightLayout::kEvent)) {
+        throw std::invalid_argument("FunctionalEngine: weight image does not fit the model");
+    }
     const std::size_t n = model_.layers.size();
-    main_wt_.resize(n);
-    skip_wt_.resize(n);
     state_.resize(n);
     spikes_.resize(n);
     spike_counts_.assign(n, 0);
@@ -103,14 +109,6 @@ FunctionalEngine::FunctionalEngine(const SnnModel& model, EngineConfig config)
 
     for (std::size_t i = 0; i < n; ++i) {
         const SnnLayer& layer = model_.layers[i];
-        if (layer.op == LayerOp::kConv) {
-            main_wt_[i] = compute::block_conv(layer.main);
-            if (layer.has_skip() && !layer.skip_is_identity) {
-                skip_wt_[i] = compute::block_conv(layer.skip);
-            }
-        } else {
-            main_wt_[i] = compute::transpose_linear(layer.main);
-        }
         state_[i].init(layer);
         spikes_[i] = SpikeMap(layer.out_channels, layer.out_h, layer.out_w);
     }
@@ -253,15 +251,15 @@ void FunctionalEngine::step_layer(std::size_t index, const SpikeMap& net_input) 
             const std::int64_t u0 = grains * r / unit_ranges * grain;
             const std::int64_t u1 = grains * (r + 1) / unit_ranges * grain;
             if (skip) {
-                compute::conv_psum_event(layer.skip, skip_wt_[index], skip_index_, layer.out_h,
-                                         layer.out_w, u0, u1, st.skip_accum());
+                compute::conv_psum_event(layer.skip, weights_->skip[index], skip_index_,
+                                         layer.out_h, layer.out_w, u0, u1, st.skip_accum());
             } else {
-                compute::conv_psum_event(layer.main, main_wt_[index], index_, layer.out_h,
-                                         layer.out_w, u0, u1, st.accum());
+                compute::conv_psum_event(layer.main, weights_->main[index], index_,
+                                         layer.out_h, layer.out_w, u0, u1, st.accum());
             }
         });
     } else {
-        compute::linear_psum_scatter(layer.main, main_wt_[index], input, st.accum());
+        compute::linear_psum_scatter(layer.main, weights_->main[index], input, st.accum());
     }
     LayerDispatchStats& d = dispatch_[index];
     ++d.scatter_steps;

@@ -7,10 +7,16 @@
 // Per timestep, layers execute in index order (synchronous feed-forward
 // ripple, the standard schedule for ANN-converted SNNs and exactly the
 // layer-sequential flow of the paper's Fig. 5).
+//
+// The psum kernels read the model's weights from one read-only
+// compute::WeightImage in the event layouts, which every engine of a
+// backend shares; an engine owns only its mutable state (layer banks,
+// spike maps, spike indexes, readout).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -129,9 +135,14 @@ class FunctionalEngine {
     friend class TeamLoan;
 
 public:
-    /// Keeps a reference to `model` (must outlive the engine); validates
-    /// it and precomputes the weight layouts the psum kernels read.
+    /// Keeps a reference to `model` (must outlive the engine), validates
+    /// it, and builds its own image (compute::event_weights).
     explicit FunctionalEngine(const SnnModel& model, EngineConfig config = {});
+    /// As above, reading `weights`, which other executors may share.
+    /// Throws std::invalid_argument when the image does not fit `model`
+    /// (WeightImage::fits with WeightLayout::kEvent).
+    FunctionalEngine(const SnnModel& model, EngineConfig config,
+                     std::shared_ptr<const compute::WeightImage> weights);
 
     /// Full reset: membranes to their initial potential, last-step spike
     /// maps and readout cleared, per-run counters zeroed.
@@ -220,10 +231,9 @@ private:
 
     const SnnModel& model_;
     EngineConfig config_;
-    /// Weights per layer branch in the psum kernels' layouts: conv
-    /// compute::block_conv, linear [D][F].
-    std::vector<std::vector<std::int8_t>> main_wt_;
-    std::vector<std::vector<std::int8_t>> skip_wt_;
+    /// The model's weights in the event kernels' layouts, read-only and
+    /// possibly shared with other engines.
+    std::shared_ptr<const compute::WeightImage> weights_;
 
     std::vector<LayerState> state_;                      // SoA banks per layer
     std::vector<SpikeMap> spikes_;                       // per layer, this step

@@ -67,6 +67,11 @@ void validate_linear_branch(const Branch& b, const std::string& label) {
             label + ": bad features");
     require(static_cast<std::int64_t>(b.weights.size()) == b.out_features * b.in_features,
             label + ": weight size mismatch");
+    // Sia streams these bytes every step and prices them per word, so a
+    // hostile count overflows the cycle model; the physical matrix the
+    // converter records is never larger than the one held here.
+    require(in_range(b.stream_weight_bytes, 0, static_cast<std::int64_t>(b.weights.size())),
+            label + ": streamed weight bytes exceed the weights");
     require(static_cast<std::int64_t>(b.gain.size()) == b.out_features,
             label + ": gain size mismatch");
     require(static_cast<std::int64_t>(b.bias.size()) == b.out_features,

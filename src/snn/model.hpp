@@ -39,7 +39,8 @@ struct Branch {
     /// Bytes actually streamed to the accelerator. 0 = weights.size().
     /// The converter sets this for pool-unrolled FC layers, whose
     /// physical weights (pre-unroll) are pool_area x smaller than the
-    /// expanded matrix the engines index.
+    /// expanded matrix the engines index, so validate() bounds a linear
+    /// branch's value by weights.size().
     std::int64_t stream_weight_bytes = 0;
 
     std::vector<std::int16_t> gain;    ///< G_q per output channel

@@ -795,6 +795,9 @@ TEST(MultiTenantStress, ReloadStormWhileStressedStaysConsistent) {
             std::this_thread::sleep_for(1ms);
         }
     });
+    // The submitters start once a reload has landed: a reloader scheduled
+    // late could otherwise find `done` already set and never reload.
+    const bool reloaded = eventually([&] { return server.stats().reloads >= 1; });
 
     std::vector<std::thread> submitters;
     std::vector<std::vector<std::future<core::Response>>> futures(kThreads);
@@ -817,6 +820,7 @@ TEST(MultiTenantStress, ReloadStormWhileStressedStaysConsistent) {
     done.store(true);
     reloader.join();
     server.shutdown();
+    EXPECT_TRUE(reloaded);
 
     const auto stats = server.stats();
     EXPECT_EQ(stats.completed, kThreads * kPerThread);

@@ -2,17 +2,20 @@
 // be bit-identical — spikes, logits, and per-layer cycle stats — to
 // independent sequential Sia::run calls and (for spikes/logits) to the
 // snn::FunctionalEngine reference, across batch sizes, thread counts,
-// and model shapes; plus wave/residency accounting and edge cases.
+// and model shapes, and for executors sharing one weight image; plus
+// wave/residency accounting and edge cases.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/batch_runner.hpp"
 #include "core/compiler.hpp"
 #include "sim/sia.hpp"
+#include "snn/compute.hpp"
 #include "snn/engine.hpp"
 #include "util/rng.hpp"
 
@@ -243,6 +246,35 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
             EXPECT_EQ(resident.last_batch_stats().chunk_passes,
                       (static_cast<std::int64_t>(bs) + config.membrane_banks - 1) /
                           config.membrane_banks);
+        }
+
+        // Executors sharing one weight image per layout, each on its own
+        // thread, against the references that built their own images.
+        {
+            SCOPED_TRACE("shared weight image");
+            constexpr std::size_t kExecutors = 4;
+            const auto gather = snn::compute::gather_weights(model);
+            const auto event = snn::compute::event_weights(model);
+            std::vector<sim::SiaRunResult> sim_shared(inputs.size());
+            std::vector<snn::RunResult> fun_shared(inputs.size());
+            std::vector<std::thread> executors;
+            for (std::size_t e = 0; e < kExecutors; ++e) {
+                executors.emplace_back([&, e] {
+                    sim::Sia sia(config, model, program, gather);
+                    snn::FunctionalEngine engine(model, {}, event);
+                    for (std::size_t i = e; i < inputs.size(); i += kExecutors) {
+                        sim_shared[i] = sia.run(inputs[i]);
+                        fun_shared[i] = engine.run(inputs[i]);
+                    }
+                });
+            }
+            for (auto& t : executors) t.join();
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+                SCOPED_TRACE("item=" + std::to_string(i));
+                expect_same_sia_result(sim_shared[i], sim_ref[i]);
+                EXPECT_EQ(fun_shared[i].logits_per_step, fun_ref[i].logits_per_step);
+                EXPECT_EQ(fun_shared[i].spike_counts, fun_ref[i].spike_counts);
+            }
         }
 
         // Threaded resident scheduling through BatchRunner + SiaBackend.

@@ -8,6 +8,7 @@
 #include "core/deploy.hpp"
 #include "nn/resnet.hpp"
 #include "nn/vgg.hpp"
+#include "snn/compute.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
 
@@ -183,6 +184,35 @@ TEST(SiaIntegration, ProgramModelMismatchThrows) {
     sim::CompiledProgram empty;
     const sim::SiaConfig sia_cfg;
     EXPECT_THROW(sim::Sia(sia_cfg, model, empty), std::invalid_argument);
+}
+
+TEST(SiaIntegration, WeightImageThatDoesNotFitThrows) {
+    std::vector<std::unique_ptr<nn::Vgg11>> keep;
+    nn::Vgg11* raw = nullptr;
+    nn::VggConfig cfg;
+    cfg.width = 4;
+    cfg.input_size = 16;
+    const auto model = make_converted(cfg, 71, &raw, keep);
+    cfg.width = 8;
+    const auto other = make_converted(cfg, 72, &raw, keep);
+    const sim::SiaConfig sia_cfg;
+    const auto program = core::SiaCompiler(sia_cfg).compile(model);
+
+    // An image of another model would be read out of bounds.
+    EXPECT_THROW(snn::FunctionalEngine(model, {}, snn::compute::event_weights(other)),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::Sia(sia_cfg, model, program, snn::compute::gather_weights(other)),
+                 std::invalid_argument);
+    // A missing image is refused, and so is one in the other executor's
+    // layouts (they differ for layers wider than one 64-lane block).
+    EXPECT_THROW(snn::FunctionalEngine(model, {}, nullptr), std::invalid_argument);
+    EXPECT_THROW(sim::Sia(sia_cfg, model, program, nullptr), std::invalid_argument);
+    EXPECT_THROW(snn::FunctionalEngine(model, {}, snn::compute::gather_weights(model)),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::Sia(sia_cfg, model, program, snn::compute::event_weights(model)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(snn::FunctionalEngine(model, {}, snn::compute::event_weights(model)));
+    EXPECT_NO_THROW(sim::Sia(sia_cfg, model, program, snn::compute::gather_weights(model)));
 }
 
 }  // namespace

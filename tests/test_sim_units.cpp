@@ -1,14 +1,18 @@
 // Hardware-block unit tests: PE window cycles, aggregation arithmetic
 // and retirement, BRAM banks, ping-pong membrane organisation, DMA and
-// AXI-lite transfer costs, controller FSM legality.
+// AXI-lite transfer costs, controller FSM legality, and the folds of the
+// batch and cluster accounting structs.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "sim/config.hpp"
 #include "sim/controller.hpp"
 #include "sim/cost.hpp"
 #include "sim/memory.hpp"
+#include "sim/shard.hpp"
+#include "sim/sia.hpp"
 #include "snn/compute.hpp"
 
 namespace sia::sim {
@@ -227,6 +231,119 @@ TEST(Config, PeakGopsMatchesPaper) {
     EXPECT_DOUBLE_EQ(cfg.peak_gops(), 38.4);
     EXPECT_EQ(cfg.pe_count(), 64);
     EXPECT_DOUBLE_EQ(cfg.cycles_to_ms(100000), 1.0);
+}
+
+TEST(StatsFold, SiaBatchStatsAddCountersAndKeepTheRules) {
+    SiaBatchStats total;
+    total.batch = 3;
+    total.banks = 4;
+    total.membrane_slice_bytes = 1024;
+    total.membrane_resident = true;
+    total.weight_bytes_streamed = 10;
+    total.weight_bytes_sequential = 30;
+    total.resident_cycles = 100;
+    total.sequential_cycles = 300;
+    total.retired_early = 1;
+    total.backfills = 2;
+    total.chunk_passes = 1;
+    total.steps_executed = 20;
+    total.steps_offered = 24;
+    total.retired_at = {8, 4, 8};
+
+    SiaBatchStats later;
+    later.batch = 2;
+    later.banks = 2;
+    later.membrane_slice_bytes = 2048;
+    later.membrane_resident = false;
+    later.weight_bytes_streamed = 5;
+    later.weight_bytes_sequential = 7;
+    later.resident_cycles = 11;
+    later.sequential_cycles = 13;
+    later.retired_early = 3;
+    later.backfills = 4;
+    later.chunk_passes = 6;
+    later.steps_executed = 9;
+    later.steps_offered = 16;
+    later.retired_at = {1, 8};
+
+    total += later;
+    EXPECT_EQ(total.batch, 5U);
+    EXPECT_EQ(total.banks, 4);                    // max
+    EXPECT_EQ(total.membrane_slice_bytes, 2048);  // the later value
+    EXPECT_FALSE(total.membrane_resident);        // both must fit
+    EXPECT_EQ(total.weight_bytes_streamed, 15);
+    EXPECT_EQ(total.weight_bytes_sequential, 37);
+    EXPECT_EQ(total.resident_cycles, 111);
+    EXPECT_EQ(total.sequential_cycles, 313);
+    EXPECT_EQ(total.retired_early, 4);
+    EXPECT_EQ(total.backfills, 6);
+    EXPECT_EQ(total.chunk_passes, 7);
+    EXPECT_EQ(total.steps_executed, 29);
+    EXPECT_EQ(total.steps_offered, 40);
+    EXPECT_EQ(total.retired_at, (std::vector<std::int64_t>{8, 4, 8, 1, 8}));
+
+    // A fresh total takes a batch's banks and residency as they are.
+    SiaBatchStats fresh;
+    fresh += later;
+    EXPECT_EQ(fresh.banks, 2);
+    EXPECT_FALSE(fresh.membrane_resident);
+    later.membrane_resident = true;
+    SiaBatchStats fits;
+    fits += later;
+    EXPECT_TRUE(fits.membrane_resident);
+}
+
+TEST(StatsFold, ShardStatsAddCountersAndTakeTheLaterShape) {
+    ShardStats total;
+    total.partition = ShardPartition::kPipeline;
+    total.shards = 4;
+    total.batch = 3;
+    total.double_buffered = true;
+    total.compute_cycles = 100;
+    total.transfer_bytes = 200;
+    total.transfer_cycles = 30;
+    total.transfer_stall_cycles = 4;
+    total.fill_cycles = 5;
+    total.drain_cycles = 6;
+    total.makespan_cycles = 70;
+    total.item_cycles = 80;
+    total.retired_early = 1;
+    total.steps_executed = 9;
+    total.steps_offered = 10;
+
+    ShardStats later;
+    later.partition = ShardPartition::kChannel;
+    later.shards = 2;
+    later.batch = 2;
+    later.double_buffered = false;
+    later.compute_cycles = 1;
+    later.transfer_bytes = 2;
+    later.transfer_cycles = 3;
+    later.transfer_stall_cycles = 4;
+    later.fill_cycles = 5;
+    later.drain_cycles = 6;
+    later.makespan_cycles = 7;
+    later.item_cycles = 8;
+    later.retired_early = 9;
+    later.steps_executed = 10;
+    later.steps_offered = 11;
+
+    total += later;
+    EXPECT_EQ(total.partition, ShardPartition::kChannel);
+    EXPECT_EQ(total.shards, 2);
+    EXPECT_FALSE(total.double_buffered);
+    EXPECT_EQ(total.batch, 5U);
+    EXPECT_EQ(total.compute_cycles, 101);
+    EXPECT_EQ(total.transfer_bytes, 202);
+    EXPECT_EQ(total.transfer_cycles, 33);
+    EXPECT_EQ(total.transfer_stall_cycles, 8);
+    EXPECT_EQ(total.fill_cycles, 10);
+    EXPECT_EQ(total.drain_cycles, 12);
+    EXPECT_EQ(total.makespan_cycles, 77);
+    EXPECT_EQ(total.item_cycles, 88);
+    EXPECT_EQ(total.retired_early, 10);
+    EXPECT_EQ(total.steps_executed, 19);
+    EXPECT_EQ(total.steps_offered, 21);
 }
 
 }  // namespace

@@ -323,6 +323,18 @@ TEST(ModelValidate, RejectsOutOfRangeShifts) {
     EXPECT_THROW(leaky.validate(), std::invalid_argument);
 }
 
+TEST(ModelValidate, RejectsStreamedBytesBeyondTheWeights) {
+    // Sia prices a readout's streamed bytes every step: one hostile byte
+    // of a model file (2^60 bytes) overflowed its cycle counts.
+    auto model = tiny_conv_model();
+    model.layers[1].main.stream_weight_bytes = 64;  // the whole matrix
+    EXPECT_NO_THROW(model.validate());
+    model.layers[1].main.stream_weight_bytes = std::int64_t{1} << 60;
+    EXPECT_THROW(model.validate(), std::invalid_argument);
+    model.layers[1].main.stream_weight_bytes = -1;
+    EXPECT_THROW(model.validate(), std::invalid_argument);
+}
+
 TEST(ModelValidate, RejectsIdentitySkipSpatialMismatch) {
     // Identity skips alias the source's packed spike words, so the
     // whole CHW geometry must match, not just the channel count.
