@@ -1,8 +1,8 @@
-// FunctionalEngine hot-path bench: the psum kernels the two engines
-// run — the output-stationary event kernel (index build +
-// compute::conv_psum_event, what FunctionalEngine runs) against the
-// dense gather (compute::conv_psum_chunk_oc on a zeroed bank, what
-// sim::Sia runs) — swept over spike density x VGG-11 / ResNet-18 conv
+// FunctionalEngine hot-path bench: the conv psum kernel — the
+// output-stationary event kernel (index build + compute::conv_psum_event,
+// what FunctionalEngine and sim::Sia both run) against the dense gather
+// reference (compute::conv_psum_chunk_oc on a zeroed bank, which no
+// executor runs) — swept over spike density x VGG-11 / ResNet-18 conv
 // shape; the fire-stage sweep — scalar per-neuron loop vs the fused
 // vectorized aggregate+fire kernels, engine steps over the same shapes
 // plus a pool-unrolled-style FC; and the intra-inference section: one

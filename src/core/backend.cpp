@@ -285,7 +285,7 @@ void SiaBackend::prepare(std::size_t workers) {
     if (!program_) {
         const util::WallTimer timer;
         program_ = SiaCompiler(config_).compile(model());
-        weights_ = snn::compute::gather_weights(model());
+        weights_ = snn::compute::event_weights(model());
         add_setup_nanos(static_cast<std::int64_t>(timer.millis() * 1e6));
     }
 }

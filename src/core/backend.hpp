@@ -410,12 +410,12 @@ private:
 };
 
 /// Cycle-accurate backend: the compiled program and the model's weight
-/// image (snn::compute::gather_weights) are built once, in the first
+/// image (snn::compute::event_weights) are built once, in the first
 /// prepare(), and every worker's resident sim::Sia reads both across
 /// spans and batches; a whole request span goes through one
 /// Sia::run_batch, so weight residency amortizes across it. Responses
 /// carry per-layer cycle stats; spikes/logits are bit-identical to
-/// FunctionalBackend by the engines' shared-numerics construction.
+/// FunctionalBackend, whose engines run the same psum kernels.
 class SiaBackend final : public Backend {
 public:
     explicit SiaBackend(const snn::SnnModel& model, sim::SiaConfig config = {});

@@ -99,7 +99,7 @@ double SiaRunResult::pe_utilization(const SiaConfig& config) const noexcept {
 
 Sia::Sia(const SiaConfig& config, const snn::SnnModel& model,
          const CompiledProgram& program)
-    : Sia(config, model, program, snn::compute::gather_weights(model)) {}
+    : Sia(config, model, program, snn::compute::event_weights(model)) {}
 
 Sia::Sia(const SiaConfig& config, const snn::SnnModel& model, const CompiledProgram& program,
          std::shared_ptr<const snn::compute::WeightImage> weights)
@@ -109,7 +109,7 @@ Sia::Sia(const SiaConfig& config, const snn::SnnModel& model, const CompiledProg
     if (program_.layers.size() != model_.layers.size()) {
         throw std::invalid_argument("Sia: program/model layer count mismatch");
     }
-    if (!weights_ || !weights_->fits(model_, snn::compute::WeightLayout::kGather)) {
+    if (!weights_ || !weights_->fits(model_)) {
         throw std::invalid_argument("Sia: weight image does not fit the model");
     }
 }
@@ -238,13 +238,6 @@ std::vector<SiaRunResult> Sia::run_batch(std::span<const BatchItem> items) {
 void Sia::run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain>& outs,
                     SiaRunResult& res, snn::SessionState* session) {
     const snn::SnnLayer& layer = model_.layers[index];
-    const auto timesteps = static_cast<std::int64_t>(input.size());
-    const LayerPlan& plan = program_.layers[index];
-    LayerCycleStats& stats = res.layer_stats[index];
-    stats.label = layer.label;
-    stats += entry_cost(layer, plan, config_);
-    controller_.transition(CtrlState::kLoadConfig);
-
     const Frames in_train =
         layer.input == -1 ? input : Frames(outs[static_cast<std::size_t>(layer.input)]);
     Frames skip_train;
@@ -253,22 +246,13 @@ void Sia::run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain
                          ? input
                          : Frames(outs[static_cast<std::size_t>(layer.skip_src)]);
     }
-
-    snn::SpikeTrain& out_train = outs[index];
-    out_train.assign(static_cast<std::size_t>(timesteps),
-                     snn::SpikeMap(layer.out_channels, layer.out_h, layer.out_w));
-
-    if (layer.op == snn::LayerOp::kConv) {
-        run_conv_layer(index, plan, in_train, skip_train, out_train, stats,
-                       res.logits_per_step, session, 0, layer.out_channels);
-    } else {
-        run_linear_layer(index, plan, in_train, out_train, stats, res.logits_per_step,
-                         session, 0, layer.main.out_features);
-    }
+    run_layer_slice(index, program_.layers[index], in_train, skip_train, outs[index],
+                    res.layer_stats[index], res.logits_per_step, session, 0,
+                    layer.out_channels);
 
     res.neuron_counts.push_back(layer.neurons());
     std::int64_t spikes = 0;
-    for (const auto& m : out_train) spikes += m.count();
+    for (const auto& m : outs[index]) spikes += m.count();
     res.spike_counts[index] = spikes;
 }
 
@@ -362,6 +346,9 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
     }
     memory_.membrane.toggle();  // make the initial potentials readable
 
+    // A block the slice cuts is computed whole; its channels outside
+    // [c0, c1) land in this instance's private banks, unread.
+    const auto [u0, u1] = snn::compute::conv_event_units(oc, plane, c0, c1);
     std::vector<std::int32_t> psum(static_cast<std::size_t>(neurons), 0);
     std::vector<std::int32_t> skip_psum;
     if (has_down_skip) skip_psum.assign(static_cast<std::size_t>(neurons), 0);
@@ -375,14 +362,14 @@ void Sia::run_conv_layer(std::size_t index, const LayerPlan& plan, Frames in_tra
                            has_down_skip ? skip_spike_map->count() : 0);
 
         // The weight-memory chunking over input channels is cycle
-        // accounting only: one gather per branch covers every channel.
+        // accounting only: one kernel call per branch covers every channel.
         controller_.transition(CtrlState::kPeCompute);
-        std::fill(psum.begin(), psum.end(), 0);
-        snn::compute::conv_psum_chunk_oc(b, wt, in, oh, ow, c0, c1, psum);
+        index_.build(in);
+        snn::compute::conv_psum_event(b, wt, index_, oh, ow, u0, u1, psum);
         if (has_down_skip) {
-            std::fill(skip_psum.begin(), skip_psum.end(), 0);
-            snn::compute::conv_psum_chunk_oc(layer.skip, skip_weights, *skip_spike_map, oh,
-                                             ow, c0, c1, skip_psum);
+            index_.build(*skip_spike_map);
+            snn::compute::conv_psum_event(layer.skip, skip_weights, index_, oh, ow, u0, u1,
+                                          skip_psum);
         }
 
         controller_.transition(CtrlState::kAggregate);

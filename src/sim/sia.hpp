@@ -12,9 +12,10 @@
 // construction; what this class adds is the hardware's occupancy (the
 // controller FSM, the ping-pong membrane and output BRAM banks) and its
 // cycles, charged per layer entry and per timestep through sim/cost.hpp.
-// The kernels read the model's weights from one read-only
-// snn::compute::WeightImage in the gather layouts, built once per model
-// and shared by every Sia that runs it (a backend's workers, a
+// Its psum kernels are the functional engine's (the event conv kernel and
+// linear_psum_range, over this instance's channel slice), reading the
+// model's one read-only snn::compute::WeightImage, built once per model
+// and shared by every executor that runs it (a backend's workers, a
 // cluster's shards), as the weight BRAM keeps a layer's kernels for
 // every timestep and inference; an instance owns only mutable state.
 #pragma once
@@ -149,13 +150,13 @@ struct SiaBatchStats {
 class Sia {
 public:
     /// `model` and `program` must outlive the Sia instance. Builds the
-    /// model's own image (snn::compute::gather_weights).
+    /// model's own image (snn::compute::event_weights).
     Sia(const SiaConfig& config, const snn::SnnModel& model,
         const CompiledProgram& program);
     /// As above, reading `weights`, which other executors (a backend's
     /// workers, a cluster's shards) may share. Throws
     /// std::invalid_argument when the image does not fit `model`
-    /// (WeightImage::fits with WeightLayout::kGather).
+    /// (WeightImage::fits).
     Sia(const SiaConfig& config, const snn::SnnModel& model, const CompiledProgram& program,
         std::shared_ptr<const snn::compute::WeightImage> weights);
 
@@ -237,6 +238,8 @@ public:
     [[nodiscard]] const SiaConfig& config() const noexcept { return config_; }
 
 private:
+    /// One whole layer of one item: run_layer_slice over every channel on
+    /// the trains resolved from `input`/`outs`, then the layer's counts.
     void run_layer(std::size_t index, Frames input, std::vector<snn::SpikeTrain>& outs,
                    SiaRunResult& res, snn::SessionState* session);
 
@@ -258,9 +261,11 @@ private:
     SiaConfig config_;
     const snn::SnnModel& model_;
     const CompiledProgram& program_;
-    /// The model's weights in the gather layouts, read-only and possibly
-    /// shared with other instances.
+    /// The model's weight image, read-only and possibly shared with
+    /// other executors.
     std::shared_ptr<const snn::compute::WeightImage> weights_;
+    /// Spiking-channel index of the conv step's input (then its skip's).
+    snn::compute::SpikeIndex index_;
     Controller controller_;
     MemoryUnit memory_;
     SiaBatchStats batch_stats_;

@@ -51,7 +51,7 @@ SiaCluster::SiaCluster(const SiaConfig& config, const snn::SnnModel& model,
         }
     }
     // Every shard reads the one image; each keeps only its own banks.
-    const auto weights = snn::compute::gather_weights(model_);
+    const auto weights = snn::compute::event_weights(model_);
     shards_.reserve(static_cast<std::size_t>(n));
     for (std::int64_t s = 0; s < n; ++s) {
         shards_.push_back(std::make_unique<Sia>(config_, model_, plan_.program, weights));

@@ -107,6 +107,12 @@ OcBlock oc_block(std::int64_t oc, std::int64_t b) noexcept {
     return {oc - oc % 8, oc % 8};
 }
 
+/// The event block holding output channel `c` (oc_block's inverse).
+std::int64_t oc_block_of(std::int64_t oc, std::int64_t c) noexcept {
+    if (c < oc / 64 * 64) return c / 64;
+    return oc / 64 + (oc % 64 >= 8 && c >= oc - oc % 8 ? 1 : 0);
+}
+
 struct EventConv {
     const std::int8_t* wt = nullptr;  ///< block_conv layout
     const SpikeIndex* in = nullptr;
@@ -223,6 +229,14 @@ void event_tail(const EventConv& e, std::int64_t o0, std::int64_t width,
 
 }  // namespace
 
+std::pair<std::int64_t, std::int64_t> conv_event_units(std::int64_t out_channels,
+                                                       std::int64_t plane, std::int64_t c0,
+                                                       std::int64_t c1) noexcept {
+    if (c0 >= c1) return {0, 0};
+    return {oc_block_of(out_channels, c0) * plane,
+            (oc_block_of(out_channels, c1 - 1) + 1) * plane};
+}
+
 std::vector<std::int8_t> block_conv(const Branch& b) {
     const std::int64_t oc = b.out_channels;
     const std::int64_t patch = b.in_channels * b.kernel * b.kernel;
@@ -240,9 +254,8 @@ std::vector<std::int8_t> block_conv(const Branch& b) {
     return wt;
 }
 
-bool WeightImage::fits(const SnnModel& model, WeightLayout want) const noexcept {
-    if (layout != want || main.size() != model.layers.size() ||
-        skip.size() != model.layers.size()) {
+bool WeightImage::fits(const SnnModel& model) const noexcept {
+    if (main.size() != model.layers.size() || skip.size() != model.layers.size()) {
         return false;
     }
     for (std::size_t i = 0; i < model.layers.size(); ++i) {
@@ -256,14 +269,10 @@ bool WeightImage::fits(const SnnModel& model, WeightLayout want) const noexcept 
     return true;
 }
 
-namespace {
-
-std::shared_ptr<const WeightImage> weight_image(const SnnModel& model, WeightLayout layout) {
+std::shared_ptr<const WeightImage> event_weights(const SnnModel& model) {
     // Validation bounds every extent before a layout allocates from it.
     model.validate();
-    const auto conv = layout == WeightLayout::kEvent ? block_conv : transpose_conv;
     auto image = std::make_shared<WeightImage>();
-    image->layout = layout;
     image->main.resize(model.layers.size());
     image->skip.resize(model.layers.size());
     for (std::size_t i = 0; i < model.layers.size(); ++i) {
@@ -272,20 +281,10 @@ std::shared_ptr<const WeightImage> weight_image(const SnnModel& model, WeightLay
             image->main[i] = transpose_linear(layer.main);
             continue;
         }
-        image->main[i] = conv(layer.main);
-        if (layer.has_skip() && !layer.skip_is_identity) image->skip[i] = conv(layer.skip);
+        image->main[i] = block_conv(layer.main);
+        if (layer.has_skip() && !layer.skip_is_identity) image->skip[i] = block_conv(layer.skip);
     }
     return image;
-}
-
-}  // namespace
-
-std::shared_ptr<const WeightImage> event_weights(const SnnModel& model) {
-    return weight_image(model, WeightLayout::kEvent);
-}
-
-std::shared_ptr<const WeightImage> gather_weights(const SnnModel& model) {
-    return weight_image(model, WeightLayout::kGather);
 }
 
 void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
@@ -355,24 +354,12 @@ void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
 void linear_psum_range(const Branch& b, const std::vector<std::int8_t>& wt,
                        const SpikeMap& in, std::int64_t f_begin, std::int64_t f_end,
                        std::span<std::int32_t> psum) {
-    std::fill(psum.begin() + f_begin, psum.begin() + f_end, 0);
-    for (std::int64_t d = 0; d < b.in_features; ++d) {
-        if (!in.get_flat(d)) continue;
-        const std::int8_t* wrow = wt.data() + d * b.out_features;
-        for (std::int64_t f = f_begin; f < f_end; ++f) {
-            psum[static_cast<std::size_t>(f)] += wrow[f];
-        }
-    }
-}
-
-void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                         const SpikeMap& in, std::span<std::int32_t> psum) {
-    std::fill(psum.begin(), psum.end(), 0);
-    const std::int64_t features = b.out_features;
     std::int32_t* p = psum.data();
+    std::fill(p + f_begin, p + f_end, 0);
+    const std::int64_t features = b.out_features;
     in.for_each_spike([&](std::int64_t d) {
         const std::int8_t* wrow = wt.data() + d * features;
-        for (std::int64_t f = 0; f < features; ++f) p[f] += wrow[f];
+        for (std::int64_t f = f_begin; f < f_end; ++f) p[f] += wrow[f];
     });
 }
 

@@ -2,21 +2,20 @@
 //
 // Both the functional engine (snn::FunctionalEngine) and the
 // cycle-accurate hardware simulator (sim::Sia) perform their numerics
-// through these functions. They call different psum kernels — the
-// engine the output-stationary event kernel, Sia the dense gather in
-// its chunked, channel-sliced schedule — but every kernel computes the
-// same exact int32 sums of the same multiset of int8 weights (the event
-// kernel in int16 lanes that are flushed into int32 before they can
-// wrap), and both engines share the aggregate and neuron-update
-// arithmetic below. That is what makes the bit-exact software/hardware
-// co-verification a structural property rather than a testing
-// aspiration. This is also the one module that knows the kernels'
-// weight layouts: WeightImage holds a model's weights in them.
+// through these functions: the same psum kernels (the engine over whole
+// layers, Sia over its channel slices), which compute exact int32 sums
+// of int8 weights (the event kernel in int16 lanes that are flushed
+// into int32 before they can wrap), and the same aggregate and
+// neuron-update arithmetic below. That is what makes the bit-exact
+// software/hardware co-verification a structural property rather than
+// a testing aspiration. This is also the one module that knows the
+// kernels' weight layouts: WeightImage holds a model's weights in them.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "snn/model.hpp"
@@ -25,7 +24,7 @@
 
 namespace sia::snn::compute {
 
-/// Transpose conv weights [OC][IC][k][k] -> [IC*k*k][OC] (gather layout).
+/// Transpose conv weights [OC][IC][k][k] -> [IC*k*k][OC] (conv_psum_chunk_oc's layout).
 [[nodiscard]] std::vector<std::int8_t> transpose_conv(const Branch& b);
 
 /// Event-kernel layout of conv weights: the output-channel blocks of
@@ -39,34 +38,25 @@ namespace sia::snn::compute {
 /// Transpose linear weights [F][D] -> [D][F].
 [[nodiscard]] std::vector<std::int8_t> transpose_linear(const Branch& b);
 
-/// Which psum kernels a WeightImage feeds.
-enum class WeightLayout : std::uint8_t {
-    kEvent,   ///< conv block_conv (FunctionalEngine's event kernel)
-    kGather,  ///< conv transpose_conv (sim::Sia's dense gather)
-};
-
-/// One model's int8 weights in one family of psum-kernel layouts: per
-/// layer, the main branch and the conv skip (empty for layers without
-/// one); linear layers are [D][F] in both layouts. A model's weights are
+/// One model's int8 weights in the psum kernels' layouts: per layer, the
+/// main branch and the conv skip (empty for layers without one); conv
+/// branches are block_conv, linear ones [D][F]. A model's weights are
 /// read-only once converted, so one image is built per model and shared
 /// by every executor that runs it, across threads (the host-side analogue
 /// of the kernels staying resident in weight BRAM).
 struct WeightImage {
-    WeightLayout layout = WeightLayout::kEvent;
     std::vector<std::vector<std::int8_t>> main;
     std::vector<std::vector<std::int8_t>> skip;
 
-    /// True when this image's layout is `want` and it holds one branch of
-    /// the right size for every branch of `model`: the bound the kernels
-    /// rely on. Sizes cannot tell two models of equal shapes apart.
-    [[nodiscard]] bool fits(const SnnModel& model, WeightLayout want) const noexcept;
+    /// True when this image holds one branch of the right size for every
+    /// branch of `model`: the bound the kernels rely on. Sizes cannot
+    /// tell two models of equal shapes apart.
+    [[nodiscard]] bool fits(const SnnModel& model) const noexcept;
 };
 
-/// `model`'s image for FunctionalEngine. Both builders validate the model
-/// (std::invalid_argument) before they allocate anything.
+/// `model`'s image, which FunctionalEngine and sim::Sia read. Validates
+/// the model (std::invalid_argument) before it allocates anything.
 [[nodiscard]] std::shared_ptr<const WeightImage> event_weights(const SnnModel& model);
-/// `model`'s image for sim::Sia.
-[[nodiscard]] std::shared_ptr<const WeightImage> gather_weights(const SnnModel& model);
 
 /// Per-input-site index of a spike map's spiking channels: for every
 /// site (y, x) of the map's plane, how many channels spike there and
@@ -116,6 +106,13 @@ private:
 /// weight slice across the output plane before moving to the next.
 [[nodiscard]] std::int64_t conv_event_blocks(std::int64_t out_channels) noexcept;
 
+/// Units [begin, end) of the event blocks that hold output channels
+/// [c0, c1) of a layer with `out_channels` outputs over `plane` output
+/// positions (empty when c0 >= c1). A block the slice cuts is run whole,
+/// so the units also write its channels outside the slice.
+[[nodiscard]] std::pair<std::int64_t, std::int64_t> conv_event_units(
+    std::int64_t out_channels, std::int64_t plane, std::int64_t c0, std::int64_t c1) noexcept;
+
 /// Output-stationary event-driven convolution partial sums over units
 /// [unit_begin, unit_end) (see conv_event_blocks). Each unit keeps its
 /// block's int32 psums in registers, visits only the spiking input
@@ -131,7 +128,7 @@ private:
 /// every psum is the exact int32 sum. Every psum entry of a unit is
 /// written by that unit alone, so disjoint unit ranges can run
 /// concurrently, and the sums are bit-identical to conv_psum_chunk_oc's
-/// over the full ranges on a zeroed bank.
+/// over the same channels on a zeroed bank.
 void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
                      const SpikeIndex& in, std::int64_t out_h, std::int64_t out_w,
                      std::int64_t unit_begin, std::int64_t unit_end,
@@ -140,32 +137,23 @@ void conv_psum_event(const Branch& b, const std::vector<std::int8_t>& wt,
 /// Dense-gather convolution partial sums over every input channel,
 /// restricted to output channels [oc_begin, oc_end), accumulating into
 /// `psum` without clearing: scans every output pixel x input tap and
-/// accumulates where the input bit is set. This is the channel-slice
-/// schedule sim::Sia runs, and the dense reference the event kernel is
-/// tested against. `psum` keeps the full-OC HWC stride; only the
-/// slice's entries are touched, and each receives exactly the additions
-/// the unsliced kernel performs (int32, order-independent), so disjoint
-/// slices compose bit-identically to one full pass.
+/// accumulates where the input bit is set (`wt` in the transpose_conv
+/// layout). No executor runs it: it is the independent dense reference
+/// the event kernel is tested and benchmarked against. `psum` keeps the
+/// full-OC HWC stride; only the slice's entries are touched.
 void conv_psum_chunk_oc(const Branch& b, const std::vector<std::int8_t>& wt,
                         const SpikeMap& in, std::int64_t out_h, std::int64_t out_w,
                         std::int64_t oc_begin, std::int64_t oc_end,
                         std::span<std::int32_t> psum);
 
-/// Gather-form fully-connected partial sums restricted to output
-/// features [f_begin, f_end) — the channel-parallel shard schedule for
-/// FC layers. `psum` keeps the full-F layout; only the slice's entries
-/// are cleared and accumulated, bit-identically to the matching entries
-/// of one full pass.
+/// Fully-connected partial sums restricted to output features
+/// [f_begin, f_end): clears the slice, then word-skips the packed input
+/// to add each spike's [F] weight row over it. `psum` keeps the full-F
+/// layout; only the slice's entries are written, with the adds one full
+/// pass makes to them, in the same order.
 void linear_psum_range(const Branch& b, const std::vector<std::int8_t>& wt,
                        const SpikeMap& in, std::int64_t f_begin, std::int64_t f_end,
                        std::span<std::int32_t> psum);
-
-/// Scatter-form fully-connected partial sums ([F], cleared first):
-/// word-skips the packed input to visit only spike events, accumulating
-/// each spike's [F] weight row. Bit-identical to linear_psum_range over
-/// every feature (same adds, same ascending feature order).
-void linear_psum_scatter(const Branch& b, const std::vector<std::int8_t>& wt,
-                         const SpikeMap& in, std::span<std::int32_t> psum);
 
 /// Cache-blocked [plane][channels] -> [channels][plane] int32 transpose:
 /// reorders an HWC psum accumulation bank into the CHW order the fused

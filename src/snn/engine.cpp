@@ -98,7 +98,7 @@ FunctionalEngine::FunctionalEngine(const SnnModel& model, EngineConfig config,
                                    std::shared_ptr<const compute::WeightImage> weights)
     : model_(model), config_(config), weights_(std::move(weights)) {
     model_.validate();
-    if (!weights_ || !weights_->fits(model_, compute::WeightLayout::kEvent)) {
+    if (!weights_ || !weights_->fits(model_)) {
         throw std::invalid_argument("FunctionalEngine: weight image does not fit the model");
     }
     const std::size_t n = model_.layers.size();
@@ -259,7 +259,8 @@ void FunctionalEngine::step_layer(std::size_t index, const SpikeMap& net_input) 
             }
         });
     } else {
-        compute::linear_psum_scatter(layer.main, weights_->main[index], input, st.accum());
+        compute::linear_psum_range(layer.main, weights_->main[index], input, 0,
+                                   layer.main.out_features, st.accum());
     }
     LayerDispatchStats& d = dispatch_[index];
     ++d.scatter_steps;

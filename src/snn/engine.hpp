@@ -9,9 +9,9 @@
 // layer-sequential flow of the paper's Fig. 5).
 //
 // The psum kernels read the model's weights from one read-only
-// compute::WeightImage in the event layouts, which every engine of a
-// backend shares; an engine owns only its mutable state (layer banks,
-// spike maps, spike indexes, readout).
+// compute::WeightImage, which every engine of a backend (and every
+// sim::Sia of the model) shares; an engine owns only its mutable state
+// (layer banks, spike maps, spike indexes, readout).
 #pragma once
 
 #include <cstddef>
@@ -140,7 +140,7 @@ public:
     explicit FunctionalEngine(const SnnModel& model, EngineConfig config = {});
     /// As above, reading `weights`, which other executors may share.
     /// Throws std::invalid_argument when the image does not fit `model`
-    /// (WeightImage::fits with WeightLayout::kEvent).
+    /// (WeightImage::fits).
     FunctionalEngine(const SnnModel& model, EngineConfig config,
                      std::shared_ptr<const compute::WeightImage> weights);
 
@@ -231,8 +231,8 @@ private:
 
     const SnnModel& model_;
     EngineConfig config_;
-    /// The model's weights in the event kernels' layouts, read-only and
-    /// possibly shared with other engines.
+    /// The model's weight image, read-only and possibly shared with
+    /// other executors.
     std::shared_ptr<const compute::WeightImage> weights_;
 
     std::vector<LayerState> state_;                      // SoA banks per layer

@@ -14,7 +14,7 @@
 //                          per-lane channel indexing (and channel
 //                          boundaries inside a 64-block need no care)
 //
-// The psum kernels (compute::conv_psum_event, linear_psum_scatter)
+// The psum kernels (compute::conv_psum_event, linear_psum_range)
 // produce HWC order — the event kernel stores each unit's block of
 // output channels contiguously — while the fire stage wants CHW, the
 // SpikeMap bit order.

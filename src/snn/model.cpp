@@ -96,6 +96,14 @@ void SnnModel::validate() const {
                                                       : layer.label;
         require(layer.input >= -1 && layer.input < static_cast<int>(i),
                 label + ": input must reference an earlier layer");
+        // load_model casts these bytes straight into the enums; an
+        // unknown value would run as some other op, neuron or reset.
+        require(layer.op == LayerOp::kConv || layer.op == LayerOp::kLinear,
+                label + ": unknown op");
+        require(layer.neuron == NeuronKind::kIf || layer.neuron == NeuronKind::kLif,
+                label + ": unknown neuron kind");
+        require(layer.reset == ResetMode::kSubtract || layer.reset == ResetMode::kZero,
+                label + ": unknown reset mode");
         require(layer.spiking || layer.op == LayerOp::kLinear,
                 label + ": readout (non-spiking) layers must be linear");
         require(in_range(layer.out_h, 1, kMaxExtent) && in_range(layer.out_w, 1, kMaxExtent),

@@ -18,7 +18,8 @@
 // sweeps the same densities x identity/conv skip routing x IF/LIF
 // neurons x subtract/zero reset x fire path, on both word-aligned and
 // odd ("tail") neuron counts. Bit-identity to sim::Sia, which runs the
-// dense gather, is checked by test_sia_integration and test_properties.
+// same psum kernels over channel slices with its own fire loop, is
+// checked by test_sia_integration and test_properties.
 //
 // Intra-inference tiling (the last section) must leave every one of
 // those observables unchanged: a TeamLoan-tiled engine is compared
@@ -245,6 +246,32 @@ TEST(EventKernel, ConvPsumMatchesGatherAcrossGeometryWidthsAndUnitSplits) {
     }
 }
 
+TEST(EventKernel, SliceUnitsAreTheBlocksHoldingTheSlice) {
+    for (const std::int64_t oc : {1L, 3L, 8L, 13L, 64L, 75L, 136L, 200L}) {
+        const std::int64_t blocks = compute::conv_event_blocks(oc);
+        const auto block_of = [&](std::int64_t c) {
+            std::int64_t b = 0;
+            while (event_block_channels(oc, b).second <= c) ++b;
+            return b;
+        };
+        for (const std::int64_t plane : {1L, 6L}) {
+            const auto [n0, n1] = compute::conv_event_units(oc, plane, 5, 5);
+            EXPECT_EQ(n0, n1);
+            for (std::int64_t c0 = 0; c0 < oc; ++c0) {
+                for (std::int64_t c1 = c0 + 1; c1 <= oc; ++c1) {
+                    const auto [u0, u1] = compute::conv_event_units(oc, plane, c0, c1);
+                    ASSERT_EQ(u0, block_of(c0) * plane)
+                        << "oc " << oc << " plane " << plane << " [" << c0 << ", " << c1 << ")";
+                    ASSERT_EQ(u1, (block_of(c1 - 1) + 1) * plane)
+                        << "oc " << oc << " plane " << plane << " [" << c0 << ", " << c1 << ")";
+                }
+            }
+            EXPECT_EQ(compute::conv_event_units(oc, plane, 0, oc),
+                      std::make_pair(std::int64_t{0}, blocks * plane));
+        }
+    }
+}
+
 TEST(EventKernel, LinearScatterMatchesGather) {
     util::Rng rng(103);
     Branch b;
@@ -261,12 +288,32 @@ TEST(EventKernel, LinearScatterMatchesGather) {
         cases.push_back(random_map(1, 1, b.in_features, d, rng));
     }
     cases.push_back(single_spike_map(1, 1, b.in_features, 64));
+    constexpr std::int32_t kUntouched = 7;
     for (const SpikeMap& in : cases) {
-        std::vector<std::int32_t> gather(static_cast<std::size_t>(b.out_features), -1);
-        std::vector<std::int32_t> scatter(static_cast<std::size_t>(b.out_features), 7);
-        compute::linear_psum_range(b, wt, in, 0, b.out_features, gather);
-        compute::linear_psum_scatter(b, wt, in, scatter);
-        EXPECT_EQ(gather, scatter) << "spikes=" << in.count();
+        // Dense reference over the [F][D] weights as converted.
+        std::vector<std::int32_t> dense(static_cast<std::size_t>(b.out_features), 0);
+        for (std::int64_t f = 0; f < b.out_features; ++f) {
+            for (std::int64_t d = 0; d < b.in_features; ++d) {
+                if (in.get_flat(d)) {
+                    dense[static_cast<std::size_t>(f)] +=
+                        b.weights[static_cast<std::size_t>(f * b.in_features + d)];
+                }
+            }
+        }
+        // The full range, then two slices that compose to it.
+        for (const auto& [f0, f1] : {std::pair<std::int64_t, std::int64_t>{0, b.out_features},
+                                     {0, 4},
+                                     {4, b.out_features}}) {
+            std::vector<std::int32_t> psum(static_cast<std::size_t>(b.out_features),
+                                           kUntouched);
+            compute::linear_psum_range(b, wt, in, f0, f1, psum);
+            for (std::int64_t f = 0; f < b.out_features; ++f) {
+                const auto i = static_cast<std::size_t>(f);
+                EXPECT_EQ(psum[i], f >= f0 && f < f1 ? dense[i] : kUntouched)
+                    << "spikes=" << in.count() << " slice [" << f0 << ", " << f1
+                    << ") feature " << f;
+            }
+        }
     }
 }
 

@@ -26,7 +26,7 @@ namespace {
 
 // ---- model zoo ----
 
-snn::SnnModel conv_model(std::uint64_t seed, std::int64_t depth = 3) {
+snn::SnnModel conv_model(std::uint64_t seed, std::int64_t depth = 3, std::int64_t width = 4) {
     util::Rng rng(seed);
     snn::SnnModel model;
     model.input_channels = 2;
@@ -41,23 +41,23 @@ snn::SnnModel conv_model(std::uint64_t seed, std::int64_t depth = 3) {
         layer.input = static_cast<int>(d) - 1;
         auto& b = layer.main;
         b.in_channels = in_c;
-        b.out_channels = 4;
+        b.out_channels = width;
         b.kernel = 3;
         b.stride = 1;
         b.padding = 1;
-        b.weights.resize(static_cast<std::size_t>(in_c * 4 * 9));
+        b.weights.resize(static_cast<std::size_t>(in_c * width * 9));
         for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-        b.gain.resize(4);
-        b.bias.resize(4);
+        b.gain.resize(static_cast<std::size_t>(width));
+        b.bias.resize(static_cast<std::size_t>(width));
         for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
         for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-        layer.out_channels = 4;
+        layer.out_channels = width;
         layer.out_h = 6;
         layer.out_w = 6;
         layer.in_h = 6;
         layer.in_w = 6;
         model.layers.push_back(std::move(layer));
-        in_c = 4;
+        in_c = width;
     }
 
     snn::SnnLayer fc;
@@ -65,7 +65,7 @@ snn::SnnModel conv_model(std::uint64_t seed, std::int64_t depth = 3) {
     fc.label = "fc";
     fc.input = static_cast<int>(depth) - 1;
     fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
+    fc.main.in_features = width * 6 * 6;
     fc.main.out_features = 4;
     fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
     for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
@@ -255,7 +255,7 @@ TEST(ShardCluster, MatrixBothStrategiesMatchSingleSia) {
     const core::SiaCompiler compiler(config);
     const std::int64_t timesteps = 4;
     const std::size_t batch = 6;
-    const std::array<std::int64_t, 4> shard_counts = {1, 2, 4, 8};
+    const std::array<std::int64_t, 5> shard_counts = {1, 2, 3, 4, 8};
     const std::array<std::size_t, 2> thread_counts = {1, 8};
     const std::array<core::ShardPartition, 2> partitions = {
         core::ShardPartition::kPipeline, core::ShardPartition::kChannel};
@@ -264,6 +264,9 @@ TEST(ShardCluster, MatrixBothStrategiesMatchSingleSia) {
     models.push_back({"conv", conv_model(101)});
     models.push_back({"mlp", mlp_model(102)});
     models.push_back({"skip", skip_model(103)});
+    // One 64-lane event block, one 8-lane group and a 3-channel tail:
+    // channel slices that start inside a block and span several.
+    models.push_back({"wide", conv_model(104, 3, 75)});
 
     for (const auto& [name, model] : models) {
         SCOPED_TRACE(name);

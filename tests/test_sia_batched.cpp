@@ -248,20 +248,20 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
                           config.membrane_banks);
         }
 
-        // Executors sharing one weight image per layout, each on its own
-        // thread, against the references that built their own images.
+        // Sias and engines sharing one weight image, each executor pair
+        // on its own thread, against the references that built their own
+        // images.
         {
             SCOPED_TRACE("shared weight image");
             constexpr std::size_t kExecutors = 4;
-            const auto gather = snn::compute::gather_weights(model);
-            const auto event = snn::compute::event_weights(model);
+            const auto image = snn::compute::event_weights(model);
             std::vector<sim::SiaRunResult> sim_shared(inputs.size());
             std::vector<snn::RunResult> fun_shared(inputs.size());
             std::vector<std::thread> executors;
             for (std::size_t e = 0; e < kExecutors; ++e) {
                 executors.emplace_back([&, e] {
-                    sim::Sia sia(config, model, program, gather);
-                    snn::FunctionalEngine engine(model, {}, event);
+                    sim::Sia sia(config, model, program, image);
+                    snn::FunctionalEngine engine(model, {}, image);
                     for (std::size_t i = e; i < inputs.size(); i += kExecutors) {
                         sim_shared[i] = sia.run(inputs[i]);
                         fun_shared[i] = engine.run(inputs[i]);

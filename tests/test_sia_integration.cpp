@@ -201,18 +201,15 @@ TEST(SiaIntegration, WeightImageThatDoesNotFitThrows) {
     // An image of another model would be read out of bounds.
     EXPECT_THROW(snn::FunctionalEngine(model, {}, snn::compute::event_weights(other)),
                  std::invalid_argument);
-    EXPECT_THROW(sim::Sia(sia_cfg, model, program, snn::compute::gather_weights(other)),
+    EXPECT_THROW(sim::Sia(sia_cfg, model, program, snn::compute::event_weights(other)),
                  std::invalid_argument);
-    // A missing image is refused, and so is one in the other executor's
-    // layouts (they differ for layers wider than one 64-lane block).
+    // A missing image is refused.
     EXPECT_THROW(snn::FunctionalEngine(model, {}, nullptr), std::invalid_argument);
     EXPECT_THROW(sim::Sia(sia_cfg, model, program, nullptr), std::invalid_argument);
-    EXPECT_THROW(snn::FunctionalEngine(model, {}, snn::compute::gather_weights(model)),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::Sia(sia_cfg, model, program, snn::compute::event_weights(model)),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(snn::FunctionalEngine(model, {}, snn::compute::event_weights(model)));
-    EXPECT_NO_THROW(sim::Sia(sia_cfg, model, program, snn::compute::gather_weights(model)));
+    // One image serves both executors.
+    const auto image = snn::compute::event_weights(model);
+    EXPECT_NO_THROW(snn::FunctionalEngine(model, {}, image));
+    EXPECT_NO_THROW(sim::Sia(sia_cfg, model, program, image));
 }
 
 }  // namespace

@@ -457,6 +457,11 @@ TEST(ModelValidate, EnginesRejectGeometryTheirKernelsWouldTrust) {
          [](SnnModel& m) { m.layers[0].main.out_channels = std::int64_t{1} << 62; }},
         {"hostile kernel", [](SnnModel& m) { m.layers[1].skip.kernel = std::int64_t{1} << 40; }},
         {"hostile output size", [](SnnModel& m) { m.layers[1].out_h = std::int64_t{1} << 62; }},
+        // Bytes a loaded file casts straight into the enums: each would
+        // otherwise run as a linear layer, an IF neuron or a zero reset.
+        {"op = 5", [](SnnModel& m) { m.layers[2].op = static_cast<LayerOp>(5); }},
+        {"neuron = 9", [](SnnModel& m) { m.layers[0].neuron = static_cast<NeuronKind>(9); }},
+        {"reset = 7", [](SnnModel& m) { m.layers[1].reset = static_cast<ResetMode>(7); }},
     };
     for (const Mutation& mutation : mutations) {
         SCOPED_TRACE(mutation.what);
