@@ -77,17 +77,18 @@ snn::SnnModel micro_model() {
     model.input_h = 16;
     model.input_w = 16;
     model.classes = 16;
-    snn::SnnLayer conv;
-    conv.op = snn::LayerOp::kConv;
-    conv.label = "c";
-    conv.input = -1;
-    conv.main = make_branch(3, 16, rng);
-    conv.out_channels = 16;
-    conv.out_h = 16;
-    conv.out_w = 16;
-    conv.in_h = 16;
-    conv.in_w = 16;
-    model.layers.push_back(conv);
+    // One initializer, not member assignments: GCC 12 with
+    // _GLIBCXX_ASSERTIONS misreports -Wrestrict for a literal assigned
+    // to `label` once this is inlined into BM_EngineStep.
+    model.layers.push_back({.op = snn::LayerOp::kConv,
+                            .label = "c",
+                            .input = -1,
+                            .main = make_branch(3, 16, rng),
+                            .out_channels = 16,
+                            .out_h = 16,
+                            .out_w = 16,
+                            .in_h = 16,
+                            .in_w = 16});
     return model;
 }
 

@@ -1,6 +1,7 @@
 #include "sim/controller.hpp"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace sia::sim {
 
@@ -50,11 +51,7 @@ void Controller::transition(CtrlState next) {
                                to_string(state_) + " -> " + to_string(next));
     }
     state_ = next;
-    history_.push_back(next);
-}
-
-std::int64_t Controller::entries(CtrlState s) const noexcept {
-    return std::count(history_.begin(), history_.end(), s);
+    ++entries_[static_cast<std::size_t>(next)];
 }
 
 }  // namespace sia::sim

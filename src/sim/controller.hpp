@@ -7,10 +7,9 @@
 // the Sia top level only drives legal sequences.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 namespace sia::sim {
 
@@ -35,22 +34,22 @@ public:
     /// Attempt a transition; throws std::logic_error if illegal.
     void transition(CtrlState next);
 
-    /// Full state history since construction (for traces and tests).
-    [[nodiscard]] const std::vector<CtrlState>& history() const noexcept { return history_; }
-
-    /// Number of times each state was entered.
-    [[nodiscard]] std::int64_t entries(CtrlState s) const noexcept;
+    /// Number of times `s` was entered since construction or reset().
+    [[nodiscard]] std::int64_t entries(CtrlState s) const noexcept {
+        return entries_[static_cast<std::size_t>(s)];
+    }
 
     void reset() noexcept {
         state_ = CtrlState::kIdle;
-        history_.clear();
+        entries_ = {};
     }
 
 private:
     [[nodiscard]] static bool legal(CtrlState from, CtrlState to) noexcept;
 
     CtrlState state_ = CtrlState::kIdle;
-    std::vector<CtrlState> history_;
+    /// Entries per state, indexed by CtrlState (kDone is the last).
+    std::array<std::int64_t, static_cast<std::size_t>(CtrlState::kDone) + 1> entries_{};
 };
 
 }  // namespace sia::sim

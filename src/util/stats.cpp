@@ -47,37 +47,6 @@ void RunningStat::merge(const RunningStat& other) noexcept {
     max_ = std::max(max_, other.max_);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-    if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-    if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
-}
-
-void Histogram::add(double x) noexcept {
-    const double t = (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size());
-    auto idx = static_cast<std::int64_t>(std::floor(t));
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept { return bin_lo(i + 1); }
-
-double Histogram::cdf(double x) const noexcept {
-    if (total_ == 0) return 0.0;
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (bin_hi(i) <= x) {
-            acc += counts_[i];
-        }
-    }
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
 StreamingHistogram::StreamingHistogram(double lo, double hi, int bins_per_decade) {
     if (!(lo > 0.0) || !(hi > lo)) {
         throw std::invalid_argument("StreamingHistogram: need 0 < lo < hi");
@@ -163,13 +132,6 @@ void SloBurnCounter::merge(const SloBurnCounter& other) {
     }
     total_ += other.total_;
     burned_ += other.burned_;
-}
-
-double mean_of(const std::vector<double>& xs) noexcept {
-    if (xs.empty()) return 0.0;
-    double s = 0.0;
-    for (const double x : xs) s += x;
-    return s / static_cast<double>(xs.size());
 }
 
 }  // namespace sia::util

@@ -37,28 +37,6 @@ private:
     double max_ = 0.0;
 };
 
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin. Used for membrane-potential and spike-count profiles.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x) noexcept;
-    [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-    [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
-    [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-    [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-    /// Fraction of mass at or below x (empirical CDF evaluated on bins).
-    [[nodiscard]] double cdf(double x) const noexcept;
-
-private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
-
 /// Streaming quantile estimator over positive values, built for latency
 /// tracking: geometrically spaced buckets (HdrHistogram-style) make
 /// add() O(1) and lock-free-friendly, merge() a bucket-wise sum (so
@@ -167,8 +145,5 @@ private:
     std::size_t total_ = 0;
     std::size_t burned_ = 0;
 };
-
-/// Mean of a vector; 0 for empty input.
-[[nodiscard]] double mean_of(const std::vector<double>& xs) noexcept;
 
 }  // namespace sia::util

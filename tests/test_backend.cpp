@@ -21,112 +21,21 @@
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
 #include "snn/session.hpp"
+#include "support.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace sia {
 namespace {
 
-// ---- compact random model/stimulus helpers (mirrors test_batch_runner) ----
-
-snn::SnnModel small_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    std::int64_t in_c = model.input_channels;
-    for (std::int64_t d = 0; d < 2; ++d) {
-        snn::SnnLayer layer;
-        layer.op = snn::LayerOp::kConv;
-        layer.label = "conv" + std::to_string(d);
-        layer.input = static_cast<int>(d) - 1;
-        auto& b = layer.main;
-        b.in_channels = in_c;
-        b.out_channels = 4;
-        b.kernel = 3;
-        b.stride = 1;
-        b.padding = 1;
-        b.weights.resize(static_cast<std::size_t>(in_c * 4 * 9));
-        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-        b.gain.resize(4);
-        b.bias.resize(4);
-        for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-        for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-        layer.out_channels = 4;
-        layer.out_h = 6;
-        layer.out_w = 6;
-        layer.in_h = 6;
-        layer.in_w = 6;
-        model.layers.push_back(std::move(layer));
-        in_c = 4;
-    }
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 1;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-std::vector<snn::SpikeTrain> random_batch(const snn::SnnModel& model, std::size_t count,
-                                          std::int64_t timesteps, std::uint64_t seed) {
-    std::vector<snn::SpikeTrain> batch;
-    batch.reserve(count);
-    util::Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                              snn::SpikeMap(model.input_channels, model.input_h,
-                                            model.input_w));
-        for (auto& frame : train) {
-            for (std::int64_t j = 0; j < frame.size(); ++j) {
-                frame.set_flat(j, rng.bernoulli(0.3));
-            }
-        }
-        batch.push_back(std::move(train));
-    }
-    return batch;
-}
-
-std::vector<tensor::Tensor> random_images(const snn::SnnModel& model, std::size_t count,
-                                          std::uint64_t seed) {
-    std::vector<tensor::Tensor> images;
-    util::Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        tensor::Tensor img(tensor::Shape{1, model.input_channels, model.input_h,
-                                         model.input_w});
-        for (std::int64_t j = 0; j < img.numel(); ++j) img.flat(j) = rng.uniform();
-        images.push_back(std::move(img));
-    }
-    return images;
-}
-
-void expect_same_core(const core::Response& r, const snn::RunResult& ref) {
-    EXPECT_EQ(r.logits_per_step, ref.logits_per_step);
-    EXPECT_EQ(r.spike_counts, ref.spike_counts);
-    EXPECT_EQ(r.neuron_counts, ref.neuron_counts);
-    EXPECT_EQ(r.timesteps, ref.timesteps);
-}
+using namespace test;
 
 // ---- the equivalence matrix: batched Request path vs sequential refs ----
 
 TEST(BackendEquivalence, FunctionalMatchesSequentialEngine) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 2);
     const auto batch = random_batch(model, 6, 5, 17);
-    std::vector<core::Request> requests;
-    for (const auto& t : batch) requests.push_back(core::Request::view_train(t));
+    const auto requests = view_requests(batch);
 
     snn::FunctionalEngine engine(model);
     std::vector<snn::RunResult> reference;
@@ -141,13 +50,13 @@ TEST(BackendEquivalence, FunctionalMatchesSequentialEngine) {
         for (std::size_t i = 0; i < responses.size(); ++i) {
             SCOPED_TRACE("threads=" + std::to_string(threads) + " item=" +
                          std::to_string(i));
-            expect_same_core(responses[i], reference[i]);
+            expect_same(responses[i], reference[i]);
         }
     }
 }
 
 TEST(BackendEquivalence, ThermometerRequestsMatchManualEncode) {
-    const auto model = small_model(5);
+    const auto model = conv_model(5, 2);
     const auto images = random_images(model, 5, 29);
     const std::int64_t timesteps = 6;
     std::vector<core::Request> requests;
@@ -169,13 +78,13 @@ TEST(BackendEquivalence, ThermometerRequestsMatchManualEncode) {
         for (std::size_t i = 0; i < responses.size(); ++i) {
             SCOPED_TRACE("threads=" + std::to_string(threads) + " item=" +
                          std::to_string(i));
-            expect_same_core(responses[i], reference[i]);
+            expect_same(responses[i], reference[i]);
         }
     }
 }
 
 TEST(BackendEquivalence, PoissonRequestsDrawPerItemStreams) {
-    const auto model = small_model(5);
+    const auto model = conv_model(5, 2);
     const auto images = random_images(model, 7, 43);
     const std::int64_t timesteps = 6;
     const std::uint64_t seed = 77;
@@ -201,16 +110,15 @@ TEST(BackendEquivalence, PoissonRequestsDrawPerItemStreams) {
         for (std::size_t i = 0; i < responses.size(); ++i) {
             SCOPED_TRACE("threads=" + std::to_string(threads) + " item=" +
                          std::to_string(i));
-            expect_same_core(responses[i], reference[i]);
+            expect_same(responses[i], reference[i]);
         }
     }
 }
 
 TEST(BackendEquivalence, SiaBackendMatchesSequentialSia) {
-    const auto model = small_model(11);
+    const auto model = conv_model(11, 2);
     const auto batch = random_batch(model, 5, 4, 31);
-    std::vector<core::Request> requests;
-    for (const auto& t : batch) requests.push_back(core::Request::view_train(t));
+    const auto requests = view_requests(batch);
 
     const sim::SiaConfig config;
     const auto program = core::SiaCompiler(config).compile(model);
@@ -229,13 +137,8 @@ TEST(BackendEquivalence, SiaBackendMatchesSequentialSia) {
         ASSERT_EQ(responses.size(), reference.size());
         for (std::size_t i = 0; i < responses.size(); ++i) {
             SCOPED_TRACE("item=" + std::to_string(i));
-            EXPECT_EQ(responses[i].logits_per_step, reference[i].logits_per_step);
-            EXPECT_EQ(responses[i].spike_counts, reference[i].spike_counts);
-            EXPECT_EQ(responses[i].neuron_counts, reference[i].neuron_counts);
-            EXPECT_EQ(responses[i].timesteps, reference[i].timesteps);
             // Cycle stats must survive the unified Response intact.
-            ASSERT_EQ(responses[i].layer_stats.size(), reference[i].layer_stats.size());
-            EXPECT_EQ(responses[i].total_cycles(), reference[i].total_cycles());
+            expect_same(responses[i], reference[i], {.cycles = true});
         }
     }
 }
@@ -243,7 +146,7 @@ TEST(BackendEquivalence, SiaBackendMatchesSequentialSia) {
 // ---- the Request/Response surface ----
 
 TEST(BackendApi, ResponseCarriesBackendSpecificExtras) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 2);
     const auto batch = random_batch(model, 2, 4, 17);
     const std::vector<core::Request> requests = {core::Request::view_train(batch[0]),
                                                  core::Request::view_train(batch[1])};
@@ -265,15 +168,14 @@ TEST(BackendApi, ResponseCarriesBackendSpecificExtras) {
 
     // Shared numerics: both backends agree on logits and spikes.
     for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(f[i].logits_per_step, s[i].logits_per_step);
-        EXPECT_EQ(f[i].spike_counts, s[i].spike_counts);
+        expect_same(f[i], s[i]);
         EXPECT_EQ(f[i].predicted_class(f[i].timesteps - 1),
                   s[i].predicted_class(s[i].timesteps - 1));
     }
 }
 
 TEST(BackendApi, MixedEncodingsInOneBatch) {
-    const auto model = small_model(9);
+    const auto model = conv_model(9, 2);
     const auto batch = random_batch(model, 1, 6, 19);
     const auto images = random_images(model, 2, 23);
     const std::int64_t timesteps = 6;
@@ -290,16 +192,14 @@ TEST(BackendApi, MixedEncodingsInOneBatch) {
     ASSERT_EQ(responses.size(), 3U);
 
     snn::FunctionalEngine engine(model);
-    expect_same_core(responses[0], engine.run(batch[0]));
-    expect_same_core(responses[1],
-                     engine.run(snn::encode_thermometer(images[0], timesteps)));
+    expect_same(responses[0], engine.run(batch[0]));
+    expect_same(responses[1], engine.run(snn::encode_thermometer(images[0], timesteps)));
     util::Rng rng(util::mix_seed(seed, 2));  // stream = batch position 2
-    expect_same_core(responses[2],
-                     engine.run(snn::encode_poisson(images[1], timesteps, rng)));
+    expect_same(responses[2], engine.run(snn::encode_poisson(images[1], timesteps, rng)));
 }
 
 TEST(BackendApi, RngStreamPinningDecouplesResultsFromBatchPosition) {
-    const auto model = small_model(9);
+    const auto model = conv_model(9, 2);
     const auto images = random_images(model, 3, 37);
     const std::int64_t timesteps = 5;
     core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
@@ -317,18 +217,16 @@ TEST(BackendApi, RngStreamPinningDecouplesResultsFromBatchPosition) {
     pinned.rng_stream = 2;
     const auto alone = runner.run(std::vector<core::Request>{std::move(pinned)});
     ASSERT_EQ(alone.size(), 1U);
-    EXPECT_EQ(alone[0].logits_per_step, reference[2].logits_per_step);
-    EXPECT_EQ(alone[0].spike_counts, reference[2].spike_counts);
+    expect_same(alone[0], reference[2]);
 }
 
 TEST(BackendApi, OwnedAndBorrowedInputsAreEquivalent) {
-    const auto model = small_model(13);
+    const auto model = conv_model(13, 2);
     const auto batch = random_batch(model, 2, 4, 41);
     core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
                              {.threads = 2});
 
-    std::vector<core::Request> borrowed;
-    for (const auto& t : batch) borrowed.push_back(core::Request::view_train(t));
+    const auto borrowed = view_requests(batch);
     std::vector<core::Request> owned;
     for (const auto& t : batch) owned.push_back(core::Request::from_train(t));
 
@@ -336,13 +234,12 @@ TEST(BackendApi, OwnedAndBorrowedInputsAreEquivalent) {
     const auto b = runner.run(owned);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].logits_per_step, b[i].logits_per_step);
-        EXPECT_EQ(a[i].spike_counts, b[i].spike_counts);
+        expect_same(a[i], b[i]);
     }
 }
 
 TEST(BackendApi, MalformedImageRequestThrows) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 2);
     const auto images = random_images(model, 1, 3);
     core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
                              {.threads = 1});
@@ -377,10 +274,9 @@ TEST(SiaConfigKey, EqualityCoversEveryObservableField) {
 }
 
 TEST(SiaConfigKey, BackendConfigReachesProgramAndResidentSias) {
-    const auto model = small_model(11);
+    const auto model = conv_model(11, 2);
     const auto batch = random_batch(model, 3, 4, 31);
-    std::vector<core::Request> requests;
-    for (const auto& t : batch) requests.push_back(core::Request::view_train(t));
+    const auto requests = view_requests(batch);
 
     const sim::SiaConfig config_a;
     sim::SiaConfig config_b;
@@ -404,14 +300,14 @@ TEST(SiaConfigKey, BackendConfigReachesProgramAndResidentSias) {
     const auto first_b = runner_b.run(requests);
     EXPECT_GT(runner_b.last_stats().setup_ms, 0.0);  // compiled for B
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(first_b[i].logits_per_step, first_a[i].logits_per_step);
+        expect_same(first_b[i], first_a[i]);
         EXPECT_GT(first_b[i].total_cycles(), first_a[i].total_cycles());
     }
 
     // Reruns through the warm A backend stay identical, cycles included.
     const auto second_a = runner_a.run(requests);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(second_a[i].total_cycles(), first_a[i].total_cycles());
+        expect_same(second_a[i], first_a[i], {.cycles = true});
     }
 }
 
@@ -442,7 +338,7 @@ public:
 };
 
 TEST(BatchStatsSemantics, FailedBatchIsMarkedAndConsistent) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 2);
     auto backend = std::make_shared<FlakyBackend>(model);
     core::BatchRunner runner(backend, {.threads = 2});
 
@@ -481,7 +377,7 @@ TEST(BatchStatsSemantics, FailedBatchIsMarkedAndConsistent) {
 // them may land. A clean re-run then advances every session exactly
 // once, matching a sequential engine session.
 TEST(SessionCommit, ThrowingBatchLeavesEverySessionUntouched) {
-    const auto model = small_model(31);
+    const auto model = conv_model(31, 2);
     const auto first = random_batch(model, 4, 3, 77);
     const auto second = random_batch(model, 4, 3, 78);
     const sim::SiaConfig config;

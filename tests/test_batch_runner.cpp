@@ -11,104 +11,13 @@
 #include "sim/sia.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
+#include "support.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sia {
 namespace {
 
-// ---- compact random model/stimulus helpers (mirrors test_properties) ----
-
-snn::SnnModel small_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    std::int64_t in_c = model.input_channels;
-    for (std::int64_t d = 0; d < 3; ++d) {
-        snn::SnnLayer layer;
-        layer.op = snn::LayerOp::kConv;
-        layer.label = "conv" + std::to_string(d);
-        layer.input = static_cast<int>(d) - 1;
-        auto& b = layer.main;
-        b.in_channels = in_c;
-        b.out_channels = 4;
-        b.kernel = 3;
-        b.stride = 1;
-        b.padding = 1;
-        b.weights.resize(static_cast<std::size_t>(in_c * 4 * 9));
-        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-        b.gain.resize(4);
-        b.bias.resize(4);
-        for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-        for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-        layer.out_channels = 4;
-        layer.out_h = 6;
-        layer.out_w = 6;
-        layer.in_h = 6;
-        layer.in_w = 6;
-        model.layers.push_back(std::move(layer));
-        in_c = 4;
-    }
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 2;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-std::vector<snn::SpikeTrain> random_batch(const snn::SnnModel& model, std::size_t count,
-                                          std::int64_t timesteps, std::uint64_t seed) {
-    std::vector<snn::SpikeTrain> batch;
-    batch.reserve(count);
-    util::Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                              snn::SpikeMap(model.input_channels, model.input_h,
-                                            model.input_w));
-        for (auto& frame : train) {
-            for (std::int64_t j = 0; j < frame.size(); ++j) {
-                frame.set_flat(j, rng.bernoulli(0.3));
-            }
-        }
-        batch.push_back(std::move(train));
-    }
-    return batch;
-}
-
-std::vector<core::Request> view_requests(const std::vector<snn::SpikeTrain>& batch) {
-    std::vector<core::Request> requests;
-    requests.reserve(batch.size());
-    for (const auto& t : batch) requests.push_back(core::Request::view_train(t));
-    return requests;
-}
-
-void expect_same_result(const core::Response& a, const snn::RunResult& b) {
-    EXPECT_EQ(a.logits_per_step, b.logits_per_step);
-    EXPECT_EQ(a.spike_counts, b.spike_counts);
-    EXPECT_EQ(a.neuron_counts, b.neuron_counts);
-    EXPECT_EQ(a.timesteps, b.timesteps);
-}
-
-void expect_same_result(const core::Response& a, const core::Response& b) {
-    EXPECT_EQ(a.logits_per_step, b.logits_per_step);
-    EXPECT_EQ(a.spike_counts, b.spike_counts);
-    EXPECT_EQ(a.neuron_counts, b.neuron_counts);
-    EXPECT_EQ(a.timesteps, b.timesteps);
-}
+using namespace test;
 
 // ---- ThreadPool ----
 
@@ -205,7 +114,7 @@ TEST(ThreadPool, ThrowWithManyWorkersStillDrainsAndRecovers) {
 // ---- BatchRunner ----
 
 TEST(BatchRunner, BitExactAcrossThreadCounts) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7);
     const auto batch = random_batch(model, 6, 5, 17);
 
     // Sequential reference: one engine, inputs one after another.
@@ -223,7 +132,7 @@ TEST(BatchRunner, BitExactAcrossThreadCounts) {
         for (std::size_t i = 0; i < results.size(); ++i) {
             SCOPED_TRACE("threads=" + std::to_string(threads) + " item=" +
                          std::to_string(i));
-            expect_same_result(results[i], reference[i]);
+            expect_same(results[i], reference[i]);
         }
         EXPECT_EQ(runner.last_stats().inputs, batch.size());
         EXPECT_EQ(runner.last_stats().threads, threads);
@@ -231,7 +140,7 @@ TEST(BatchRunner, BitExactAcrossThreadCounts) {
 }
 
 TEST(BatchRunner, EmptyBatch) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7);
     core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
                              {.threads = 2});
     EXPECT_TRUE(runner.run(std::vector<core::Request>{}).empty());
@@ -239,7 +148,7 @@ TEST(BatchRunner, EmptyBatch) {
 }
 
 TEST(BatchRunner, OversizedBatchManyMoreItemsThanThreads) {
-    const auto model = small_model(3);
+    const auto model = conv_model(3);
     const auto batch = random_batch(model, 33, 3, 23);
 
     snn::FunctionalEngine engine(model);
@@ -249,22 +158,15 @@ TEST(BatchRunner, OversizedBatchManyMoreItemsThanThreads) {
     ASSERT_EQ(results.size(), 33U);
     for (std::size_t i = 0; i < results.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_result(results[i], engine.run(batch[i]));
+        expect_same(results[i], engine.run(batch[i]));
     }
 }
 
 TEST(BatchRunner, RunImagesMatchesManualEncode) {
-    const auto model = small_model(5);
+    const auto model = conv_model(5);
     const std::int64_t timesteps = 6;
 
-    std::vector<tensor::Tensor> images;
-    util::Rng rng(29);
-    for (int i = 0; i < 5; ++i) {
-        tensor::Tensor img(tensor::Shape{1, model.input_channels, model.input_h,
-                                         model.input_w});
-        for (std::int64_t j = 0; j < img.numel(); ++j) img.flat(j) = rng.uniform();
-        images.push_back(std::move(img));
-    }
+    const auto images = random_images(model, 5, 29);
 
     core::BatchRunner runner(std::make_shared<core::FunctionalBackend>(model),
                              {.threads = 3});
@@ -279,12 +181,12 @@ TEST(BatchRunner, RunImagesMatchesManualEncode) {
     for (std::size_t i = 0; i < images.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
         const auto train = snn::encode_thermometer(images[i], timesteps);
-        expect_same_result(results[i], engine.run(train));
+        expect_same(results[i], engine.run(train));
     }
 }
 
 TEST(BatchRunner, SimBatchMatchesFunctionalLogits) {
-    const auto model = small_model(11);
+    const auto model = conv_model(11);
     const auto batch = random_batch(model, 3, 4, 31);
     const auto requests = view_requests(batch);
 
@@ -298,20 +200,19 @@ TEST(BatchRunner, SimBatchMatchesFunctionalLogits) {
     ASSERT_EQ(simulated.size(), functional.size());
     for (std::size_t i = 0; i < simulated.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        EXPECT_EQ(simulated[i].logits_per_step, functional[i].logits_per_step);
-        EXPECT_EQ(simulated[i].spike_counts, functional[i].spike_counts);
+        expect_same(simulated[i], functional[i]);
     }
     // Cached program + resident instances: a second batch through the
     // same backend must also agree.
     const auto again = sim_runner.run(requests);
     ASSERT_EQ(again.size(), simulated.size());
     for (std::size_t i = 0; i < again.size(); ++i) {
-        EXPECT_EQ(again[i].logits_per_step, simulated[i].logits_per_step);
+        expect_same(again[i], simulated[i], {.cycles = true});
     }
 }
 
 TEST(BatchRunner, StatsSeparateSetupFromRunTime) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7);
     const auto batch = random_batch(model, 8, 5, 17);
     // One worker: engine/Sia construction then deterministically happens
     // in the first batch (with more workers a worker that received no
@@ -346,17 +247,10 @@ TEST(BatchRunner, StatsSeparateSetupFromRunTime) {
 }
 
 TEST(BatchRunner, PoissonEncodingIsThreadCountInvariant) {
-    const auto model = small_model(5);
+    const auto model = conv_model(5);
     const std::int64_t timesteps = 6;
 
-    std::vector<tensor::Tensor> images;
-    util::Rng rng(43);
-    for (int i = 0; i < 7; ++i) {
-        tensor::Tensor img(tensor::Shape{1, model.input_channels, model.input_h,
-                                         model.input_w});
-        for (std::int64_t j = 0; j < img.numel(); ++j) img.flat(j) = rng.uniform();
-        images.push_back(std::move(img));
-    }
+    const auto images = random_images(model, 7, 43);
 
     std::vector<core::Request> requests;
     for (const auto& img : images) {
@@ -371,7 +265,7 @@ TEST(BatchRunner, PoissonEncodingIsThreadCountInvariant) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_result(a[i], b[i]);
+        expect_same(a[i], b[i]);
     }
 
     // A different batch seed changes the stochastic encoding.
@@ -386,7 +280,7 @@ TEST(BatchRunner, PoissonEncodingIsThreadCountInvariant) {
 }
 
 TEST(BatchRunner, ItemRngStreamsAreThreadCountInvariant) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7);
     core::BatchRunner one(std::make_shared<core::FunctionalBackend>(model),
                           {.threads = 1, .seed = 99});
     core::BatchRunner eight(std::make_shared<core::FunctionalBackend>(model),

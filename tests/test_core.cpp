@@ -199,8 +199,8 @@ TEST(Convert, SingleLayerRateApproximatesQann) {
 
 // ---- Compiler ----
 
-snn::SnnModel conv_model(std::int64_t in_c, std::int64_t out_c, std::int64_t hw,
-                         std::int64_t k = 3) {
+snn::SnnModel unit_conv_model(std::int64_t in_c, std::int64_t out_c, std::int64_t hw,
+                              std::int64_t k = 3) {
     snn::SnnModel model;
     model.input_channels = in_c;
     model.input_h = hw;
@@ -228,7 +228,7 @@ snn::SnnModel conv_model(std::int64_t in_c, std::int64_t out_c, std::int64_t hw,
 }
 
 TEST(Compiler, SmallLayerSingleTile) {
-    const auto model = conv_model(3, 16, 8);
+    const auto model = unit_conv_model(3, 16, 8);
     const auto program = SiaCompiler().compile(model);
     ASSERT_EQ(program.layers.size(), 1U);
     EXPECT_EQ(program.layers[0].oc_tiles, 1);
@@ -237,7 +237,7 @@ TEST(Compiler, SmallLayerSingleTile) {
 }
 
 TEST(Compiler, TilesWideLayers) {
-    const auto model = conv_model(3, 200, 8);
+    const auto model = unit_conv_model(3, 200, 8);
     const auto program = SiaCompiler().compile(model);
     EXPECT_EQ(program.layers[0].oc_tiles, 4);  // ceil(200/64)
 }
@@ -245,7 +245,7 @@ TEST(Compiler, TilesWideLayers) {
 TEST(Compiler, ChunksDeepKernels) {
     // 8 kB / 64 PEs = 128 B per kernel slot; a 3x3 kernel over 512 input
     // channels needs 4608 B -> 36 passes of 14 channels.
-    const auto model = conv_model(512, 64, 4);
+    const auto model = unit_conv_model(512, 64, 4);
     const auto program = SiaCompiler().compile(model);
     EXPECT_EQ(program.layers[0].ic_chunk, 14);
     EXPECT_EQ(program.layers[0].ic_passes, (512 + 13) / 14);
@@ -254,13 +254,13 @@ TEST(Compiler, ChunksDeepKernels) {
 TEST(Compiler, SpatialTilesLargeMembranes) {
     // 64 channels x 32x32 = 65536 neurons x 2 B = 128 kB -> 4 slices of
     // the 32 kB ping-pong bank; no DDR spill.
-    const auto model = conv_model(3, 64, 32);
+    const auto model = unit_conv_model(3, 64, 32);
     const auto program = SiaCompiler().compile(model);
     EXPECT_EQ(program.layers[0].spatial_tiles, 4);
 }
 
 TEST(Compiler, NoTilingWhenMembranesFit) {
-    const auto model = conv_model(3, 16, 8);  // 1024 neurons = 2 kB
+    const auto model = unit_conv_model(3, 16, 8);  // 1024 neurons = 2 kB
     const auto program = SiaCompiler().compile(model);
     EXPECT_EQ(program.layers[0].spatial_tiles, 1);
 }

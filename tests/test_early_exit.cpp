@@ -34,101 +34,16 @@
 #include "snn/engine.hpp"
 #include "snn/exit.hpp"
 #include "snn/session.hpp"
-#include "util/rng.hpp"
+#include "support.hpp"
 
 namespace sia {
 namespace {
 
-// ---- model zoo (mirrors test_sia_batched.cpp) ----
-
-snn::SnnModel conv_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    std::int64_t in_c = model.input_channels;
-    for (std::int64_t d = 0; d < 3; ++d) {
-        snn::SnnLayer layer;
-        layer.op = snn::LayerOp::kConv;
-        layer.label = "conv" + std::to_string(d);
-        layer.input = static_cast<int>(d) - 1;
-        auto& b = layer.main;
-        b.in_channels = in_c;
-        b.out_channels = 4;
-        b.kernel = 3;
-        b.stride = 1;
-        b.padding = 1;
-        b.weights.resize(static_cast<std::size_t>(in_c * 4 * 9));
-        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-        b.gain.resize(4);
-        b.bias.resize(4);
-        for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-        for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-        layer.out_channels = 4;
-        layer.out_h = 6;
-        layer.out_w = 6;
-        layer.in_h = 6;
-        layer.in_w = 6;
-        model.layers.push_back(std::move(layer));
-        in_c = 4;
-    }
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 2;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-std::vector<snn::SpikeTrain> random_batch(const snn::SnnModel& model, std::size_t count,
-                                          std::int64_t timesteps, std::uint64_t seed) {
-    std::vector<snn::SpikeTrain> batch;
-    batch.reserve(count);
-    util::Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                              snn::SpikeMap(model.input_channels, model.input_h,
-                                            model.input_w));
-        for (auto& frame : train) {
-            for (std::int64_t j = 0; j < frame.size(); ++j) {
-                frame.set_flat(j, rng.bernoulli(0.3));
-            }
-        }
-        batch.push_back(std::move(train));
-    }
-    return batch;
-}
+using namespace test;
 
 snn::ExitCriterion modest_exit() {
     return {.margin = 20, .stable_checks = 0, .min_steps = 2, .hysteresis = 1,
             .check_interval = 1};
-}
-
-snn::ExitCriterion unreachable_exit() {
-    return {.margin = 1'000'000'000, .stable_checks = 0, .min_steps = 1,
-            .hysteresis = 1, .check_interval = 1};
-}
-
-void expect_same_response(const core::Response& got, const core::Response& want) {
-    EXPECT_EQ(got.logits, want.logits);
-    EXPECT_EQ(got.spike_counts, want.spike_counts);
-    EXPECT_EQ(got.timesteps, want.timesteps);
-    EXPECT_EQ(got.steps_used, want.steps_used);
-    EXPECT_EQ(got.steps_offered, want.steps_offered);
-    EXPECT_EQ(got.exit_reason, want.exit_reason);
 }
 
 // ---- the criterion is a pure function of the readout sequence ----
@@ -183,8 +98,7 @@ TEST(EarlyExit, OffBitIdenticalAcrossBackendsThreadsAndShards) {
     std::vector<snn::RunResult> ref;
     for (const auto& t : inputs) ref.push_back(reference.run(t));
 
-    std::vector<core::Request> requests;
-    for (const auto& t : inputs) requests.push_back(core::Request::view_train(t));
+    const auto requests = view_requests(inputs);
 
     std::vector<std::shared_ptr<core::Backend>> backends;
     backends.push_back(std::make_shared<core::FunctionalBackend>(model));
@@ -206,8 +120,7 @@ TEST(EarlyExit, OffBitIdenticalAcrossBackendsThreadsAndShards) {
             ASSERT_EQ(responses.size(), inputs.size());
             for (std::size_t i = 0; i < responses.size(); ++i) {
                 SCOPED_TRACE("item=" + std::to_string(i));
-                EXPECT_EQ(responses[i].logits, ref[i].readout);
-                EXPECT_EQ(responses[i].logits_per_step, ref[i].logits_per_step);
+                expect_same(responses[i], ref[i]);
                 EXPECT_EQ(responses[i].steps_used, timesteps);
                 EXPECT_EQ(responses[i].steps_offered, timesteps);
                 EXPECT_EQ(responses[i].exit_reason, snn::ExitReason::kNone);
@@ -269,7 +182,7 @@ TEST(EarlyExit, OnBitIdenticalAcrossCompositionThreadsAndBackends) {
                 ASSERT_EQ(responses.size(), ref.size());
                 for (std::size_t i = 0; i < responses.size(); ++i) {
                     SCOPED_TRACE("item=" + std::to_string(i));
-                    expect_same_response(responses[i], ref[i]);
+                    expect_same(responses[i], ref[i]);
                 }
             }
         }
@@ -290,9 +203,7 @@ TEST(EarlyExit, NonExitingItemsBitIdenticalToFullRun) {
         const auto armed = engine.run(inputs[i], never);
         EXPECT_EQ(armed.timesteps, timesteps);
         EXPECT_EQ(armed.exit_reason, snn::ExitReason::kNone);
-        EXPECT_EQ(armed.logits_per_step, full.logits_per_step);
-        EXPECT_EQ(armed.readout, full.readout);
-        EXPECT_EQ(armed.spike_counts, full.spike_counts);
+        expect_same(armed, full);
 
         sim::Sia sia(sim::SiaConfig{}, model, program);
         const auto sim_full = sia.run(inputs[i]);
@@ -300,9 +211,8 @@ TEST(EarlyExit, NonExitingItemsBitIdenticalToFullRun) {
         const auto sim_armed = std::move(sia.run_batch(item).front());
         EXPECT_EQ(sim_armed.timesteps, timesteps);
         EXPECT_EQ(sim_armed.exit_reason, snn::ExitReason::kNone);
-        EXPECT_EQ(sim_armed.logits_per_step, sim_full.logits_per_step);
-        EXPECT_EQ(sim_armed.readout, sim_full.readout);
-        EXPECT_EQ(sim_armed.spike_counts, sim_full.spike_counts);
+        // An armed criterion costs readout checks: the cycles differ.
+        expect_same(sim_armed, sim_full);
     }
 }
 
@@ -323,9 +233,7 @@ TEST(EarlyExit, HistoryOffKeepsFinalReadoutAndDecisions) {
         const auto want = with_history.run(inputs[i], crit);
         const auto got = lean.run(inputs[i], crit);
         EXPECT_TRUE(got.logits_per_step.empty());
-        EXPECT_EQ(got.readout, want.readout);
-        EXPECT_EQ(got.timesteps, want.timesteps);
-        EXPECT_EQ(got.exit_reason, want.exit_reason);
+        expect_same(got, want, {.history = false});
         EXPECT_EQ(got.predicted(), want.predicted());
     }
 
@@ -343,9 +251,8 @@ TEST(EarlyExit, HistoryOffKeepsFinalReadoutAndDecisions) {
         SCOPED_TRACE("item=" + std::to_string(i));
         EXPECT_TRUE(responses[i].logits_per_step.empty());
         const auto want = with_history.run(inputs[i], crit);
-        EXPECT_EQ(responses[i].logits, want.readout);
+        expect_same(responses[i], want, {.history = false});
         EXPECT_EQ(responses[i].predicted(), want.predicted());
-        EXPECT_EQ(responses[i].steps_used, want.timesteps);
     }
 }
 
@@ -412,7 +319,7 @@ TEST(EarlyExit, SessionWindowExitsOnItsOwnDeltaNotTheCarriedLead) {
     const auto sim_w1 = sia.run(windows[1], sim_session, crit);
     EXPECT_EQ(sim_w1.timesteps, expect_steps);
     EXPECT_EQ(sim_w1.exit_reason, expect_reason);
-    EXPECT_EQ(sim_w1.readout, w1.readout);
+    expect_same(sim_w1, w1);
     const auto sim_w2 = sia.run(windows[2], sim_session, {});
     EXPECT_EQ(sim_session.readout, mono.readout);
     EXPECT_EQ(sim_w2.readout, mono.readout);
@@ -445,7 +352,7 @@ TEST(EarlyExit, ServerRunsEarlyExitRequestsAndReportsSteps) {
         SCOPED_TRACE("item=" + std::to_string(i));
         const auto response = futures[i].get();
         ASSERT_TRUE(response.ok()) << response.error;
-        expect_same_response(response, ref[i]);
+        expect_same(response, ref[i]);
     }
 }
 
@@ -515,7 +422,7 @@ TEST(EarlyExit, ExtremeCriterionFieldsAgreeAcrossBackends) {
             core::BatchRunner runner(backend, {.threads = 2});
             const auto responses = runner.run(requests);
             for (std::size_t i = 0; i < responses.size(); ++i) {
-                expect_same_response(responses[i], ref[i]);
+                expect_same(responses[i], ref[i]);
             }
         }
     }
@@ -551,9 +458,7 @@ TEST(EarlyExit, ServerSessionWindowsWithEarlyExitStayCoherent) {
         SCOPED_TRACE("window=" + std::to_string(w));
         const auto response = futures[w].get();
         ASSERT_TRUE(response.ok()) << response.error;
-        EXPECT_EQ(response.logits, ref[w].readout);
-        EXPECT_EQ(response.steps_used, ref[w].timesteps);
-        EXPECT_EQ(response.exit_reason, ref[w].exit_reason);
+        expect_same(response, ref[w]);
         EXPECT_EQ(response.window_seq, w);
     }
 }
@@ -588,10 +493,8 @@ TEST(EarlyExit, ClusterReportsRetirementAcrossShards) {
         std::int64_t retired = 0;
         for (std::size_t i = 0; i < results.size(); ++i) {
             SCOPED_TRACE("item=" + std::to_string(i));
-            EXPECT_EQ(results[i].logits_per_step, ref[i].logits_per_step);
-            EXPECT_EQ(results[i].readout, ref[i].readout);
-            EXPECT_EQ(results[i].timesteps, ref[i].timesteps);
-            EXPECT_EQ(results[i].exit_reason, ref[i].exit_reason);
+            expect_same(results[i], ref[i],
+                        {.cycles = partition == sim::ShardPartition::kPipeline});
             executed += results[i].timesteps;
             if (results[i].timesteps < timesteps) ++retired;
         }

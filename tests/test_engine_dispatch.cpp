@@ -47,10 +47,13 @@
 #include "snn/model.hpp"
 #include "snn/spike.hpp"
 #include "snn/tile_team.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 
 namespace sia::snn {
 namespace {
+
+using test::expect_same;
 
 SpikeMap random_map(std::int64_t c, std::int64_t h, std::int64_t w, double density,
                     util::Rng& rng) {
@@ -598,8 +601,7 @@ void expect_same_run(const SnnModel& model, const SpikeTrain& train) {
     // Whole-run results (fresh engines through run()).
     const RunResult ref = run_snn(model, train, reference_config);
     const RunResult got = run_snn(model, train);
-    EXPECT_EQ(ref.logits_per_step, got.logits_per_step);
-    EXPECT_EQ(ref.spike_counts, got.spike_counts);
+    expect_same(got, ref);
 }
 
 TEST(DispatchEquivalence, DensityNeuronSkipMatrix) {
@@ -725,8 +727,7 @@ TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
     for (int i = 0; i < 6; ++i) {
         batch.push_back(matrix_train(model, 0.02 + 0.2 * i, false, rng));
     }
-    std::vector<core::Request> requests;
-    for (const auto& train : batch) requests.push_back(core::Request::view_train(train));
+    const auto requests = test::view_requests(batch);
 
     core::BatchRunner vector_runner(std::make_shared<core::FunctionalBackend>(model),
                                     {.threads = 2});
@@ -737,11 +738,10 @@ TEST(BatchRunnerDispatch, EngineConfigPreservesBitExactness) {
     const auto rf = scalar_fire_runner.run(requests);
     ASSERT_EQ(rv.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(i);
         const RunResult expected = run_snn(model, batch[i]);
-        EXPECT_EQ(rv[i].logits_per_step, expected.logits_per_step) << i;
-        EXPECT_EQ(rf[i].logits_per_step, expected.logits_per_step) << i;
-        EXPECT_EQ(rv[i].spike_counts, expected.spike_counts) << i;
-        EXPECT_EQ(rf[i].spike_counts, expected.spike_counts) << i;
+        expect_same(rv[i], expected);
+        expect_same(rf[i], expected);
     }
 }
 
@@ -1043,11 +1043,8 @@ TEST(IntraInferenceTiling, SessionWindowsAndEarlyExitMatchSerial) {
     TileTeam team(3);
     const TeamLoan loan(tiled, &team);
     ASSERT_TRUE(loan);
-    const auto expect_same = [](const RunResult& a, const RunResult& b) {
-        EXPECT_EQ(a.readout, b.readout);
-        EXPECT_EQ(a.spike_counts, b.spike_counts);
-        EXPECT_EQ(a.timesteps, b.timesteps);
-        EXPECT_EQ(a.exit_reason, b.exit_reason);
+    const auto expect_same_tiled = [](const RunResult& a, const RunResult& b) {
+        expect_same(a, b, {.history = false});
         ASSERT_EQ(a.layer_dispatch.size(), b.layer_dispatch.size());
         for (std::size_t l = 0; l < a.layer_dispatch.size(); ++l) {
             EXPECT_TRUE(same_dispatch(a.layer_dispatch[l], b.layer_dispatch[l])) << l;
@@ -1055,19 +1052,19 @@ TEST(IntraInferenceTiling, SessionWindowsAndEarlyExitMatchSerial) {
     };
 
     // Whole runs, with and without the criterion.
-    expect_same(serial.run(train), tiled.run(train));
+    expect_same_tiled(serial.run(train), tiled.run(train));
     const RunResult exited = serial.run(train, exit);
-    expect_same(exited, tiled.run(train, exit));
+    expect_same_tiled(exited, tiled.run(train, exit));
     EXPECT_NE(exited.exit_reason, ExitReason::kNone) << "the criterion must fire";
 
     // Two session windows, the first with the criterion.
     SessionState serial_session;
     SessionState tiled_session;
-    expect_same(serial.run_window(first, serial_session, exit),
-                tiled.run_window(first, tiled_session, exit));
+    expect_same_tiled(serial.run_window(first, serial_session, exit),
+                      tiled.run_window(first, tiled_session, exit));
     EXPECT_EQ(serial_session, tiled_session);
-    expect_same(serial.run_window(second, serial_session),
-                tiled.run_window(second, tiled_session));
+    expect_same_tiled(serial.run_window(second, serial_session),
+                      tiled.run_window(second, tiled_session));
     EXPECT_EQ(serial_session, tiled_session);
     expect_same_engines(serial, tiled, "after the second window");
 }
@@ -1093,15 +1090,12 @@ TEST(IntraInferenceTiling, SecondEngineFindsTeamClaimedAndRunsSerially) {
         std::thread other([&] { serial = second.run(train); });
         tiled = first.run(train);
         other.join();
-        for (const RunResult* got : {&tiled, &serial}) {
-            EXPECT_EQ(got->logits_per_step, reference.logits_per_step);
-            EXPECT_EQ(got->spike_counts, reference.spike_counts);
-        }
+        for (const RunResult* got : {&tiled, &serial}) expect_same(*got, reference);
     }
     // Returned: the second engine can borrow the team now.
     const TeamLoan later(second, &team);
     EXPECT_TRUE(later);
-    EXPECT_EQ(second.run(train).logits_per_step, reference.logits_per_step);
+    expect_same(second.run(train), reference);
 }
 
 TEST(IntraInferenceTiling, OnlyModelsWithAHeavyLayerCanTile) {
@@ -1159,7 +1153,7 @@ TEST(TileTeam, TileExceptionReachesCallerAndTeamStaysUsable) {
     FunctionalEngine engine(model);
     const TeamLoan loan(engine, &team);
     ASSERT_TRUE(loan);
-    EXPECT_EQ(engine.run(train).logits_per_step, run_snn(model, train).logits_per_step);
+    expect_same(engine.run(train), run_snn(model, train));
 }
 
 TEST(IntraInferenceTiling, ServerLaneWithFourThreadsMatchesSequentialEngine) {
@@ -1177,8 +1171,7 @@ TEST(IntraInferenceTiling, ServerLaneWithFourThreadsMatchesSequentialEngine) {
         const core::Response response = server.submit(core::Request::view_train(train)).get();
         ASSERT_TRUE(response.ok()) << response.error;
         const RunResult expected = reference.run(train);
-        EXPECT_EQ(response.logits_per_step, expected.logits_per_step);
-        EXPECT_EQ(response.spike_counts, expected.spike_counts);
+        expect_same(response, expected);
         ASSERT_EQ(response.layer_dispatch.size(), expected.layer_dispatch.size());
         for (std::size_t l = 0; l < expected.layer_dispatch.size(); ++l) {
             EXPECT_TRUE(same_dispatch(response.layer_dispatch[l], expected.layer_dispatch[l]));

@@ -30,6 +30,7 @@
 #include "core/server.hpp"
 #include "snn/engine.hpp"
 #include "snn/session.hpp"
+#include "support.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -38,6 +39,7 @@ namespace sia {
 namespace {
 
 using namespace std::chrono_literals;
+using namespace test;
 
 // Injected faults log one warning per failed request; keep chaos-test
 // stderr quiet. Runs at static init, before any server thread exists.
@@ -45,81 +47,6 @@ const bool g_quiet = [] {
     util::set_log_level(util::LogLevel::kError);
     return true;
 }();
-
-// ---- compact random model/stimulus helpers (mirrors test_server) ----
-
-snn::SnnModel small_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    snn::SnnLayer layer;
-    layer.op = snn::LayerOp::kConv;
-    layer.label = "conv0";
-    layer.input = -1;
-    auto& b = layer.main;
-    b.in_channels = 2;
-    b.out_channels = 4;
-    b.kernel = 3;
-    b.stride = 1;
-    b.padding = 1;
-    b.weights.resize(static_cast<std::size_t>(2 * 4 * 9));
-    for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-    b.gain.resize(4);
-    b.bias.resize(4);
-    for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-    for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-    layer.out_channels = 4;
-    layer.out_h = 6;
-    layer.out_w = 6;
-    layer.in_h = 6;
-    layer.in_w = 6;
-    model.layers.push_back(std::move(layer));
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 0;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-snn::SpikeTrain random_train(const snn::SnnModel& model, std::int64_t timesteps,
-                             std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                          snn::SpikeMap(model.input_channels, model.input_h,
-                                        model.input_w));
-    for (auto& frame : train) {
-        for (std::int64_t j = 0; j < frame.size(); ++j) {
-            frame.set_flat(j, rng.bernoulli(0.3));
-        }
-    }
-    return train;
-}
-
-/// Waits (bounded) for a predicate that another thread flips.
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 2000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    while (!pred()) {
-        if (std::chrono::steady_clock::now() > deadline) return false;
-        std::this_thread::sleep_for(1ms);
-    }
-    return true;
-}
 
 /// Gating decorator: holds every run_span until open() so tests can
 /// pack a known set of queued requests into one wave, then delegates to
@@ -259,7 +186,7 @@ TEST(FaultInjector, ExplicitScheduleAndValidation) {
 // ------------------------------------------------------ FaultyBackend
 
 TEST(FaultyBackend, ThrowsTypedErrorsAndCorruptsOnlyFaultedRequests) {
-    const auto model = small_model(11);
+    const auto model = conv_model(11, 1);
     core::BatchRunner clean_runner(
         std::make_shared<core::FunctionalBackend>(model),
         core::BatchOptions{.threads = 2});
@@ -313,8 +240,8 @@ TEST(FaultyBackend, ThrowsTypedErrorsAndCorruptsOnlyFaultedRequests) {
             EXPECT_NE(corrupted[i].logits_per_step, reference[i].logits_per_step)
                 << "stream " << i << " should be corrupted";
         } else {
-            EXPECT_EQ(corrupted[i].logits_per_step, reference[i].logits_per_step)
-                << "stream " << i << " should be untouched";
+            SCOPED_TRACE("stream " + std::to_string(i) + " should be untouched");
+            expect_same(corrupted[i], reference[i]);
         }
     }
     EXPECT_GT(corrupted_count, 0U) << "plan corrupted nothing; pick a new seed";
@@ -323,7 +250,7 @@ TEST(FaultyBackend, ThrowsTypedErrorsAndCorruptsOnlyFaultedRequests) {
 // ------------------------------------------- wave isolation (server)
 
 TEST(FaultServer, BisectionQuarantinesThePoisonedRequestOnly) {
-    const auto model = small_model(21);
+    const auto model = conv_model(21, 1);
     util::FaultPlan plan;
     plan.fail_streams = {4};  // the 5th admitted request is poisoned
     auto gate = std::make_shared<Gate>(std::make_shared<core::FaultyBackend>(
@@ -361,8 +288,9 @@ TEST(FaultServer, BisectionQuarantinesThePoisonedRequestOnly) {
                 << response.error;
         } else {
             ASSERT_TRUE(response.ok()) << response.error;
-            EXPECT_EQ(response.logits_per_step, reference.run(one)[0].logits_per_step)
-                << "healthy co-batched request " << i << " must be bit-identical";
+            SCOPED_TRACE("healthy co-batched request " + std::to_string(i) +
+                         " must be bit-identical");
+            expect_same(response, reference.run(one)[0]);
         }
     }
     const auto stats = server.stats();
@@ -379,7 +307,7 @@ TEST(FaultServer, BisectionQuarantinesThePoisonedRequestOnly) {
 // still advance its session exactly once, because the runner commits
 // session state only when a whole run succeeds.
 TEST(FaultServer, BisectedWaveAdvancesEverySessionWindowOnce) {
-    const auto model = small_model(27);
+    const auto model = conv_model(27, 1);
     util::FaultPlan plan;
     plan.fail_streams = {5};  // the stateless request after the first windows
     auto gate = std::make_shared<Gate>(std::make_shared<core::FaultyBackend>(
@@ -424,8 +352,8 @@ TEST(FaultServer, BisectedWaveAdvancesEverySessionWindowOnce) {
         const auto r0 = firsts[s].get();
         const auto r1 = seconds[s].get();
         ASSERT_TRUE(r0.ok() && r1.ok()) << r0.error << r1.error;
-        EXPECT_EQ(r0.logits, engine.run_window(windows[s][0], reference).readout);
-        EXPECT_EQ(r1.logits, engine.run_window(windows[s][1], reference).readout);
+        expect_same(r0, engine.run_window(windows[s][0], reference));
+        expect_same(r1, engine.run_window(windows[s][1], reference));
         EXPECT_EQ(r1.session_steps, 6) << "session " << s;
     }
     EXPECT_GE(server.stats().isolated_waves, 1U);
@@ -433,7 +361,7 @@ TEST(FaultServer, BisectedWaveAdvancesEverySessionWindowOnce) {
 }
 
 TEST(FaultServer, TransientFaultsRetryToBitIdenticalResults) {
-    const auto model = small_model(23);
+    const auto model = conv_model(23, 1);
     util::FaultPlan plan;
     plan.transient_probability = 1.0;  // every first attempt fails
     plan.transient_attempts = 1;       // ...and every retry succeeds
@@ -462,8 +390,8 @@ TEST(FaultServer, TransientFaultsRetryToBitIdenticalResults) {
         EXPECT_GE(response.retries, 1U);
         std::vector<core::Request> one;
         one.push_back(core::Request::view_train(trains[i]));
-        EXPECT_EQ(response.logits_per_step, reference.run(one)[0].logits_per_step)
-            << "a retried request must be bit-identical to its first attempt";
+        SCOPED_TRACE("a retried request must be bit-identical to its first attempt");
+        expect_same(response, reference.run(one)[0]);
     }
     const auto stats = server.stats();
     EXPECT_EQ(stats.completed, 4U);
@@ -473,7 +401,7 @@ TEST(FaultServer, TransientFaultsRetryToBitIdenticalResults) {
 }
 
 TEST(FaultServer, InvalidRequestsAreNeverRetried) {
-    const auto model = small_model(25);
+    const auto model = conv_model(25, 1);
     core::ServerOptions options;
     options.threads = 1;
     core::Server server(std::make_shared<core::FunctionalBackend>(model), options);
@@ -499,7 +427,7 @@ TEST(FaultServer, InvalidRequestsAreNeverRetried) {
 // line one write, so this runs race-free under ThreadSanitizer, and
 // logging never disturbs the results or the ledger.
 TEST(FaultServer, LogLevelFlipsWhileDispatchersLogFailures) {
-    const auto model = small_model(31);
+    const auto model = conv_model(31, 1);
     util::FaultPlan plan;
     plan.seed = 77;
     plan.throw_probability = 0.25;
@@ -542,7 +470,8 @@ TEST(FaultServer, LogLevelFlipsWhileDispatchersLogFailures) {
             EXPECT_EQ(response.error_code, core::ErrorCode::kBackendError) << i;
         } else {
             ASSERT_TRUE(response.ok()) << i << ": " << response.error;
-            EXPECT_EQ(response.logits_per_step, reference.run(trains[i]).logits_per_step) << i;
+            SCOPED_TRACE(i);
+            expect_same(response, reference.run(trains[i]));
         }
     }
     done.store(true);
@@ -557,7 +486,7 @@ TEST(FaultServer, LogLevelFlipsWhileDispatchersLogFailures) {
 }
 
 TEST(FaultDeadlines, BlockedAdmissionGivesUpAtTheDeadline) {
-    const auto model = small_model(31);
+    const auto model = conv_model(31, 1);
     auto gate = std::make_shared<Gate>(std::make_shared<core::FunctionalBackend>(model));
     core::ServerOptions options;
     options.threads = 1;
@@ -587,7 +516,7 @@ TEST(FaultDeadlines, BlockedAdmissionGivesUpAtTheDeadline) {
 }
 
 TEST(FaultDeadlines, ExpiredRequestsNeverOccupyAWaveSlot) {
-    const auto model = small_model(33);
+    const auto model = conv_model(33, 1);
     auto gate = std::make_shared<Gate>(std::make_shared<core::FunctionalBackend>(model));
     core::ServerOptions options;
     options.threads = 1;
@@ -617,7 +546,7 @@ TEST(FaultDeadlines, ExpiredRequestsNeverOccupyAWaveSlot) {
 }
 
 TEST(FaultDeadlines, LateCompletionResolvesAsDeadlineExceeded) {
-    const auto model = small_model(35);
+    const auto model = conv_model(35, 1);
     auto gate = std::make_shared<Gate>(std::make_shared<core::FunctionalBackend>(model));
     core::ServerOptions options;
     options.threads = 1;
@@ -638,7 +567,7 @@ TEST(FaultDeadlines, LateCompletionResolvesAsDeadlineExceeded) {
 // -------------------------------------------- breaker and failover
 
 TEST(FaultBreaker, TripsAfterConsecutiveFailuresThenFailsFast) {
-    const auto model = small_model(41);
+    const auto model = conv_model(41, 1);
     util::FaultPlan plan;
     plan.fail_first = 1'000;  // the primary never recovers in this test
     core::ServerOptions options;
@@ -672,7 +601,7 @@ TEST(FaultBreaker, TripsAfterConsecutiveFailuresThenFailsFast) {
 }
 
 TEST(FaultBreaker, SiaLaneFailsOverAndRecoversThroughHalfOpenProbes) {
-    const auto model = small_model(43);
+    const auto model = conv_model(43, 1);
     // A Sia lane whose first four runs fail, then recovers — the
     // acceptance scenario: trip, degrade to the functional fallback,
     // recover via half-open probes.
@@ -744,7 +673,7 @@ TEST(FaultBreaker, SiaLaneFailsOverAndRecoversThroughHalfOpenProbes) {
 
     // Degraded and recovered responses agree bit-for-bit (the engines'
     // shared-numerics contract survives failover).
-    EXPECT_EQ(r1.logits_per_step, r8.logits_per_step);
+    expect_same(r1, r8);
 
     const auto lane = server.lane_stats();
     EXPECT_EQ(lane.breaker_trips, 1U);  // re-opens after probes are not fresh trips
@@ -760,7 +689,7 @@ TEST(FaultBreaker, SiaLaneFailsOverAndRecoversThroughHalfOpenProbes) {
 // ---------------------------------------------- the acceptance storm
 
 TEST(FaultStorm, SeededStormKeepsNonFaultedRequestsBitIdenticalWithExactLedger) {
-    const auto model = small_model(51);
+    const auto model = conv_model(51, 1);
     const std::size_t kFunctional = 160;
     const std::size_t kSia = 48;
 
@@ -837,10 +766,9 @@ TEST(FaultStorm, SeededStormKeepsNonFaultedRequestsBitIdenticalWithExactLedger) 
                     << "stream " << i << ": " << response.error;
                 std::vector<core::Request> one;
                 one.push_back(core::Request::view_train(trains[i]));
-                EXPECT_EQ(response.logits_per_step,
-                          reference.run(one)[0].logits_per_step)
-                    << "non-faulted stream " << i
-                    << " must be bit-identical to the fault-free run";
+                SCOPED_TRACE("non-faulted stream " + std::to_string(i) +
+                             " must be bit-identical to the fault-free run");
+                expect_same(response, reference.run(one)[0]);
             }
         }
     };
@@ -876,7 +804,7 @@ TEST(FaultStorm, SeededStormKeepsNonFaultedRequestsBitIdenticalWithExactLedger) 
 // windows match a sequential engine session that skips the failed ones;
 // and the server ledger balances exactly.
 TEST(FaultStorm, SeededRandomScheduleMatchesSequentialReference) {
-    const auto model = small_model(61);
+    const auto model = conv_model(61, 1);
     constexpr std::size_t kOps = 10'000;
     constexpr std::size_t kSlots = 6;  // concurrently open sessions
 

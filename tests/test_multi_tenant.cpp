@@ -29,97 +29,15 @@
 #include "core/backend.hpp"
 #include "core/server.hpp"
 #include "snn/engine.hpp"
-#include "util/rng.hpp"
+#include "support.hpp"
 
 namespace sia {
 namespace {
 
 using namespace std::chrono_literals;
+using namespace test;
 using core::BackpressurePolicy;
 using core::Priority;
-
-// ---- compact random model/stimulus helpers (mirrors test_server) ----
-
-snn::SnnModel small_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    snn::SnnLayer layer;
-    layer.op = snn::LayerOp::kConv;
-    layer.label = "conv0";
-    layer.input = -1;
-    auto& b = layer.main;
-    b.in_channels = 2;
-    b.out_channels = 4;
-    b.kernel = 3;
-    b.stride = 1;
-    b.padding = 1;
-    b.weights.resize(static_cast<std::size_t>(2 * 4 * 9));
-    for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-    b.gain.resize(4);
-    b.bias.resize(4);
-    for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-    for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-    layer.out_channels = 4;
-    layer.out_h = 6;
-    layer.out_w = 6;
-    layer.in_h = 6;
-    layer.in_w = 6;
-    model.layers.push_back(std::move(layer));
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 0;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-snn::SpikeTrain random_train(const snn::SnnModel& model, std::int64_t timesteps,
-                             std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                          snn::SpikeMap(model.input_channels, model.input_h,
-                                        model.input_w));
-    for (auto& frame : train) {
-        for (std::int64_t j = 0; j < frame.size(); ++j) {
-            frame.set_flat(j, rng.bernoulli(0.3));
-        }
-    }
-    return train;
-}
-
-tensor::Tensor random_image(const snn::SnnModel& model, std::uint64_t seed) {
-    util::Rng rng(seed);
-    tensor::Tensor img(
-        tensor::Shape{1, model.input_channels, model.input_h, model.input_w});
-    for (std::int64_t j = 0; j < img.numel(); ++j) img.flat(j) = rng.uniform();
-    return img;
-}
-
-/// Waits (bounded) for a predicate that another thread flips.
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 2000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    while (!pred()) {
-        if (std::chrono::steady_clock::now() > deadline) return false;
-        std::this_thread::sleep_for(1ms);
-    }
-    return true;
-}
 
 /// One request as a wave saw it.
 struct WaveEntry {
@@ -206,7 +124,7 @@ std::vector<std::uint64_t> streams_of(const std::vector<WaveEntry>& wave) {
 // ---- wave composition: weighted round-robin fairness ----
 
 TEST(MultiTenantWaves, WeightedRoundRobinInterleavesTenantsBySlots) {
-    const auto model = small_model(3);
+    const auto model = conv_model(3, 1);
     auto backend = std::make_shared<RecordingBackend>(model);
     core::Server server(
         std::static_pointer_cast<core::Backend>(backend),
@@ -251,7 +169,7 @@ TEST(MultiTenantWaves, WeightedRoundRobinInterleavesTenantsBySlots) {
 }
 
 TEST(MultiTenantWaves, CursorResumesWhereTheWaveWasCutOff) {
-    const auto model = small_model(4);
+    const auto model = conv_model(4, 1);
     auto backend = std::make_shared<RecordingBackend>(model);
     core::Server server(std::static_pointer_cast<core::Backend>(backend),
                         {.threads = 1,
@@ -292,7 +210,7 @@ TEST(MultiTenantWaves, CursorResumesWhereTheWaveWasCutOff) {
 // ---- wave composition: priority lanes ----
 
 TEST(MultiTenantWaves, HighLaneEmptiesBeforeNormalBeforeLow) {
-    const auto model = small_model(5);
+    const auto model = conv_model(5, 1);
     auto backend = std::make_shared<RecordingBackend>(model);
     core::Server server(std::static_pointer_cast<core::Backend>(backend),
                         {.threads = 1, .max_queue = 16, .max_batch = 8});
@@ -335,7 +253,7 @@ TEST(MultiTenantWaves, HighLaneEmptiesBeforeNormalBeforeLow) {
 // ---- eviction: shed-lowest-first under kReject ----
 
 TEST(MultiTenant, HighPriorityShedsYoungestOfBusiestLowTenant) {
-    const auto model = small_model(6);
+    const auto model = conv_model(6, 1);
     auto backend = std::make_shared<RecordingBackend>(model);
     core::Server server(std::static_pointer_cast<core::Backend>(backend),
                         {.threads = 1,
@@ -395,7 +313,7 @@ TEST(MultiTenant, HighPriorityShedsYoungestOfBusiestLowTenant) {
 }
 
 TEST(MultiTenant, EvictionTieBreaksOnLexicographicallyLastTenant) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<RecordingBackend>(model);
     core::Server server(std::static_pointer_cast<core::Backend>(backend),
                         {.threads = 1,
@@ -428,7 +346,7 @@ TEST(MultiTenant, EvictionTieBreaksOnLexicographicallyLastTenant) {
 // ---- registry: routing, registration, unregistration ----
 
 TEST(MultiTenant, RoutesByModelNameAndRejectsUnknown) {
-    const auto model = small_model(8);
+    const auto model = conv_model(8, 1);
     core::Server server({.threads = 1, .max_batch = 4});
     EXPECT_TRUE(server.model_names().empty());
 
@@ -460,7 +378,7 @@ TEST(MultiTenant, RoutesByModelNameAndRejectsUnknown) {
     // Identical models + identical pinned streams => identical results.
     const auto ra = fa.get();
     const auto rb = fb.get();
-    EXPECT_EQ(ra.logits_per_step, rb.logits_per_step);
+    expect_same(ra, rb);
 
     server.shutdown();
     const auto stats = server.stats();
@@ -470,7 +388,7 @@ TEST(MultiTenant, RoutesByModelNameAndRejectsUnknown) {
 }
 
 TEST(MultiTenant, SoleModelServesEmptyModelName) {
-    const auto model = small_model(9);
+    const auto model = conv_model(9, 1);
     core::Server server({.threads = 1});
     server.register_model("only", std::make_shared<core::FunctionalBackend>(model));
     const auto train = random_train(model, 2, 15);
@@ -481,7 +399,7 @@ TEST(MultiTenant, SoleModelServesEmptyModelName) {
 }
 
 TEST(MultiTenant, UnregisterDrainsItsOwnLaneOnly) {
-    const auto model = small_model(10);
+    const auto model = conv_model(10, 1);
     auto backend_a = std::make_shared<RecordingBackend>(model);
     auto backend_b = std::make_shared<RecordingBackend>(model);
     core::Server server({.threads = 1, .max_queue = 8, .max_batch = 4});
@@ -532,7 +450,7 @@ TEST(MultiTenant, UnregisterDrainsItsOwnLaneOnly) {
 // ---- hot reload ----
 
 TEST(MultiTenant, ReloadUnderLoadKeepsResponsesBitIdentical) {
-    const auto model = small_model(12);
+    const auto model = conv_model(12, 1);
     constexpr std::size_t kRequests = 16;
 
     // Sequential reference through one engine.
@@ -573,8 +491,7 @@ TEST(MultiTenant, ReloadUnderLoadKeepsResponsesBitIdentical) {
     for (std::size_t i = 0; i < kRequests; ++i) {
         SCOPED_TRACE("request=" + std::to_string(i));
         const auto response = futures[i].get();
-        EXPECT_EQ(response.logits_per_step, reference[i].logits_per_step);
-        EXPECT_EQ(response.spike_counts, reference[i].spike_counts);
+        expect_same(response, reference[i]);
     }
     // The stream can finish before the reloader is first scheduled; keep
     // it running until at least one swap has landed.
@@ -595,7 +512,7 @@ TEST(MultiTenant, ReloadUnderLoadKeepsResponsesBitIdentical) {
 // ---- determinism across server configurations ----
 
 TEST(MultiTenant, DeterministicAcrossConfigsModelsAndPriorities) {
-    const auto model = small_model(13);
+    const auto model = conv_model(13, 1);
     constexpr std::size_t kRequests = 12;
     constexpr std::int64_t kTimesteps = 4;
 
@@ -640,10 +557,8 @@ TEST(MultiTenant, DeterministicAcrossConfigsModelsAndPriorities) {
     for (std::size_t i = 0; i < kRequests; ++i) {
         SCOPED_TRACE("request=" + std::to_string(i));
         ASSERT_FALSE(baseline[i].logits_per_step.empty());
-        EXPECT_EQ(baseline[i].logits_per_step, batched[i].logits_per_step);
-        EXPECT_EQ(baseline[i].logits_per_step, rejecting[i].logits_per_step);
-        EXPECT_EQ(baseline[i].spike_counts, batched[i].spike_counts);
-        EXPECT_EQ(baseline[i].spike_counts, rejecting[i].spike_counts);
+        expect_same(batched[i], baseline[i]);
+        expect_same(rejecting[i], baseline[i]);
     }
 }
 
@@ -657,7 +572,7 @@ struct StressOutcome {
 };
 
 StressOutcome run_stress(BackpressurePolicy policy) {
-    const auto model = small_model(14);
+    const auto model = conv_model(14, 1);
     constexpr std::size_t kThreads = 6;
     constexpr std::size_t kPerThread = 8;
     constexpr std::array<Priority, 3> kPriorities = {
@@ -772,7 +687,7 @@ TEST(MultiTenantStress, RejectingMatrixKeepsTheLedgerExact) {
 }
 
 TEST(MultiTenantStress, ReloadStormWhileStressedStaysConsistent) {
-    const auto model = small_model(15);
+    const auto model = conv_model(15, 1);
     constexpr std::size_t kThreads = 3;
     constexpr std::size_t kPerThread = 6;
 

@@ -24,6 +24,7 @@
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
 #include "snn/serialize.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 
 namespace sia::snn {
@@ -89,8 +90,7 @@ TEST(Serialize, LoadedModelExecutesBitIdentically) {
 
     const RunResult a = run_snn(model, train);
     const RunResult b = run_snn(back, train);
-    EXPECT_EQ(a.logits_per_step, b.logits_per_step);
-    EXPECT_EQ(a.spike_counts, b.spike_counts);
+    test::expect_same(b, a);
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -409,7 +409,7 @@ SpikeTrain mutation_input(const SnnModel& model, std::uint64_t seed) {
 }
 
 /// Run `input` on both executors of `model`: true when both ran it, to
-/// the same logits and spike counts; false when both refused it with
+/// the same results (test::expect_same); false when both refused it with
 /// std::invalid_argument. Anything else fails the test.
 bool executors_agree(const SnnModel& model, const SpikeTrain& input) {
     std::optional<RunResult> functional;
@@ -428,9 +428,7 @@ bool executors_agree(const SnnModel& model, const SpikeTrain& input) {
     }
     EXPECT_EQ(functional.has_value(), hardware.has_value());
     if (!functional || !hardware) return false;
-    EXPECT_EQ(functional->readout, hardware->readout);
-    EXPECT_EQ(functional->logits_per_step, hardware->logits_per_step);
-    EXPECT_EQ(functional->spike_counts, hardware->spike_counts);
+    test::expect_same(*hardware, *functional);
     return true;
 }
 

@@ -22,95 +22,13 @@
 #include "core/server.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
-#include "util/rng.hpp"
+#include "support.hpp"
 
 namespace sia {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---- compact random model/stimulus helpers (mirrors test_batch_runner) ----
-
-snn::SnnModel small_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    snn::SnnLayer layer;
-    layer.op = snn::LayerOp::kConv;
-    layer.label = "conv0";
-    layer.input = -1;
-    auto& b = layer.main;
-    b.in_channels = 2;
-    b.out_channels = 4;
-    b.kernel = 3;
-    b.stride = 1;
-    b.padding = 1;
-    b.weights.resize(static_cast<std::size_t>(2 * 4 * 9));
-    for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-    b.gain.resize(4);
-    b.bias.resize(4);
-    for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-    for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-    layer.out_channels = 4;
-    layer.out_h = 6;
-    layer.out_w = 6;
-    layer.in_h = 6;
-    layer.in_w = 6;
-    model.layers.push_back(std::move(layer));
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 0;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-snn::SpikeTrain random_train(const snn::SnnModel& model, std::int64_t timesteps,
-                             std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                          snn::SpikeMap(model.input_channels, model.input_h,
-                                        model.input_w));
-    for (auto& frame : train) {
-        for (std::int64_t j = 0; j < frame.size(); ++j) {
-            frame.set_flat(j, rng.bernoulli(0.3));
-        }
-    }
-    return train;
-}
-
-tensor::Tensor random_image(const snn::SnnModel& model, std::uint64_t seed) {
-    util::Rng rng(seed);
-    tensor::Tensor img(
-        tensor::Shape{1, model.input_channels, model.input_h, model.input_w});
-    for (std::int64_t j = 0; j < img.numel(); ++j) img.flat(j) = rng.uniform();
-    return img;
-}
-
-/// Waits (bounded) for a predicate that another thread flips.
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 2000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    while (!pred()) {
-        if (std::chrono::steady_clock::now() > deadline) return false;
-        std::this_thread::sleep_for(1ms);
-    }
-    return true;
-}
+using namespace test;
 
 /// Test backend whose run_span blocks until release() — used to hold the
 /// drain loop mid-batch so tests can fill the admission queue
@@ -205,7 +123,7 @@ private:
 // ---- serving correctness under concurrency, per backend ----
 
 TEST(Server, ConcurrentSubmittersFunctionalBackend) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     constexpr std::size_t kSubmitters = 4;
     constexpr std::size_t kPerSubmitter = 6;
 
@@ -239,8 +157,7 @@ TEST(Server, ConcurrentSubmittersFunctionalBackend) {
             SCOPED_TRACE("submitter=" + std::to_string(s) + " item=" +
                          std::to_string(i));
             const auto response = futures[s][i].get();
-            EXPECT_EQ(response.logits_per_step, reference[s][i].logits_per_step);
-            EXPECT_EQ(response.spike_counts, reference[s][i].spike_counts);
+            expect_same(response, reference[s][i]);
         }
     }
 
@@ -257,7 +174,7 @@ TEST(Server, ConcurrentSubmittersFunctionalBackend) {
 }
 
 TEST(Server, ConcurrentSubmittersSiaBackend) {
-    const auto model = small_model(11);
+    const auto model = conv_model(11, 1);
     constexpr std::size_t kSubmitters = 2;
     constexpr std::size_t kPerSubmitter = 3;
 
@@ -292,8 +209,7 @@ TEST(Server, ConcurrentSubmittersSiaBackend) {
             const auto response = futures[s][i].get();
             // Shared numerics with the functional reference, plus the
             // cycle stats only the simulated accelerator produces.
-            EXPECT_EQ(response.logits_per_step, reference[s][i].logits_per_step);
-            EXPECT_EQ(response.spike_counts, reference[s][i].spike_counts);
+            expect_same(response, reference[s][i]);
             EXPECT_TRUE(response.has_cycle_stats());
             EXPECT_GT(response.total_cycles(), 0);
         }
@@ -305,7 +221,7 @@ TEST(Server, ConcurrentSubmittersSiaBackend) {
 // ---- backpressure ----
 
 TEST(Server, RejectPolicyShedsLoadWhenQueueFull) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1,
                                   .max_queue = 2,
@@ -339,7 +255,7 @@ TEST(Server, RejectPolicyShedsLoadWhenQueueFull) {
 }
 
 TEST(Server, BlockPolicyWaitsForSpaceInsteadOfRejecting) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1,
                                   .max_queue = 1,
@@ -375,7 +291,7 @@ TEST(Server, BlockPolicyWaitsForSpaceInsteadOfRejecting) {
 // ---- shutdown ----
 
 TEST(Server, ShutdownDrainsEveryQueuedRequest) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1,
                                   .max_queue = 16,
@@ -406,7 +322,7 @@ TEST(Server, ShutdownDrainsEveryQueuedRequest) {
 }
 
 TEST(Server, SubmitAfterShutdownIsRefused) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     core::Server server(std::make_shared<core::FunctionalBackend>(model),
                         {.threads = 1});
     server.shutdown();
@@ -420,7 +336,7 @@ TEST(Server, SubmitAfterShutdownIsRefused) {
 // ---- continuous batching ----
 
 TEST(Server, ContinuousBatchingFormsWavesFromTheBacklog) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1,
                                   .max_queue = 16,
@@ -448,7 +364,7 @@ TEST(Server, ContinuousBatchingFormsWavesFromTheBacklog) {
 // ---- determinism ----
 
 TEST(Server, SameSeedSameArrivalOrderSameResponses) {
-    const auto model = small_model(9);
+    const auto model = conv_model(9, 1);
     const std::int64_t timesteps = 5;
     std::vector<tensor::Tensor> images;
     for (int i = 0; i < 12; ++i) images.push_back(random_image(model, 50 + i));
@@ -476,8 +392,7 @@ TEST(Server, SameSeedSameArrivalOrderSameResponses) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        EXPECT_EQ(a[i].logits_per_step, b[i].logits_per_step);
-        EXPECT_EQ(a[i].spike_counts, b[i].spike_counts);
+        expect_same(a[i], b[i]);
     }
 
     // And the server path equals the plain batch path with pinned
@@ -490,7 +405,7 @@ TEST(Server, SameSeedSameArrivalOrderSameResponses) {
     }
     const auto direct = runner.run(requests);
     for (std::size_t i = 0; i < direct.size(); ++i) {
-        EXPECT_EQ(a[i].logits_per_step, direct[i].logits_per_step);
+        expect_same(a[i], direct[i]);
     }
 }
 
@@ -502,7 +417,7 @@ TEST(Server, SameSeedSameArrivalOrderSameResponses) {
 // enqueued into a dying lane or left hanging, and every request that
 // was admitted before shutdown must still complete.
 TEST(ServerRaces, SubmitDuringDrainIsRefused) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1, .max_queue = 16, .max_batch = 2});
 
@@ -535,7 +450,7 @@ TEST(ServerRaces, SubmitDuringDrainIsRefused) {
 // and is refused with a rejection that names kShuttingDown, so callers
 // can tell a shutdown race apart from an unknown model or a full queue.
 TEST(ServerRaces, BlockedSubmitterRacingShutdownGetsTaggedRejection) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1,
                                   .max_queue = 1,
@@ -590,7 +505,7 @@ TEST(ServerRaces, BlockedSubmitterRacingShutdownGetsTaggedRejection) {
 // the reload either applies or the server was already stopping, and the
 // ledger balances (submitted == completed + failed, nothing lost).
 TEST(ServerRaces, ReloadDuringDrainKeepsTheLedgerConsistent) {
-    const auto model = small_model(13);
+    const auto model = conv_model(13, 1);
     for (int round = 0; round < 3; ++round) {
         core::Server server(std::make_shared<core::FunctionalBackend>(model),
                             {.threads = 2, .max_queue = 64, .max_batch = 4});
@@ -664,7 +579,7 @@ TEST(ServerRaces, ReloadDuringDrainKeepsTheLedgerConsistent) {
 // barrier: both must be refused (same priority — nothing to shed), the
 // queue must not over-admit, and the queued requests must be untouched.
 TEST(ServerRaces, ConcurrentRejectsOnFullQueueShedNothing) {
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     auto backend = std::make_shared<GatedBackend>(model);
     core::Server server(backend, {.threads = 1,
                                   .max_queue = 2,
@@ -708,7 +623,7 @@ TEST(ServerRaces, ConcurrentRejectsOnFullQueueShedNothing) {
 // flight so the view request is deterministically still queued when
 // the buffer is clobbered.
 TEST(Server, BorrowedImageViewCopiedAtAdmission) {
-    const auto model = small_model(23);
+    const auto model = conv_model(23, 1);
     snn::FunctionalEngine engine(model);
     const tensor::Tensor original = random_image(model, 31);
     const auto reference = engine.run(snn::encode_thermometer(original, 4));
@@ -728,12 +643,12 @@ TEST(Server, BorrowedImageViewCopiedAtAdmission) {
     gate->release();
     blocker.get();
     const auto response = future.get();
-    EXPECT_EQ(response.logits_per_step, reference.logits_per_step);
+    expect_same(response, reference);
     server.shutdown();
 }
 
 TEST(Server, BorrowedTrainViewCopiedAtAdmission) {
-    const auto model = small_model(29);
+    const auto model = conv_model(29, 1);
     snn::FunctionalEngine engine(model);
     const auto reference = engine.run(random_train(model, 4, 77));
 
@@ -750,7 +665,7 @@ TEST(Server, BorrowedTrainViewCopiedAtAdmission) {
     gate->release();
     blocker.get();
     const auto response = future.get();
-    EXPECT_EQ(response.logits_per_step, reference.logits_per_step);
+    expect_same(response, reference);
     server.shutdown();
 }
 
@@ -761,7 +676,7 @@ TEST(Server, MisShapedTrainOnSiaLaneFailsAloneAsInvalidRequest) {
     // wave with well-formed requests: the simulator rejects the wave at
     // admission, bisection isolates the bad request as kInvalidRequest,
     // and its wave-mates complete bit-identically to solo runs.
-    const auto model = small_model(41);
+    const auto model = conv_model(41, 1);
     const sim::SiaConfig config;
     const auto program = core::SiaCompiler(config).compile(model);
     sim::Sia solo(config, model, program);
@@ -790,9 +705,7 @@ TEST(Server, MisShapedTrainOnSiaLaneFailsAloneAsInvalidRequest) {
         }
         ASSERT_TRUE(response.ok()) << response.error;
         const auto want = solo.run(trains[i]);
-        EXPECT_EQ(response.logits_per_step, want.logits_per_step);
-        EXPECT_EQ(response.spike_counts, want.spike_counts);
-        EXPECT_EQ(response.total_cycles(), want.total_cycles());
+        expect_same(response, want, {.cycles = true});
     }
     server.shutdown();
     EXPECT_GE(server.stats().isolated_waves, 1U);

@@ -19,109 +19,15 @@
 #include "sim/memory.hpp"
 #include "sim/sia.hpp"
 #include "sim/sia_cluster.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 
 namespace sia {
 namespace {
 
+using namespace test;
+
 // ---- model zoo ----
-
-snn::SnnModel conv_model(std::uint64_t seed, std::int64_t depth = 3, std::int64_t width = 4) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    std::int64_t in_c = model.input_channels;
-    for (std::int64_t d = 0; d < depth; ++d) {
-        snn::SnnLayer layer;
-        layer.op = snn::LayerOp::kConv;
-        layer.label = "conv" + std::to_string(d);
-        layer.input = static_cast<int>(d) - 1;
-        auto& b = layer.main;
-        b.in_channels = in_c;
-        b.out_channels = width;
-        b.kernel = 3;
-        b.stride = 1;
-        b.padding = 1;
-        b.weights.resize(static_cast<std::size_t>(in_c * width * 9));
-        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-        b.gain.resize(static_cast<std::size_t>(width));
-        b.bias.resize(static_cast<std::size_t>(width));
-        for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-        for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-        layer.out_channels = width;
-        layer.out_h = 6;
-        layer.out_w = 6;
-        layer.in_h = 6;
-        layer.in_w = 6;
-        model.layers.push_back(std::move(layer));
-        in_c = width;
-    }
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = static_cast<int>(depth) - 1;
-    fc.spiking = false;
-    fc.main.in_features = width * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-snn::SnnModel mlp_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 1;
-    model.input_h = 4;
-    model.input_w = 4;
-
-    snn::SnnLayer hidden;
-    hidden.op = snn::LayerOp::kLinear;
-    hidden.label = "hidden";
-    hidden.input = -1;
-    hidden.spiking = true;
-    hidden.main.in_features = 16;
-    hidden.main.out_features = 12;
-    hidden.main.weights.resize(16 * 12);
-    for (auto& w : hidden.main.weights) {
-        w = static_cast<std::int8_t>(rng.integer(-127, 127));
-    }
-    hidden.main.gain.resize(12);
-    hidden.main.bias.resize(12);
-    for (auto& g : hidden.main.gain) g = static_cast<std::int16_t>(rng.integer(100, 500));
-    for (auto& h : hidden.main.bias) h = static_cast<std::int16_t>(rng.integer(-50, 50));
-    hidden.out_channels = 12;
-    model.layers.push_back(std::move(hidden));
-
-    snn::SnnLayer readout;
-    readout.op = snn::LayerOp::kLinear;
-    readout.label = "readout";
-    readout.input = 0;
-    readout.spiking = false;
-    readout.main.in_features = 12;
-    readout.main.out_features = 4;
-    readout.main.weights.resize(12 * 4);
-    for (auto& w : readout.main.weights) {
-        w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    }
-    readout.main.gain.assign(4, 256);
-    readout.main.bias.assign(4, 0);
-    readout.out_channels = 4;
-    model.layers.push_back(std::move(readout));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
 
 /// stem -> identity-skip residual -> conv-skip block reading the stem
 /// (which blocks the cut before it) -> readout. Exercises both sliced
@@ -193,56 +99,6 @@ snn::SnnModel skip_model(std::uint64_t seed) {
     return model;
 }
 
-std::vector<snn::SpikeTrain> random_batch(const snn::SnnModel& model, std::size_t count,
-                                          std::int64_t timesteps, std::uint64_t seed) {
-    std::vector<snn::SpikeTrain> batch;
-    batch.reserve(count);
-    util::Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                              snn::SpikeMap(model.input_channels, model.input_h,
-                                            model.input_w));
-        for (auto& frame : train) {
-            for (std::int64_t j = 0; j < frame.size(); ++j) {
-                frame.set_flat(j, rng.bernoulli(0.3));
-            }
-        }
-        batch.push_back(std::move(train));
-    }
-    return batch;
-}
-
-/// Output equivalence: what both partition strategies guarantee.
-template <typename GotT>
-void expect_same_outputs(const GotT& got, const sim::SiaRunResult& want) {
-    EXPECT_EQ(got.logits_per_step, want.logits_per_step);
-    EXPECT_EQ(got.spike_counts, want.spike_counts);
-    EXPECT_EQ(got.neuron_counts, want.neuron_counts);
-    EXPECT_EQ(got.timesteps, want.timesteps);
-}
-
-/// Full bit-identity including as-if-sequential cycle stats: what the
-/// pipeline partitioning additionally guarantees per item.
-void expect_same_sia_result(const sim::SiaRunResult& got, const sim::SiaRunResult& want) {
-    expect_same_outputs(got, want);
-    ASSERT_EQ(got.layer_stats.size(), want.layer_stats.size());
-    for (std::size_t l = 0; l < got.layer_stats.size(); ++l) {
-        SCOPED_TRACE("layer " + std::to_string(l));
-        const auto& a = got.layer_stats[l];
-        const auto& b = want.layer_stats[l];
-        EXPECT_EQ(a.label, b.label);
-        EXPECT_EQ(a.compute, b.compute);
-        EXPECT_EQ(a.aggregate, b.aggregate);
-        EXPECT_EQ(a.dma, b.dma);
-        EXPECT_EQ(a.mmio, b.mmio);
-        EXPECT_EQ(a.overhead, b.overhead);
-        EXPECT_EQ(a.input_spike_events, b.input_spike_events);
-        EXPECT_EQ(a.event_additions, b.event_additions);
-        EXPECT_EQ(a.dense_ops, b.dense_ops);
-    }
-    EXPECT_EQ(got.total_cycles(), want.total_cycles());
-}
-
 struct NamedModel {
     const char* name;
     snn::SnnModel model;
@@ -296,11 +152,9 @@ TEST(ShardCluster, MatrixBothStrategiesMatchSingleSia) {
                     ASSERT_EQ(results.size(), batch);
                     for (std::size_t i = 0; i < batch; ++i) {
                         SCOPED_TRACE("item=" + std::to_string(i));
-                        if (partition == core::ShardPartition::kPipeline) {
-                            expect_same_sia_result(results[i], ref[i]);
-                        } else {
-                            expect_same_outputs(results[i], ref[i]);
-                        }
+                        // A channel slice's layer stats are per shard.
+                        expect_same(results[i], ref[i],
+                                    {.cycles = partition == core::ShardPartition::kPipeline});
                     }
                     const sim::ShardStats& stats = cluster.last_stats();
                     EXPECT_EQ(stats.partition, partition);
@@ -346,7 +200,8 @@ TEST(ShardCluster, SingleRunFormsMatchBatch) {
         sim::SiaCluster cluster(
             config, model,
             compiler.compile_sharded(model, {.partition = partition, .shards = 2}));
-        expect_same_outputs(cluster.run(inputs[0]), ref);
+        expect_same(cluster.run(inputs[0]), ref,
+                    {.cycles = partition == core::ShardPartition::kPipeline});
     }
 }
 
@@ -368,7 +223,7 @@ TEST(ShardCluster, EmptyBatchAndBadInputValidation) {
     // The cluster recovers after the failed batch.
     const auto program = compiler.compile(model);
     sim::Sia single(config, model, program);
-    expect_same_outputs(cluster.run(inputs[0]), single.run(inputs[0]));
+    expect_same(cluster.run(inputs[0]), single.run(inputs[0]), {.cycles = true});
 }
 
 TEST(ShardCluster, MisShapedFramesRejectedUnderBothPartitions) {
@@ -392,7 +247,8 @@ TEST(ShardCluster, MisShapedFramesRejectedUnderBothPartitions) {
         EXPECT_THROW((void)cluster.run(inputs.back()), std::invalid_argument);
         EXPECT_THROW((void)cluster.run_batch(sim::as_batch(inputs)),
                      std::invalid_argument);
-        expect_same_outputs(cluster.run(inputs[0]), ref);
+        expect_same(cluster.run(inputs[0]), ref,
+                    {.cycles = partition == core::ShardPartition::kPipeline});
     }
 }
 
@@ -432,7 +288,7 @@ TEST(ShardPipeline, FillDrainAndStallAccountingHandChecked) {
 
     sim::SiaCluster cluster(config, model, plan, {.threads = 2});
     const auto results = cluster.run_batch(sim::as_batch(inputs));
-    for (const auto& r : results) expect_same_sia_result(r, ref);
+    for (const auto& r : results) expect_same(r, ref, {.cycles = true});
 
     const auto count = static_cast<std::int64_t>(n);
     const sim::ShardStats& db = cluster.last_stats();
@@ -453,7 +309,7 @@ TEST(ShardPipeline, FillDrainAndStallAccountingHandChecked) {
     sim::SiaCluster serial_tx(config, model, plan,
                               {.threads = 2, .double_buffer = false});
     const auto results2 = serial_tx.run_batch(sim::as_batch(inputs));
-    for (const auto& r : results2) expect_same_sia_result(r, ref);
+    for (const auto& r : results2) expect_same(r, ref, {.cycles = true});
     const sim::ShardStats& nodb = serial_tx.last_stats();
     EXPECT_EQ(nodb.makespan_cycles, count * (b0 + tx) + b1);
     EXPECT_GT(nodb.makespan_cycles, db.makespan_cycles);
@@ -558,11 +414,8 @@ TEST(ShardCluster, SessionWindowsMatchSingleSiaWindowByWindow) {
                 const std::array items{
                     sim::BatchItem{windows[w], &cluster_session, nullptr}};
                 const auto got = std::move(cluster.run_batch(items).front());
-                if (partition == core::ShardPartition::kPipeline) {
-                    expect_same_sia_result(got, want);
-                } else {
-                    expect_same_outputs(got, want);
-                }
+                expect_same(got, want,
+                            {.cycles = partition == core::ShardPartition::kPipeline});
                 // The carried state itself is bit-identical after every
                 // window — N chunked windows equal one monolithic run.
                 EXPECT_EQ(cluster_session.membranes, ref_session.membranes);
@@ -586,8 +439,7 @@ TEST(ShardedBackend, MatchesSingleSiaThroughBatchRunner) {
     std::vector<sim::SiaRunResult> ref;
     for (const auto& train : inputs) ref.push_back(single.run(train));
 
-    std::vector<core::Request> requests;
-    for (const auto& t : inputs) requests.push_back(core::Request::view_train(t));
+    const auto requests = view_requests(inputs);
 
     for (const auto partition :
          {core::ShardPartition::kPipeline, core::ShardPartition::kChannel}) {
@@ -601,7 +453,8 @@ TEST(ShardedBackend, MatchesSingleSiaThroughBatchRunner) {
         for (std::size_t i = 0; i < responses.size(); ++i) {
             SCOPED_TRACE("item=" + std::to_string(i));
             ASSERT_TRUE(responses[i].ok());
-            expect_same_outputs(responses[i], ref[i]);
+            expect_same(responses[i], ref[i],
+                        {.cycles = partition == core::ShardPartition::kPipeline});
         }
         EXPECT_EQ(backend->name(), "sia-cluster");
         const auto stats = backend->take_shard_stats();
@@ -663,7 +516,7 @@ TEST(PartitionGuard, ThrowingBatchThenRunIsBitIdentical) {
     auto bad = inputs;
     bad.push_back(snn::SpikeTrain{});
     EXPECT_THROW((void)sia.run_batch(sim::as_batch(bad)), std::invalid_argument);
-    expect_same_sia_result(sia.run(inputs[0]), ref);
+    expect_same(sia.run(inputs[0]), ref, {.cycles = true});
 }
 
 // ---- compiler diagnostics ----

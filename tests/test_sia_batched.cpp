@@ -17,183 +17,13 @@
 #include "sim/sia.hpp"
 #include "snn/compute.hpp"
 #include "snn/engine.hpp"
+#include "support.hpp"
 #include "util/rng.hpp"
 
 namespace sia {
 namespace {
 
-// ---- model zoo: a small conv net and a small MLP ----
-
-snn::SnnModel conv_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    std::int64_t in_c = model.input_channels;
-    for (std::int64_t d = 0; d < 3; ++d) {
-        snn::SnnLayer layer;
-        layer.op = snn::LayerOp::kConv;
-        layer.label = "conv" + std::to_string(d);
-        layer.input = static_cast<int>(d) - 1;
-        auto& b = layer.main;
-        b.in_channels = in_c;
-        b.out_channels = 4;
-        b.kernel = 3;
-        b.stride = 1;
-        b.padding = 1;
-        b.weights.resize(static_cast<std::size_t>(in_c * 4 * 9));
-        for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-        b.gain.resize(4);
-        b.bias.resize(4);
-        for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-        for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-        layer.out_channels = 4;
-        layer.out_h = 6;
-        layer.out_w = 6;
-        layer.in_h = 6;
-        layer.in_w = 6;
-        model.layers.push_back(std::move(layer));
-        in_c = 4;
-    }
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 2;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-snn::SnnModel mlp_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 1;
-    model.input_h = 4;
-    model.input_w = 4;
-
-    snn::SnnLayer hidden;
-    hidden.op = snn::LayerOp::kLinear;
-    hidden.label = "hidden";
-    hidden.input = -1;
-    hidden.spiking = true;
-    hidden.main.in_features = 16;
-    hidden.main.out_features = 12;
-    hidden.main.weights.resize(16 * 12);
-    for (auto& w : hidden.main.weights) {
-        w = static_cast<std::int8_t>(rng.integer(-127, 127));
-    }
-    hidden.main.gain.resize(12);
-    hidden.main.bias.resize(12);
-    for (auto& g : hidden.main.gain) g = static_cast<std::int16_t>(rng.integer(100, 500));
-    for (auto& h : hidden.main.bias) h = static_cast<std::int16_t>(rng.integer(-50, 50));
-    hidden.out_channels = 12;
-    model.layers.push_back(std::move(hidden));
-
-    snn::SnnLayer readout;
-    readout.op = snn::LayerOp::kLinear;
-    readout.label = "readout";
-    readout.input = 0;
-    readout.spiking = false;
-    readout.main.in_features = 12;
-    readout.main.out_features = 4;
-    readout.main.weights.resize(12 * 4);
-    for (auto& w : readout.main.weights) {
-        w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    }
-    readout.main.gain.assign(4, 256);
-    readout.main.bias.assign(4, 0);
-    readout.out_channels = 4;
-    model.layers.push_back(std::move(readout));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-std::vector<snn::SpikeTrain> random_batch(const snn::SnnModel& model, std::size_t count,
-                                          std::int64_t timesteps, std::uint64_t seed) {
-    std::vector<snn::SpikeTrain> batch;
-    batch.reserve(count);
-    util::Rng rng(seed);
-    for (std::size_t i = 0; i < count; ++i) {
-        snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                              snn::SpikeMap(model.input_channels, model.input_h,
-                                            model.input_w));
-        for (auto& frame : train) {
-            for (std::int64_t j = 0; j < frame.size(); ++j) {
-                frame.set_flat(j, rng.bernoulli(0.3));
-            }
-        }
-        batch.push_back(std::move(train));
-    }
-    return batch;
-}
-
-/// Full bit-identity: outputs AND as-if-sequential cycle accounting.
-void expect_same_sia_result(const sim::SiaRunResult& got, const sim::SiaRunResult& want) {
-    EXPECT_EQ(got.logits_per_step, want.logits_per_step);
-    EXPECT_EQ(got.spike_counts, want.spike_counts);
-    EXPECT_EQ(got.neuron_counts, want.neuron_counts);
-    EXPECT_EQ(got.timesteps, want.timesteps);
-    ASSERT_EQ(got.layer_stats.size(), want.layer_stats.size());
-    for (std::size_t l = 0; l < got.layer_stats.size(); ++l) {
-        SCOPED_TRACE("layer " + std::to_string(l));
-        const auto& a = got.layer_stats[l];
-        const auto& b = want.layer_stats[l];
-        EXPECT_EQ(a.label, b.label);
-        EXPECT_EQ(a.compute, b.compute);
-        EXPECT_EQ(a.aggregate, b.aggregate);
-        EXPECT_EQ(a.dma, b.dma);
-        EXPECT_EQ(a.mmio, b.mmio);
-        EXPECT_EQ(a.overhead, b.overhead);
-        EXPECT_EQ(a.input_spike_events, b.input_spike_events);
-        EXPECT_EQ(a.event_additions, b.event_additions);
-        EXPECT_EQ(a.dense_ops, b.dense_ops);
-    }
-    EXPECT_EQ(got.total_cycles(), want.total_cycles());
-}
-
-/// Same bit-identity check against a unified-API core::Response.
-void expect_same_sia_result(const core::Response& got, const sim::SiaRunResult& want) {
-    EXPECT_EQ(got.logits_per_step, want.logits_per_step);
-    EXPECT_EQ(got.spike_counts, want.spike_counts);
-    EXPECT_EQ(got.neuron_counts, want.neuron_counts);
-    EXPECT_EQ(got.timesteps, want.timesteps);
-    ASSERT_EQ(got.layer_stats.size(), want.layer_stats.size());
-    for (std::size_t l = 0; l < got.layer_stats.size(); ++l) {
-        SCOPED_TRACE("layer " + std::to_string(l));
-        const auto& a = got.layer_stats[l];
-        const auto& b = want.layer_stats[l];
-        EXPECT_EQ(a.label, b.label);
-        EXPECT_EQ(a.compute, b.compute);
-        EXPECT_EQ(a.aggregate, b.aggregate);
-        EXPECT_EQ(a.dma, b.dma);
-        EXPECT_EQ(a.mmio, b.mmio);
-        EXPECT_EQ(a.overhead, b.overhead);
-        EXPECT_EQ(a.input_spike_events, b.input_spike_events);
-        EXPECT_EQ(a.event_additions, b.event_additions);
-        EXPECT_EQ(a.dense_ops, b.dense_ops);
-    }
-    EXPECT_EQ(got.total_cycles(), want.total_cycles());
-}
-
-std::vector<core::Request> view_requests(const std::vector<snn::SpikeTrain>& batch) {
-    std::vector<core::Request> requests;
-    requests.reserve(batch.size());
-    for (const auto& t : batch) requests.push_back(core::Request::view_train(t));
-    return requests;
-}
+using namespace test;
 
 struct NamedModel {
     const char* name;
@@ -239,9 +69,8 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
             ASSERT_EQ(batched.size(), bs);
             for (std::size_t i = 0; i < bs; ++i) {
                 SCOPED_TRACE("item=" + std::to_string(i));
-                expect_same_sia_result(batched[i], sim_ref[i]);
-                EXPECT_EQ(batched[i].logits_per_step, fun_ref[i].logits_per_step);
-                EXPECT_EQ(batched[i].spike_counts, fun_ref[i].spike_counts);
+                expect_same(batched[i], sim_ref[i], {.cycles = true});
+                expect_same(batched[i], fun_ref[i]);
             }
             EXPECT_EQ(resident.last_batch_stats().chunk_passes,
                       (static_cast<std::int64_t>(bs) + config.membrane_banks - 1) /
@@ -271,9 +100,8 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
             for (auto& t : executors) t.join();
             for (std::size_t i = 0; i < inputs.size(); ++i) {
                 SCOPED_TRACE("item=" + std::to_string(i));
-                expect_same_sia_result(sim_shared[i], sim_ref[i]);
-                EXPECT_EQ(fun_shared[i].logits_per_step, fun_ref[i].logits_per_step);
-                EXPECT_EQ(fun_shared[i].spike_counts, fun_ref[i].spike_counts);
+                expect_same(sim_shared[i], sim_ref[i], {.cycles = true});
+                expect_same(fun_shared[i], fun_ref[i]);
             }
         }
 
@@ -290,8 +118,8 @@ TEST(SiaBatched, MatrixBatchedEqualsSequentialEqualsFunctional) {
                 ASSERT_EQ(results.size(), bs);
                 for (std::size_t i = 0; i < bs; ++i) {
                     SCOPED_TRACE("item=" + std::to_string(i));
-                    expect_same_sia_result(results[i], sim_ref[i]);
-                    EXPECT_EQ(results[i].logits_per_step, fun_ref[i].logits_per_step);
+                    expect_same(results[i], sim_ref[i], {.cycles = true});
+                    expect_same(results[i], fun_ref[i]);
                 }
                 EXPECT_EQ(runner.last_stats().inputs, bs);
             }
@@ -318,7 +146,7 @@ TEST(SiaBatched, OversizedBatchRunsInWavesAndAmortizes) {
     ASSERT_EQ(batched.size(), inputs.size());
     for (std::size_t i = 0; i < batched.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_sia_result(batched[i], ref[i]);
+        expect_same(batched[i], ref[i], {.cycles = true});
     }
 
     const sim::SiaBatchStats& stats = resident.last_batch_stats();
@@ -360,7 +188,7 @@ TEST(SiaBatched, ReportsWhenMembranesOverflowTheContextSlice) {
     const auto batched = resident.run_batch(sim::as_batch(inputs));
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_sia_result(batched[i], sequential.run(inputs[i]));
+        expect_same(batched[i], sequential.run(inputs[i]), {.cycles = true});
     }
     EXPECT_EQ(resident.last_batch_stats().membrane_slice_bytes, 128);
     EXPECT_FALSE(resident.last_batch_stats().membrane_resident);
@@ -376,7 +204,7 @@ TEST(SiaBatched, BatchOfOneHasNothingToAmortize) {
     const auto ref = sia.run(inputs[0]);
     const auto batched = sia.run_batch(sim::as_batch(inputs));
     ASSERT_EQ(batched.size(), 1U);
-    expect_same_sia_result(batched[0], ref);
+    expect_same(batched[0], ref, {.cycles = true});
 
     const sim::SiaBatchStats& stats = sia.last_batch_stats();
     EXPECT_EQ(stats.chunk_passes, 1);
@@ -530,12 +358,6 @@ snn::ExitCriterion eager_exit() {
             .check_interval = 1};
 }
 
-/// Enabled but unreachable: the item runs its full train.
-snn::ExitCriterion unreachable_exit() {
-    return {.margin = 1'000'000'000, .stable_checks = 0, .min_steps = 1,
-            .hysteresis = 1, .check_interval = 1};
-}
-
 /// One stateless item with a criterion, run alone.
 sim::SiaRunResult run_with_exit(sim::Sia& sia, const snn::SpikeTrain& train,
                                 const snn::ExitCriterion& exit) {
@@ -551,14 +373,6 @@ std::vector<sim::BatchItem> exit_batch(const std::vector<snn::SpikeTrain>& input
         items.push_back({inputs[i], nullptr, exits[i]});
     }
     return items;
-}
-
-void expect_same_exit_result(const sim::SiaRunResult& got,
-                             const sim::SiaRunResult& want) {
-    expect_same_sia_result(got, want);
-    EXPECT_EQ(got.readout, want.readout);
-    EXPECT_EQ(got.steps_offered, want.steps_offered);
-    EXPECT_EQ(got.exit_reason, want.exit_reason);
 }
 
 TEST(SiaBatched, RaggedRetirementMatchesSoloRunsAcrossCompositions) {
@@ -595,7 +409,7 @@ TEST(SiaBatched, RaggedRetirementMatchesSoloRunsAcrossCompositions) {
             std::int64_t retired = 0;
             for (std::size_t i = 0; i < bs; ++i) {
                 SCOPED_TRACE("item=" + std::to_string(i));
-                expect_same_exit_result(batched[i], ref[i]);
+                expect_same(batched[i], ref[i], {.cycles = true});
                 executed += batched[i].timesteps;
                 if (batched[i].exit_reason != snn::ExitReason::kNone &&
                     batched[i].timesteps < timesteps) {
@@ -641,7 +455,7 @@ TEST(SiaBatched, RaggedRetirementOnLastWaveSlot) {
     const auto batched = resident.run_batch(exit_batch(inputs, exits));
     for (std::size_t i = 0; i < 4; ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_exit_result(batched[i], ref[i]);
+        expect_same(batched[i], ref[i], {.cycles = true});
     }
     EXPECT_EQ(resident.last_batch_stats().retired_early, 1);
 }
@@ -701,9 +515,9 @@ TEST(SiaBatched, RaggedBackfillOrderingIsDeterministic) {
     ASSERT_EQ(run1.size(), run2.size());
     for (std::size_t i = 0; i < run1.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_exit_result(run1[i], run2[i]);
+        expect_same(run1[i], run2[i], {.cycles = true});
         sim::Sia solo(config, model, program);
-        expect_same_exit_result(run1[i], run_with_exit(solo, inputs[i], *exits[i]));
+        expect_same(run1[i], run_with_exit(solo, inputs[i], *exits[i]), {.cycles = true});
     }
     EXPECT_EQ(stats1.retired_at, stats2.retired_at);
     EXPECT_EQ(stats1.backfills, stats2.backfills);
@@ -734,7 +548,7 @@ TEST(SiaBatched, DisabledCriteriaRunExactLegacySchedule) {
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_exit_result(got[i], want[i]);
+        expect_same(got[i], want[i], {.cycles = true});
         EXPECT_EQ(got[i].timesteps, 4);
         EXPECT_EQ(got[i].exit_reason, snn::ExitReason::kNone);
     }
@@ -762,11 +576,11 @@ TEST(SiaBatched, SingleRunsInterleaveWithBatchedRuns) {
     sim::Sia sia(config, model, program);
     const auto batched = sia.run_batch(sim::as_batch(inputs));
     const auto single = sia.run(inputs[0]);
-    expect_same_sia_result(single, ref0);
+    expect_same(single, ref0, {.cycles = true});
     const auto batched_again = sia.run_batch(sim::as_batch(inputs));
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         SCOPED_TRACE("item=" + std::to_string(i));
-        expect_same_sia_result(batched_again[i], batched[i]);
+        expect_same(batched_again[i], batched[i], {.cycles = true});
     }
 }
 

@@ -11,6 +11,7 @@
 #include "snn/compute.hpp"
 #include "snn/encoding.hpp"
 #include "snn/engine.hpp"
+#include "support.hpp"
 
 namespace sia {
 namespace {
@@ -54,8 +55,7 @@ TEST(SiaIntegration, BitExactVsFunctionalVgg) {
 
     const core::DeployReport report = core::Deployer().deploy(model, input);
     EXPECT_TRUE(report.bit_exact) << report.mismatch;
-    EXPECT_EQ(report.functional.spike_counts, report.hardware.spike_counts);
-    EXPECT_EQ(report.functional.logits_per_step, report.hardware.logits_per_step);
+    test::expect_same(report.hardware, report.functional);
 }
 
 TEST(SiaIntegration, BitExactVsFunctionalResNet) {

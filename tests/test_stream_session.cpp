@@ -24,76 +24,13 @@
 #include "sim/sia.hpp"
 #include "snn/engine.hpp"
 #include "snn/session.hpp"
-#include "util/rng.hpp"
+#include "support.hpp"
 
 namespace sia {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---- compact random model/stimulus helpers (mirrors test_server) ----
-
-snn::SnnModel small_model(std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SnnModel model;
-    model.input_channels = 2;
-    model.input_h = 6;
-    model.input_w = 6;
-
-    snn::SnnLayer layer;
-    layer.op = snn::LayerOp::kConv;
-    layer.label = "conv0";
-    layer.input = -1;
-    auto& b = layer.main;
-    b.in_channels = 2;
-    b.out_channels = 4;
-    b.kernel = 3;
-    b.stride = 1;
-    b.padding = 1;
-    b.weights.resize(static_cast<std::size_t>(2 * 4 * 9));
-    for (auto& w : b.weights) w = static_cast<std::int8_t>(rng.integer(-127, 127));
-    b.gain.resize(4);
-    b.bias.resize(4);
-    for (auto& g : b.gain) g = static_cast<std::int16_t>(rng.integer(50, 2000));
-    for (auto& h : b.bias) h = static_cast<std::int16_t>(rng.integer(-100, 100));
-    layer.out_channels = 4;
-    layer.out_h = 6;
-    layer.out_w = 6;
-    layer.in_h = 6;
-    layer.in_w = 6;
-    model.layers.push_back(std::move(layer));
-
-    snn::SnnLayer fc;
-    fc.op = snn::LayerOp::kLinear;
-    fc.label = "fc";
-    fc.input = 0;
-    fc.spiking = false;
-    fc.main.in_features = 4 * 6 * 6;
-    fc.main.out_features = 4;
-    fc.main.weights.resize(static_cast<std::size_t>(fc.main.in_features * 4));
-    for (auto& w : fc.main.weights) w = static_cast<std::int8_t>(rng.integer(-64, 64));
-    fc.main.gain.assign(4, 256);
-    fc.main.bias.assign(4, 0);
-    fc.out_channels = 4;
-    model.layers.push_back(std::move(fc));
-    model.classes = 4;
-    model.validate();
-    return model;
-}
-
-snn::SpikeTrain random_train(const snn::SnnModel& model, std::int64_t timesteps,
-                             std::uint64_t seed) {
-    util::Rng rng(seed);
-    snn::SpikeTrain train(static_cast<std::size_t>(timesteps),
-                          snn::SpikeMap(model.input_channels, model.input_h,
-                                        model.input_w));
-    for (auto& frame : train) {
-        for (std::int64_t j = 0; j < frame.size(); ++j) {
-            frame.set_flat(j, rng.bernoulli(0.3));
-        }
-    }
-    return train;
-}
+using namespace test;
 
 /// Split a train into consecutive windows of up to `window` steps.
 std::vector<snn::SpikeTrain> chunk(const snn::SpikeTrain& train,
@@ -107,21 +44,10 @@ std::vector<snn::SpikeTrain> chunk(const snn::SpikeTrain& train,
     return out;
 }
 
-/// Waits (bounded) for a predicate that another thread flips.
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 2000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    while (!pred()) {
-        if (std::chrono::steady_clock::now() > deadline) return false;
-        std::this_thread::sleep_for(1ms);
-    }
-    return true;
-}
-
 // ---- engine-level chunking identity ----
 
 TEST(StreamSession, FunctionalChunkedWindowsMatchMonolithic) {
-    const auto model = small_model(3);
+    const auto model = conv_model(3, 1);
     const auto train = random_train(model, 8, 42);
     snn::FunctionalEngine engine(model);
     const auto mono = engine.run(train);
@@ -141,7 +67,7 @@ TEST(StreamSession, FunctionalChunkedWindowsMatchMonolithic) {
 }
 
 TEST(StreamSession, SiaChunkedWindowsMatchMonolithic) {
-    const auto model = small_model(5);
+    const auto model = conv_model(5, 1);
     const auto train = random_train(model, 8, 9);
     const sim::SiaConfig config;
     const auto program = core::SiaCompiler(config).compile(model);
@@ -164,7 +90,7 @@ TEST(StreamSession, SessionsMigrateBetweenEngines) {
     // The carried representation is engine-agnostic: alternate windows
     // between the functional engine and the simulator mid-stream and
     // the readout still matches the monolithic reference bit-exactly.
-    const auto model = small_model(7);
+    const auto model = conv_model(7, 1);
     const auto train = random_train(model, 8, 17);
     snn::FunctionalEngine engine(model);
     const auto mono = engine.run(train);
@@ -193,7 +119,7 @@ TEST(StreamSession, MalformedSessionIsInvalidOnBothBackends) {
     // holding layer.neurons() potentials for a spiking layer and none for
     // a readout layer. Both engines reject a session that breaks it,
     // before running, and leave the session as it was.
-    const auto model = small_model(11);
+    const auto model = conv_model(11, 1);
     const auto train = random_train(model, 3, 5);
     snn::FunctionalEngine engine(model);
     const sim::SiaConfig config;
@@ -222,8 +148,7 @@ TEST(StreamSession, MalformedSessionIsInvalidOnBothBackends) {
 
     snn::SessionState engine_session = valid;
     snn::SessionState sia_session = valid;
-    EXPECT_EQ(engine.run_window(train, engine_session).readout,
-              sia.run(train, sia_session, {}).readout);
+    expect_same(sia.run(train, sia_session, {}), engine.run_window(train, engine_session));
     EXPECT_EQ(engine_session, sia_session);
 }
 
@@ -232,7 +157,7 @@ TEST(StreamSession, EmptyTrainIsInvalidOnBothBackends) {
     // rejects it before touching the session, a server lane answers
     // kInvalidRequest on either backend, and a rejected session window
     // leaves its session as it was.
-    const auto model = small_model(31);
+    const auto model = conv_model(31, 1);
     const snn::SpikeTrain empty;
     const snn::ExitCriterion exit{.margin = 1};
 
@@ -269,7 +194,7 @@ TEST(StreamSession, EmptyTrainIsInvalidOnBothBackends) {
         const auto next =
             server.submit(core::Request::from_train(train).with_session("cam")).get();
         ASSERT_TRUE(next.ok()) << next.error;
-        EXPECT_EQ(next.logits_per_step, want.logits_per_step);
+        expect_same(next, want);
         server.shutdown();
         EXPECT_EQ(server.stats().failed, 2U);
     }
@@ -316,29 +241,29 @@ void expect_server_chunk_identity(std::shared_ptr<core::Backend> backend,
 }
 
 TEST(StreamSession, ServerChunkedFunctionalSingleThread) {
-    const auto model = small_model(13);
+    const auto model = conv_model(13, 1);
     expect_server_chunk_identity(std::make_shared<core::FunctionalBackend>(model),
                                  model, 1);
 }
 
 TEST(StreamSession, ServerChunkedFunctionalFourThreads) {
-    const auto model = small_model(13);
+    const auto model = conv_model(13, 1);
     expect_server_chunk_identity(std::make_shared<core::FunctionalBackend>(model),
                                  model, 4);
 }
 
 TEST(StreamSession, ServerChunkedSiaSingleThread) {
-    const auto model = small_model(19);
+    const auto model = conv_model(19, 1);
     expect_server_chunk_identity(std::make_shared<core::SiaBackend>(model), model, 1);
 }
 
 TEST(StreamSession, ServerChunkedSiaFourThreads) {
-    const auto model = small_model(19);
+    const auto model = conv_model(19, 1);
     expect_server_chunk_identity(std::make_shared<core::SiaBackend>(model), model, 4);
 }
 
 TEST(StreamSession, BackendsAgreeOnChunkedStreams) {
-    const auto model = small_model(23);
+    const auto model = conv_model(23, 1);
     const auto train = random_train(model, 6, 5);
     std::vector<std::vector<std::vector<std::int64_t>>> per_backend;
     for (const bool use_sia : {false, true}) {
@@ -369,7 +294,7 @@ TEST(StreamSession, BackendsAgreeOnChunkedStreams) {
 // ---- session lifecycle ----
 
 TEST(StreamSession, IdleSessionExpiresAndRestarts) {
-    const auto model = small_model(29);
+    const auto model = conv_model(29, 1);
     core::Server server(std::make_shared<core::FunctionalBackend>(model),
                         {.threads = 1, .session_idle_ms = 50});
     const auto train = random_train(model, 2, 3);
@@ -388,7 +313,7 @@ TEST(StreamSession, IdleSessionExpiresAndRestarts) {
         server.submit(core::Request::from_train(train).with_session("cam")).get();
     EXPECT_EQ(r1.window_seq, 0U);
     EXPECT_EQ(r1.session_steps, 2);
-    EXPECT_EQ(r1.logits_per_step, r0.logits_per_step);
+    expect_same(r1, r0);
 
     server.shutdown();
     const auto stats = server.stats();
@@ -397,7 +322,7 @@ TEST(StreamSession, IdleSessionExpiresAndRestarts) {
 }
 
 TEST(StreamSession, CloseWithPendingWindowsDefers) {
-    const auto model = small_model(31);
+    const auto model = conv_model(31, 1);
     core::Server server(std::make_shared<core::FunctionalBackend>(model),
                         {.threads = 1});
     const auto train = random_train(model, 2, 3);
@@ -418,7 +343,7 @@ TEST(StreamSession, CloseWithPendingWindowsDefers) {
 }
 
 TEST(StreamSession, CloseFlagOnFinalWindowRetires) {
-    const auto model = small_model(37);
+    const auto model = conv_model(37, 1);
     core::Server server(std::make_shared<core::FunctionalBackend>(model),
                         {.threads = 1});
     const auto train = random_train(model, 2, 3);
@@ -435,7 +360,7 @@ TEST(StreamSession, CloseFlagOnFinalWindowRetires) {
 }
 
 TEST(StreamSession, ShutdownWithOpenSessionsDrains) {
-    const auto model = small_model(41);
+    const auto model = conv_model(41, 1);
     const auto train_a = random_train(model, 6, 50);
     const auto train_b = random_train(model, 6, 51);
     snn::FunctionalEngine engine(model);
@@ -476,7 +401,7 @@ TEST(StreamSession, SessionWindowsAreNeverShed) {
     // high-priority request under kReject: the high request must be
     // refused rather than a session window evicted (shedding one would
     // desync the stream's carried state).
-    const auto model = small_model(43);
+    const auto model = conv_model(43, 1);
     core::Server server(std::make_shared<core::FunctionalBackend>(model),
                         {.threads = 1,
                          .max_queue = 2,
@@ -520,7 +445,7 @@ TEST(StreamSession, SessionWindowsAreNeverShed) {
 // caller gets a structured error, and later windows keep flowing — the
 // session is degraded, never wedged.
 TEST(StreamSession, FaultedWindowLeavesStreamContinuingFromPriorState) {
-    const auto model = small_model(47);
+    const auto model = conv_model(47, 1);
     const auto train = random_train(model, 6, 60);
     auto windows = chunk(train, 2);
     ASSERT_EQ(windows.size(), 3U);
@@ -564,8 +489,8 @@ TEST(StreamSession, FaultedWindowLeavesStreamContinuingFromPriorState) {
                         .submit(core::Request::from_train(std::move(ref_windows[2]))
                                     .with_session("cam"))
                         .get();
-    EXPECT_EQ(r0.logits_per_step, c0.logits_per_step);
-    EXPECT_EQ(r2.logits_per_step, c2.logits_per_step);
+    expect_same(r0, c0);
+    expect_same(r2, c2);
     clean.shutdown();
 
     // The session is still live and closable; nothing leaked.
@@ -583,7 +508,7 @@ TEST(StreamSession, FaultedWindowLeavesStreamContinuingFromPriorState) {
 // backlog drains) and a session whose last window failed still ages
 // out. A wedged pending count would hang both paths.
 TEST(StreamSession, FaultsDoNotWedgeDeferredCloseOrIdleExpiry) {
-    const auto model = small_model(53);
+    const auto model = conv_model(53, 1);
     const auto train = random_train(model, 2, 61);
 
     // Deferred close with a poisoned window in the backlog. Streams

@@ -49,30 +49,6 @@ TEST(RunningStat, EmptyIsZero) {
     EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(Histogram, BinsAndClamping) {
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-100.0);  // clamps to first bin
-    h.add(100.0);   // clamps to last bin
-    EXPECT_EQ(h.bin_count(0), 2U);
-    EXPECT_EQ(h.bin_count(9), 2U);
-    EXPECT_EQ(h.total(), 4U);
-}
-
-TEST(Histogram, CdfMonotone) {
-    Histogram h(0.0, 1.0, 4);
-    for (int i = 0; i < 100; ++i) h.add(i / 100.0);
-    EXPECT_LE(h.cdf(0.25), h.cdf(0.5));
-    EXPECT_LE(h.cdf(0.5), h.cdf(1.0));
-    EXPECT_NEAR(h.cdf(1.0), 1.0, 1e-12);
-}
-
-TEST(Histogram, RejectsBadRange) {
-    EXPECT_THROW(Histogram(1.0, 0.0, 4), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(StreamingHistogram, QuantilesWithinBucketResolution) {
     StreamingHistogram h;  // defaults: [1, 1e9), 64 bins/decade (~3.7%)
     for (int i = 1; i <= 1000; ++i) h.add(static_cast<double>(i));
